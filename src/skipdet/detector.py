@@ -9,6 +9,9 @@ The box transform follows the YOLOv2 parameterization: for grid cell
 
 objectness is sigmoid(t_obj) and the class is the argmax of the softmax
 over the raw class values. Anchors are measured in grid-cell units.
+Decode clamps t_w and t_h to [-LOG_SCALE_LIMIT, LOG_SCALE_LIMIT] before
+the exp, so no finite map can overflow it or underflow it to a zero extent;
+values inside that range decode unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .netdef import NetworkDescriptor
 from .tensor import Tensor, _sigmoid
 
 __all__ = [
+    "LOG_SCALE_LIMIT",
     "AnchorPrior",
     "ClassProbabilityMap",
     "DetectionBox",
@@ -39,6 +43,10 @@ __all__ = [
     "read_detections",
     "write_detections",
 ]
+
+
+# A box spans at most e**30 (about 1e13) and at least e**-30 anchor extents.
+LOG_SCALE_LIMIT = 30.0
 
 
 @dataclass(frozen=True)
@@ -134,11 +142,13 @@ def decode(cmap: ClassProbabilityMap, anchors: Sequence[AnchorPrior],
                 if objectness < obj_threshold:
                     continue
                 cls = int(np.argmax(softmax[a, :, i, j]))
+                t_w = min(max(float(v[a, 2, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
+                t_h = min(max(float(v[a, 3, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
                 boxes.append(DetectionBox(
                     cx=(j + float(sig[a, 0, i, j])) / s,
                     cy=(i + float(sig[a, 1, i, j])) / s,
-                    w=anchors[a].w * math.exp(float(v[a, 2, i, j])) / s,
-                    h=anchors[a].h * math.exp(float(v[a, 3, i, j])) / s,
+                    w=anchors[a].w * math.exp(t_w) / s,
+                    h=anchors[a].h * math.exp(t_h) / s,
                     objectness=objectness,
                     class_id=cls,
                     class_score=float(softmax[a, cls, i, j]),

@@ -119,9 +119,9 @@ def _forward_batch(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
         elif layer.kind == "maxpool2":
             if out.shape[2] % 2 or out.shape[3] % 2:
                 raise ShapeError(f"layer {i} (maxpool2): odd spatial extent {out.shape[2:]}")
-            pooled, am = _maxpool2_batch(out)
+            pooled = _maxpool2_batch(out)
             if caches is not None:
-                caches.append(("maxpool2", i, out.shape, am))
+                caches.append(("maxpool2", i, out, pooled))
             out = pooled
         elif layer.kind == "pointwise":
             post = _pointwise_raw(out, layer.fn, layer.alpha)
@@ -168,9 +168,9 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
                                   layer.kernel_size, layer.kernel_size,
                                   layer.stride, layer.pad)
         elif kind == "maxpool2":
-            _, i, in_shape, am = cache
+            _, i, x, pooled = cache
             if not is_first:
-                g = _maxpool2_backward(g, am, in_shape)
+                g = _maxpool2_backward(g, x, pooled)
         elif kind == "pointwise":
             _, i, pre, post = cache
             layer = net.layers[i]

@@ -149,7 +149,9 @@ def run(frames: Sequence[Frame], net: NetworkDescriptor, store: WeightStore,
     """Fold :func:`process_frame` over a frame sequence in order.
 
     Wall time covers the gate, infer, and decode stages only (frame I/O is
-    the caller's business); FPS is frames divided by that total.
+    the caller's business); FPS is frames divided by that total. A
+    ``ValueError``, ``ArithmeticError`` or ``OSError`` raised for a frame is
+    re-raised as the same type with ``frame <index>:`` before its message.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -166,7 +168,7 @@ def run(frames: Sequence[Frame], net: NetworkDescriptor, store: WeightStore,
             boxes, did_infer, state, timing = process_frame(
                 state, frame, policy, net, store, anchors,
                 obj_threshold, nms_threshold, always=always)
-        except (ShapeError, OSError) as exc:
+        except (ArithmeticError, OSError, ValueError) as exc:
             raise type(exc)(f"frame {frame.index}: {exc}") from exc
         decisions.append(1 if did_infer else 0)
         detections.append(boxes)

@@ -32,34 +32,40 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(arr).tobytes())
 
 
+# One header number: whitespace and comments, then at most 9 digits.
+_HEADER_NUMBER = re.compile(rb"(?:\s|#[^\n]*\n)*(\d{0,9})")
+
+
 def read_ppm(path) -> np.ndarray:
-    """Read a binary P5/P6 file into a uint8 [H,W,C] array."""
+    """Read a binary P5/P6 file into a uint8 [H,W,C] array.
+
+    A malformed file raises ``ValueError`` naming the path and the byte
+    offset of the fault.
+    """
     data = Path(path).read_bytes()
     if data[:2] == b"P6":
         channels = 3
     elif data[:2] == b"P5":
         channels = 1
     else:
-        raise ValueError(f"{path}: not a binary PPM/PGM file (magic {data[:2]!r})")
-    pos, tokens = 2, []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
+        raise ValueError(f"{path}: byte 0: not a binary PPM/PGM file (magic {data[:2]!r})")
+    pos, fields = 2, []
+    for name in ("width", "height", "maxval"):
+        m = _HEADER_NUMBER.match(data, pos)
+        start, pos = m.span(1)
+        value = int(m[1]) if m[1] and not data[pos:pos + 1].strip() else 0
+        if value == 0 or (name == "maxval" and value != 255):
+            expected = "255, for 8-bit samples" if name == "maxval" else "1 to 9 digits, not 0"
+            raise ValueError(f"{path}: byte {start}: bad {name} {data[start:start + 12]!r}, "
+                             f"expected {expected}")
+        fields.append(value)
+    width, height, _ = fields
     pos += 1  # single whitespace byte after maxval
-    width, height, maxval = (int(t) for t in tokens)
-    if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit images supported, maxval={maxval}")
     need = width * height * channels
     raster = data[pos:pos + need]
     if len(raster) != need:
-        raise ValueError(f"{path}: raster truncated, expected {need} bytes, got {len(raster)}")
+        raise ValueError(f"{path}: byte {pos}: raster truncated, expected {need} bytes, "
+                         f"got {len(raster)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
 
 

@@ -1,7 +1,10 @@
 """Dense float32 tensor primitives: convolution, activations, pooling.
 
 Every operation here is a pure function: inputs are never mutated and no
-hidden state is kept, so calls are safe from any number of threads.
+hidden state is kept, not even a per-shape cache, so calls are safe from
+any number of threads. The strided convolution and pooling kernels are
+bit-identical to the gather/scatter/argmax kernels kept as oracles in
+``tests/oracles.py``: same values, same tie routing, same gradients.
 Convolution is cross-correlation (no kernel flip), the convention used by
 mainstream detector frameworks. Values are 32-bit floats throughout, and
 each operation verifies its result is finite.
@@ -91,52 +94,29 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> np.ndarray:
 # im2col machinery, shared by the public ops and the training engine.
 # ---------------------------------------------------------------------------
 
-_PLAN_CACHE: dict[tuple, tuple] = {}
-
-
 def conv_output_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
-
-
-def _im2col_plan(c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int):
-    """Gather-index plan mapping a padded [C,Hp,Wp] image to columns.
-
-    Returns ``(idx, ho, wo, hp, wp)`` where ``idx`` has shape
-    ``[C*kh*kw, ho*wo]`` and indexes the flattened padded image. Cached per
-    geometry; the cache only ever grows and entries are immutable, so
-    concurrent use is safe.
-    """
-    key = (c, h, w, kh, kw, stride, pad)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        hp, wp = h + 2 * pad, w + 2 * pad
-        ho = (hp - kh) // stride + 1
-        wo = (wp - kw) // stride + 1
-        ci = np.repeat(np.arange(c), kh * kw)
-        ky = np.tile(np.repeat(np.arange(kh), kw), c)
-        kx = np.tile(np.arange(kw), c * kh)
-        oy = stride * np.repeat(np.arange(ho), wo)
-        ox = stride * np.tile(np.arange(wo), ho)
-        idx = ((ci * hp + ky)[:, None] * wp + kx[:, None]) + (oy * wp + ox)[None, :]
-        plan = (idx.astype(np.int64), ho, wo, hp, wp)
-        _PLAN_CACHE[key] = plan
-    return plan
 
 
 def _pad_batch(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    # np.pad's set-up costs more than the copy at these sizes.
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:-pad, pad:-pad] = x
+    return xp
 
 
 def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    b, c, h, w = x.shape
-    idx, ho, wo, _, _ = _im2col_plan(c, h, w, kh, kw, stride, pad)
-    xp = _pad_batch(x, pad)
-    # np.take keeps the gather C-contiguous, which the matmul below needs
-    # to stay on the BLAS fast path.
-    cols = np.take(xp.reshape(b, -1), idx.reshape(-1), axis=1)
-    return cols.reshape(b, idx.shape[0], idx.shape[1]), ho, wo
+    """[B,C,H,W] to columns [B, C*kh*kw, Ho*Wo]; rows run (c, ky, kx)."""
+    b, c = x.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(_pad_batch(x, pad), (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    # The C-contiguous copy keeps the matmul below on the BLAS fast path.
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
 def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
@@ -154,49 +134,48 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return out.reshape(b, f, ho, wo), cols
 
 
-_SCATTER_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,
                   kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Scatter-add column gradients back to [B,C,H,W] images."""
-    b = dcols.shape[0]
-    idx, _, _, hp, wp = _im2col_plan(c, h, w, kh, kw, stride, pad)
-    span = c * hp * wp
-    key = (b, c, h, w, kh, kw, stride, pad)
-    flat_idx = _SCATTER_CACHE.get(key)
-    if flat_idx is None:
-        offsets = (np.arange(b, dtype=np.int64) * span)[:, None, None]
-        flat_idx = (idx[None, :, :] + offsets).ravel()
-        _SCATTER_CACHE[key] = flat_idx
-    acc = np.bincount(flat_idx, weights=dcols.ravel(), minlength=b * span)
-    grad = acc.reshape(b, c, hp, wp).astype(np.float32)
-    if pad:
-        grad = grad[:, :, pad:pad + h, pad:pad + w]
-    return grad
+    """Sum column gradients back into [B,C,H,W] images.
 
-
-def _maxpool2_batch(x: np.ndarray):
-    """Batched 2x2 max pooling; returns (out, argmax).
-
-    Within a window the first maximum in row-major order wins, which keeps
-    the gradient routing deterministic under ties.
+    float64 strided adds in (ky, kx) order, then one rounding to float32.
     """
-    b, c, h, w = x.shape
-    v = x.reshape(b, c, h // 2, 2, w // 2, 2)
-    v = v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-    am = np.argmax(v, axis=-1)
-    out = np.take_along_axis(v, am[..., None], axis=-1)[..., 0]
-    return out, am
+    b = dcols.shape[0]
+    ho = conv_output_extent(h, kh, stride, pad)
+    wo = conv_output_extent(w, kw, stride, pad)
+    d = dcols.reshape(b, c, kh, kw, ho, wo)
+    acc = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    for ky in range(kh):
+        for kx in range(kw):
+            acc[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += d[:, :, ky, kx]
+    return acc[:, :, pad:pad + h, pad:pad + w].astype(np.float32)
 
 
-def _maxpool2_backward(grad_out: np.ndarray, am: np.ndarray,
-                       in_shape: tuple) -> np.ndarray:
-    b, c, h, w = in_shape
-    scattered = np.zeros((b, c, h // 2, w // 2, 4), dtype=np.float32)
-    np.put_along_axis(scattered, am[..., None], grad_out[..., None], axis=-1)
-    v = scattered.reshape(b, c, h // 2, w // 2, 2, 2)
-    return v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+# 2x2 window positions in row-major order: under ties the first maximum in
+# this order wins, which keeps the gradient routing deterministic.
+_POOL_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _maxpool2_batch(x: np.ndarray) -> np.ndarray:
+    """Batched 2x2 max pooling over even [B,C,H,W] extents."""
+    out = x[:, :, 0::2, 0::2]
+    for dy, dx in _POOL_WINDOW[1:]:
+        # np.maximum returns its second operand on a tie (seen only between
+        # -0.0 and +0.0), so the running maximum goes second.
+        out = np.maximum(x[:, :, dy::2, dx::2], out)
+    return out
+
+
+def _maxpool2_backward(grad_out: np.ndarray, x: np.ndarray,
+                       pooled: np.ndarray) -> np.ndarray:
+    grad = np.empty_like(x)
+    free = np.ones(pooled.shape, dtype=bool)
+    for dy, dx in _POOL_WINDOW:
+        hit = x[:, :, dy::2, dx::2] == pooled
+        hit &= free
+        grad[:, :, dy::2, dx::2] = np.where(hit, grad_out, np.float32(0))
+        free &= ~hit
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -309,5 +288,4 @@ def maxpool2(x: Tensor) -> Tensor:
     _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial extents, got {h}x{w}")
-    out, _ = _maxpool2_batch(x.data[None])
-    return Tensor(out[0])
+    return Tensor(_maxpool2_batch(x.data[None])[0])

@@ -2,7 +2,9 @@
 
 Everything here is written the slow, obvious way (plain loops, float64) and
 deliberately shares no code with the package internals, so the two sides
-can check each other.
+can check each other. The exception is the last section: the package's
+earlier vectorised kernels, kept as bit-exact references for the current
+ones.
 """
 
 from __future__ import annotations
@@ -224,3 +226,64 @@ def naive_decode_slot(t_x, t_y, t_w, t_h, t_obj, cls_raw, i, j, grid, anchor_w, 
         "class_id": cls,
         "class_score": float(softmax[cls]),
     }
+
+
+# ---------------------------------------------------------------------------
+# Gather/scatter convolution and argmax pooling kernels.
+#
+# These are the package's earlier kernels, kept with their arithmetic
+# unchanged so the current ones can be required to match them bit for bit.
+# Their per-geometry plan caches are left out; caching never changed a value.
+# ---------------------------------------------------------------------------
+
+def gather_im2col_plan(c, h, w, kh, kw, stride, pad):
+    """Gather indices ``[C*kh*kw, ho*wo]`` into a flattened padded image."""
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    ci = np.repeat(np.arange(c), kh * kw)
+    ky = np.tile(np.repeat(np.arange(kh), kw), c)
+    kx = np.tile(np.arange(kw), c * kh)
+    oy = stride * np.repeat(np.arange(ho), wo)
+    ox = stride * np.tile(np.arange(wo), ho)
+    idx = ((ci * hp + ky)[:, None] * wp + kx[:, None]) + (oy * wp + ox)[None, :]
+    return idx.astype(np.int64), ho, wo, hp, wp
+
+
+def gather_im2col_batch(x, kh, kw, stride, pad):
+    b, c, h, w = x.shape
+    idx, ho, wo, _, _ = gather_im2col_plan(c, h, w, kh, kw, stride, pad)
+    xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.take(xp.reshape(b, -1), idx.reshape(-1), axis=1)
+    return cols.reshape(b, idx.shape[0], idx.shape[1]), ho, wo
+
+
+def bincount_col2im_batch(dcols, c, h, w, kh, kw, stride, pad):
+    b = dcols.shape[0]
+    idx, _, _, hp, wp = gather_im2col_plan(c, h, w, kh, kw, stride, pad)
+    span = c * hp * wp
+    offsets = (np.arange(b, dtype=np.int64) * span)[:, None, None]
+    flat_idx = (idx[None, :, :] + offsets).ravel()
+    acc = np.bincount(flat_idx, weights=dcols.ravel(), minlength=b * span)
+    grad = acc.reshape(b, c, hp, wp).astype(np.float32)
+    if pad:
+        grad = grad[:, :, pad:pad + h, pad:pad + w]
+    return grad
+
+
+def argmax_maxpool2_batch(x):
+    """Returns (out, argmax); the first maximum in row-major order wins."""
+    b, c, h, w = x.shape
+    v = x.reshape(b, c, h // 2, 2, w // 2, 2)
+    v = v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+    am = np.argmax(v, axis=-1)
+    out = np.take_along_axis(v, am[..., None], axis=-1)[..., 0]
+    return out, am
+
+
+def argmax_maxpool2_backward(grad_out, am, in_shape):
+    b, c, h, w = in_shape
+    scattered = np.zeros((b, c, h // 2, w // 2, 4), dtype=np.float32)
+    np.put_along_axis(scattered, am[..., None], grad_out[..., None], axis=-1)
+    v = scattered.reshape(b, c, h // 2, w // 2, 2, 2)
+    return v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.detector import (AnchorPrior, ClassProbabilityMap, DetectionBox,
-                              build_target_map, decode, evaluate_mean_best_iou,
+from skipdet.detector import (LOG_SCALE_LIMIT, AnchorPrior, ClassProbabilityMap,
+                              DetectionBox, build_target_map, decode, evaluate_mean_best_iou,
                               format_detection_line, iou, kmeans_anchors,
                               map_from_output, nms, parse_detection_file,
                               write_detections, _lloyd)
@@ -83,6 +83,25 @@ class TestDecode:
         v2[:, 4] += 1.0
         boosted = decode(make_map(v2.reshape(12, 3, 3), 3, 2, 1), anchors, 0.5)
         assert kept <= {(b.cx, b.cy) for b in boosted}
+
+    @pytest.mark.parametrize("t", [800.0, -800.0, 711.0, -744.0])
+    def test_extreme_log_scales_clamp_to_limit(self, t):
+        v = np.zeros((6, 1, 1), np.float32)
+        v[2] = v[3] = t
+        (got,) = decode(make_map(v, grid=1, anchors=1, classes=1), [AnchorPrior(0.9, 1.8)], 0.4)
+        limit = math.copysign(LOG_SCALE_LIMIT, t)
+        assert got.w == 0.9 * math.exp(limit) and got.h == 1.8 * math.exp(limit)
+        assert 0 < got.w < math.inf and 0 < got.h < math.inf
+
+    def test_log_scales_inside_limit_decode_unclamped(self):
+        t = [0.0, 3.5, -29.9, 29.9, LOG_SCALE_LIMIT, -LOG_SCALE_LIMIT]
+        v = np.zeros((len(t), 6, 1, 1), np.float32)
+        v[:, 2, 0, 0] = t
+        v[:, 3, 0, 0] = t[::-1]
+        boxes = decode(make_map(v.reshape(-1, 1, 1), 1, len(t), 1),
+                       [AnchorPrior(0.9, 1.8)] * len(t), 0.4)
+        for tw, th, b in zip(np.float32(t), np.float32(t[::-1]), boxes):
+            assert b.w == 0.9 * math.exp(float(tw)) and b.h == 1.8 * math.exp(float(th))
 
     def test_anchor_count_mismatch(self):
         cmap = make_map(np.zeros((12, 2, 2)), grid=2, anchors=2, classes=1)

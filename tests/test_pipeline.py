@@ -191,6 +191,19 @@ class TestRun:
             run(frames, net, store, ANCHORS, GatingPolicy.default(3),
                 OBJ_THR, NMS_THR, mode="gated")
 
+    @pytest.mark.parametrize("error", [FloatingPointError, OverflowError, ValueError])
+    def test_forward_error_carries_frame_index(self, net_and_store, monkeypatch, error):
+        net, store = net_and_store
+        frames = scene_frames(3, seed=9)
+
+        def failing_forward(net, store, x):
+            raise error("forward produced non-finite values")
+
+        monkeypatch.setattr("skipdet.pipeline.forward", failing_forward)
+        with pytest.raises(error, match="^frame 1: forward produced non-finite values$"):
+            run(frames, net, store, ANCHORS, GatingPolicy.default(3),
+                OBJ_THR, NMS_THR, mode="gated")
+
     def test_empty_sequence_rejected(self, net_and_store):
         net, store = net_and_store
         with pytest.raises(ValueError, match="non-empty"):

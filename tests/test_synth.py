@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipdet.ppm import (frame_from_image, list_frame_files, load_frames,
                          read_ppm, save_frames, write_ppm)
@@ -195,6 +197,51 @@ class TestPpm:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             list_frame_files(tmp_path)
+
+    @pytest.mark.parametrize("data, offset", [
+        (b"P6\n# comment without an end of line", 3),
+        (b"P6\nab 2\n255\n" + bytes(12), 3),
+        (b"P6 2 x2\n255\n" + bytes(12), 5),
+        (b"P5\n4", 4),
+        (b"P5\n4 4\n", 7),
+        (b"P5 1234567890 1\n255\n", 3),
+        (b"P6\n0 2\n255\n", 3),
+        (b"P5\n2 0\n255\n", 5),
+        (b"P5\n1 1\n65535\n\0\0", 7),
+        (b"P5\n2 2\n255\n\0", 11),
+        (b"", 0),
+    ], ids=["comment-at-eof", "word-width", "word-height", "no-height", "no-maxval",
+            "ten-digits", "zero-width", "zero-height", "16-bit", "short-raster", "empty"])
+    def test_malformed_file_names_path_and_offset(self, tmp_path, data, offset):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_ppm(path)
+        assert str(info.value).startswith(f"{path}: byte {offset}: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 3]), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["truncate", "replace", "insert"]), st.integers(0, 80),
+           st.binary(min_size=1, max_size=4))
+    def test_mutated_file_fails_only_with_located_error(self, tmp_path_factory, channels,
+                                                        h, w, how, at, junk):
+        path = tmp_path_factory.mktemp("fuzz") / "f.ppm"
+        write_ppm(path, np.full((h, w, channels), 7, np.uint8))
+        data = path.read_bytes()
+        at = min(at, len(data))
+        if how == "truncate":
+            data = data[:at]
+        elif how == "replace":
+            data = data[:at] + junk + data[at + len(junk):]
+        else:
+            data = data[:at] + junk + data[at:]
+        path.write_bytes(data)
+        try:
+            img = read_ppm(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: byte ")
+        else:
+            assert img.dtype == np.uint8 and img.ndim == 3 and min(img.shape) > 0
 
 
 class TestWriteScene:

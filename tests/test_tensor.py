@@ -3,9 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.tensor import ShapeError, Tensor, conv2d, maxpool2, pointwise, tensor
+from skipdet.tensor import (ShapeError, Tensor, _col2im_batch, _conv2d_batch, _im2col_batch,
+                            _maxpool2_backward, _maxpool2_batch, conv2d, maxpool2,
+                            pointwise, tensor)
 
 import oracles
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bit pattern, so -0.0 and +0.0 differ too."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestTensorType:
@@ -156,3 +165,66 @@ class TestMaxpool2:
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError, match="even"):
             maxpool2(Tensor.zeros((1, 3, 4)))
+
+
+def tied_batch(rng, shape):
+    """Values with many ties: rounded normals, signed zeros, constant windows."""
+    x = np.round(rng.normal(size=shape)).astype(np.float32)
+    x[rng.random(shape) < 0.3] = 0.0
+    x[rng.random(shape) < 0.3] = -0.0
+    x[:, :, :2, :2] = 1.0
+    x[:, :, 2:4, :2] = -0.0
+    return x
+
+
+class TestKernelsMatchEarlierKernels:
+    """The strided kernels reproduce the gather/scatter/argmax ones bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("hw", [(7, 10), (5, 5), (9, 4)])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_conv_columns_and_gradients(self, k, stride, pad, hw, batch):
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        c, f = 3, 4
+        x = rng.normal(size=(batch, c) + hw).astype(np.float32)
+        kernel = rng.normal(size=(f, c, k, k)).astype(np.float32)
+        bias = rng.normal(size=f).astype(np.float32)
+        cols, ho, wo = _im2col_batch(x, k, k, stride, pad)
+        want_cols, want_ho, want_wo = oracles.gather_im2col_batch(x, k, k, stride, pad)
+        assert (ho, wo) == (want_ho, want_wo)
+        assert cols.flags["C_CONTIGUOUS"]
+        assert_same_bits(cols, want_cols)
+
+        out, _ = _conv2d_batch(x, kernel, bias, stride, pad)
+        want = np.matmul(kernel.reshape(f, -1), want_cols) + bias[None, :, None]
+        assert_same_bits(out, want.reshape(batch, f, ho, wo))
+
+        dcols = rng.normal(size=cols.shape).astype(np.float32)
+        got = _col2im_batch(dcols, c, hw[0], hw[1], k, k, stride, pad)
+        assert_same_bits(got, oracles.bincount_col2im_batch(
+            dcols, c, hw[0], hw[1], k, k, stride, pad))
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("hw", [(6, 10), (2, 2), (8, 4)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_pool_values_and_routing(self, ties, hw, batch):
+        rng = np.random.default_rng(hw[0] * 10 + hw[1] + batch)
+        shape = (batch, 3) + hw
+        x = tied_batch(rng, shape) if ties else rng.normal(size=shape).astype(np.float32)
+        pooled = _maxpool2_batch(x)
+        want, am = oracles.argmax_maxpool2_batch(x)
+        assert_same_bits(pooled, want)
+        grad_out = rng.normal(size=pooled.shape).astype(np.float32)
+        assert_same_bits(_maxpool2_backward(grad_out, x, pooled),
+                         oracles.argmax_maxpool2_backward(grad_out, am, x.shape))
+
+    def test_pool_constant_windows_route_to_first_position(self):
+        x = np.zeros((1, 1, 2, 4), np.float32)
+        x[0, 0, :, 2:] = -0.0
+        x[0, 0, 1, 3] = 0.0
+        pooled = _maxpool2_batch(x)
+        assert_same_bits(pooled, np.float32([[[[0.0, -0.0]]]]))
+        grad = _maxpool2_backward(np.float32([[[[2.0, 3.0]]]]), x, pooled)
+        np.testing.assert_array_equal(grad, np.float32([[[[2, 0, 3, 0], [0, 0, 0, 0]]]]))
