@@ -14,7 +14,7 @@ from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
                        map_from_output, nms)
 from .evolve import (EnvironmentalFactor, Lineage, SynapticGenome,
                      encode_genome, evolve_generations, synthesize_offspring)
-from .motion import Frame, GatingPolicy, MotionProbabilityMap, decide, motion_map, stack_frames
+from .motion import Frame, GatingPolicy, decide, motion_map, stack_frames
 from .netdef import (FnetFormatError, LayerSpec, LayerWeights, NetworkDescriptor,
                      WeightStore, count_flops, count_params, effective_flops,
                      load_network, save_network)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorPrior", "ClassProbabilityMap", "DetectionBox", "EnvironmentalFactor",
     "FnetFormatError", "Frame", "GatingPolicy", "Lineage", "LayerSpec",
-    "LayerWeights", "MotionProbabilityMap", "NetworkDescriptor", "PipelineState",
+    "LayerWeights", "NetworkDescriptor", "PipelineState",
     "RunReport", "ShapeError", "SynapticGenome", "Tensor", "TrainConfig",
     "TrainingDivergence", "WeightStore", "conv2d", "count_flops", "count_params",
     "decide", "decode", "effective_flops", "encode_genome",

@@ -139,11 +139,10 @@ def _detection_scene(cfg, count: int, seed: int):
 
 
 def _eval_detector(net, store, anchors, frames, truth, obj_thr, nms_thr) -> float:
-    preds = []
-    for frame in frames:
-        raw = network.forward(net, store, frame.pixels)
-        cmap = detector.map_from_output(net, raw)
-        preds.append(detector.nms(detector.decode(cmap, anchors, obj_thr), nms_thr))
+    if not frames:
+        return 0.0
+    _, preds = pipeline.run(frames, net, store, anchors, GatingPolicy.default(net.input_shape[0]),
+                            obj_thr, nms_thr, mode="always")
     return detector.evaluate_mean_best_iou(preds, truth)
 
 
@@ -192,39 +191,36 @@ def _cmd_train_tiny(cfg) -> int:
     return 0
 
 
-def _detect_frames(cfg):
+def _detect(cfg, mode: str, policy_from_config: bool):
+    """One load, ``pipeline.run``, one write; shared by ``detect`` and ``run``."""
     net, store = _load_weighted_network(cfg["network"])
     frames = ppm.load_frames(cfg["input"])
     anchors = _parse_anchors(cfg["anchors"])
-    return net, store, frames, anchors
-
-
-def _cmd_detect(cfg) -> int:
-    net, store, frames, anchors = _detect_frames(cfg)
-    obj_thr, nms_thr = _get_float(cfg, "obj_threshold"), _get_float(cfg, "nms_threshold")
-    per_frame = {}
-    for frame in frames:
-        raw = network.forward(net, store, frame.pixels)
-        cmap = detector.map_from_output(net, raw)
-        per_frame[frame.index] = detector.nms(detector.decode(cmap, anchors, obj_thr), nms_thr)
-    detector.write_detections(cfg["out"], per_frame)
-    total = sum(len(b) for b in per_frame.values())
-    print(f"detect: {len(frames)} frames, {total} boxes -> {cfg['out']}")
-    return 0
-
-
-def _cmd_run(cfg) -> int:
-    net, store, frames, anchors = _detect_frames(cfg)
-    mode = cfg["mode"]
     if mode not in pipeline.MODES:
         raise ConfigError(f"mode must be one of {pipeline.MODES}, got {mode!r}")
-    policy = _policy_from_config(cfg, net.input_shape[0])
+    channels = net.input_shape[0]
+    policy = (_policy_from_config(cfg, channels) if policy_from_config
+              else GatingPolicy.default(channels))
     report, detections = pipeline.run(
         frames, net, store, anchors, policy,
         obj_threshold=_get_float(cfg, "obj_threshold"),
         nms_threshold=_get_float(cfg, "nms_threshold"), mode=mode)
     detector.write_detections(
         cfg["out"], {f.index: boxes for f, boxes in zip(frames, detections)})
+    return report, detections
+
+
+def _cmd_detect(cfg) -> int:
+    """``run mode=always`` with the six detect keys; the gate is never read."""
+    report, detections = _detect(cfg, "always", policy_from_config=False)
+    total = sum(len(b) for b in detections)
+    print(f"detect: {report.frames} frames, {total} boxes -> {cfg['out']}")
+    return 0
+
+
+def _cmd_run(cfg) -> int:
+    mode = cfg["mode"]
+    report, _ = _detect(cfg, mode, policy_from_config=True)
     report.config = dict(cfg)
     if cfg.get("report"):
         Path(cfg["report"]).write_text(report.to_json())
@@ -318,7 +314,7 @@ SUBCOMMANDS = {
     }),
     "detect": (_cmd_detect, dict(_COMMON_DETECT_KEYS)),
     "run": (_cmd_run, {
-        **_COMMON_DETECT_KEYS, "mode": "gated", "seed": "0", "report": "",
+        **_COMMON_DETECT_KEYS, "mode": "gated", "report": "",
         "gate.p0": "0.1", "gate.tau": "0.002", "gate.force_every": "0",
         "gate.weights_file": "",
     }),

@@ -57,8 +57,8 @@ class AnchorPrior:
     h: float
 
     def __post_init__(self) -> None:
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"anchor extents must be positive, got {self.w}x{self.h}")
+        if not (0 < self.w < math.inf and 0 < self.h < math.inf):
+            raise ValueError(f"anchor extents must be positive and finite, got {self.w}x{self.h}")
 
 
 @dataclass(frozen=True)
@@ -317,11 +317,13 @@ def build_target_map(boxes: Sequence[DetectionBox], grid: int, anchors: Sequence
 # ---------------------------------------------------------------------------
 # Detection line format: one box per line,
 #   frame cx cy w h objectness class_id class_score
-# with reals printed to 6 decimal places.
+# with reals printed to 6 decimal places. An extent below that resolution is
+# written as 0.000001, so every written box reads back as a valid box.
 # ---------------------------------------------------------------------------
 
 def format_detection_line(frame_index: int, box: DetectionBox) -> str:
-    return (f"{frame_index} {box.cx:.6f} {box.cy:.6f} {box.w:.6f} {box.h:.6f} "
+    w, h = max(box.w, 1e-6), max(box.h, 1e-6)
+    return (f"{frame_index} {box.cx:.6f} {box.cy:.6f} {w:.6f} {h:.6f} "
             f"{box.objectness:.6f} {box.class_id} {box.class_score:.6f}")
 
 
@@ -342,11 +344,13 @@ def parse_detection_file(path) -> dict[int, list[DetectionBox]]:
         parts = line.split()
         if len(parts) != 8:
             raise ValueError(f"{path}: line {n}: expected 8 fields, got {len(parts)}")
-        frame_index = int(parts[0])
-        box = DetectionBox(cx=float(parts[1]), cy=float(parts[2]), w=float(parts[3]),
-                           h=float(parts[4]), objectness=float(parts[5]),
-                           class_id=int(parts[6]), class_score=float(parts[7]))
-        per_frame.setdefault(frame_index, []).append(box)
+        try:
+            box = DetectionBox(cx=float(parts[1]), cy=float(parts[2]), w=float(parts[3]),
+                               h=float(parts[4]), objectness=float(parts[5]),
+                               class_id=int(parts[6]), class_score=float(parts[7]))
+            per_frame.setdefault(int(parts[0]), []).append(box)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
     return per_frame
 
 

@@ -6,6 +6,10 @@ The default gate weights are the analytic frame difference: +1/C on each
 current channel, -1/C on each reference channel, zero bias, squashed by
 abs then clamp to [0,1]. Identical frames therefore produce an exactly
 zero map. Arbitrary 1x1 weights can be substituted through the policy.
+
+The gate runs on every frame, so it works on raw float32 arrays: frames
+and policies are validated once, when built, and the only per-frame check
+is one finiteness test of the map.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, pointwise
+from .tensor import ShapeError, Tensor
 
-__all__ = ["Frame", "GatingPolicy", "MotionProbabilityMap", "decide",
-           "motion_map", "stack_frames"]
+__all__ = ["Frame", "GatingPolicy", "decide", "motion_map", "stack_frames"]
 
 
 @dataclass(frozen=True)
@@ -37,20 +40,6 @@ class Frame:
         lo, hi = float(self.pixels.data.min()), float(self.pixels.data.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"frame pixels must lie in [0,1], got range [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class MotionProbabilityMap:
-    """Per-pixel motion likelihood in [0,1] with shape [1,H,W]."""
-
-    values: Tensor
-
-    def __post_init__(self) -> None:
-        if self.values.data.ndim != 3 or self.values.shape[0] != 1:
-            raise ShapeError(f"motion map must be [1,H,W], got shape {self.values.shape}")
-        lo, hi = float(self.values.data.min()), float(self.values.data.max())
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"motion map values must lie in [0,1], got range [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -98,47 +87,48 @@ class GatingPolicy:
                    force_every=force_every)
 
 
-def stack_frames(current: Frame, reference: Frame) -> Tensor:
-    """Concatenate to [2C,H,W]: current frame channels first, reference after."""
+def stack_frames(current: Frame, reference: Frame) -> np.ndarray:
+    """Concatenate to a [2C,H,W] array: current frame channels first."""
     if current.pixels.shape != reference.pixels.shape:
         raise ShapeError(
             f"frame shape mismatch: current {current.pixels.shape} vs "
             f"reference {reference.pixels.shape}")
-    return Tensor(np.concatenate([current.pixels.data, reference.pixels.data], axis=0))
+    return np.concatenate([current.pixels.data, reference.pixels.data], axis=0)
 
 
-def motion_map(stack: Tensor, policy: GatingPolicy) -> MotionProbabilityMap:
-    """1x1 convolution over the stack, squashed into [0,1] by abs and clamp.
+def motion_map(stack: np.ndarray, policy: GatingPolicy) -> np.ndarray:
+    """1x1 convolution over the stack, squashed into [0,1] by abs and clamp;
+    returns a [1,H,W] float32 array.
 
     The per-pixel dot product pairs each current channel with its reference
     channel before accumulating. Under the default antisymmetric weights the
     paired products are exact IEEE negations, so identical frames yield a
-    map of exact zeros rather than rounding residue.
+    map of exact zeros rather than rounding residue. A non-finite raw map
+    (a gate kernel large enough to overflow float32) raises ``ValueError``.
     """
-    if stack.data.ndim != 3 or stack.shape[0] != policy.kernel.shape[1]:
+    if stack.ndim != 3 or stack.shape[0] != policy.kernel.shape[1]:
         raise ShapeError(
             f"stack shape {stack.shape} does not match gate kernel input "
             f"channels {policy.kernel.shape[1]}")
     c = stack.shape[0] // 2
     w = policy.kernel.data[0, :, 0, 0]
-    paired = (w[:c, None, None] * stack.data[:c]
-              + w[c:, None, None] * stack.data[c:])
-    raw = Tensor(paired.sum(axis=0, keepdims=True) + policy.bias.data[0])
-    return MotionProbabilityMap(pointwise(pointwise(raw, "abs"), "clamp01"))
+    paired = w[:c, None, None] * stack[:c] + w[c:, None, None] * stack[c:]
+    raw = paired.sum(axis=0, keepdims=True) + policy.bias.data[0]
+    if not np.isfinite(raw).all():
+        raise ValueError("motion map values must be finite")
+    return np.clip(np.abs(raw), 0.0, 1.0)
 
 
-def decide(m: MotionProbabilityMap, policy: GatingPolicy,
-           frames_since_inference: int) -> bool:
+def decide(m: np.ndarray, policy: GatingPolicy, frames_since_inference: int) -> bool:
     """True iff deep inference is needed for the current frame.
 
-    Fires when the fraction of pixels above p0 exceeds tau, or when forcing
-    is enabled and at least ``force_every`` frames have passed since the
-    last inference.
+    Fires when the fraction of pixels of the map ``m`` above p0 exceeds tau,
+    or when forcing is enabled and at least ``force_every`` frames have
+    passed since the last inference.
     """
     if frames_since_inference < 0:
         raise ValueError(f"frames_since_inference must be non-negative, got {frames_since_inference}")
-    values = m.values.data
-    fraction = float(np.count_nonzero(values > policy.pixel_threshold)) / values.size
+    fraction = float(np.count_nonzero(m > policy.pixel_threshold)) / m.size
     if fraction > policy.area_threshold:
         return True
     return policy.force_every > 0 and frames_since_inference >= policy.force_every

@@ -9,6 +9,9 @@ re-run decode+nms on the cached raw map rather than reusing cached boxes so
 threshold changes behave consistently; decode and nms are deterministic, so
 bit-equality still holds between a skipped frame and its reference.
 
+``mode="always"`` skips the gate and infers every frame; it is the one
+detection path, which the CLI's ``detect`` and evaluation metric also use.
+
 Processing is strictly sequential per video; independent videos can run
 concurrently with separate states.
 """

@@ -211,3 +211,53 @@ class TestCrossProcessDeterminism:
             reports.append(doc)
         assert reports[0] == reports[1]
         assert (tmp_path / "det0.txt").read_bytes() == (tmp_path / "det1.txt").read_bytes()
+
+
+class _RecordingConfig(dict):
+    """An effective config that remembers which keys its handler looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestEveryConfigKeyIsRead:
+    """A default key that its handler never looks up is a key that does
+    nothing; every subcommand must read all of its keys on a plain run."""
+
+    @pytest.mark.parametrize("command", sorted(cli.SUBCOMMANDS))
+    def test_handler_reads_every_default_key(self, command, mini_weighted_net, scene_dir,
+                                             tmp_path, monkeypatch):
+        configs = []
+        effective = cli._effective_config
+
+        def recording(*args):
+            configs.append(_RecordingConfig(effective(*args)))
+            return configs[-1]
+
+        monkeypatch.setattr(cli, "_effective_config", recording)
+        detect = {"input": scene_dir, "network": mini_weighted_net, "out": tmp_path / "det.txt"}
+        small_training = {"frames": 4, "holdout": 2, "epochs": 1}
+        keys = {
+            "synth": {"out": tmp_path / "scene", "frames": 4, "size": 16,
+                      "schedule": "1-4:moving"},
+            "train-tiny": {"out": tmp_path / "tiny.fnet", **small_training},
+            "detect": detect,
+            "run": detect,
+            "profile": {"network": "tiny"},
+            "anchors": {"truth": f"{scene_dir}/truth.txt", "grid": 8},
+            "evolve": {"network": mini_weighted_net, "out": tmp_path / "lineage",
+                       "gamma": 0.9, "generations": 1, "size": 32, **small_training},
+        }[command]
+        argv = [command] + [arg for k, v in keys.items() for arg in ("--set", f"{k}={v}")]
+        assert cli.run_cli(argv) == 0
+        (cfg,) = configs
+        assert set(cli.SUBCOMMANDS[command][1]) - cfg.read == set()

@@ -9,7 +9,7 @@ from skipdet.detector import (LOG_SCALE_LIMIT, AnchorPrior, ClassProbabilityMap,
                               DetectionBox, build_target_map, decode, evaluate_mean_best_iou,
                               format_detection_line, iou, kmeans_anchors,
                               map_from_output, nms, parse_detection_file,
-                              write_detections, _lloyd)
+                              read_detections, write_detections, _lloyd)
 from skipdet.tensor import Tensor
 
 import oracles
@@ -102,6 +102,12 @@ class TestDecode:
                        [AnchorPrior(0.9, 1.8)] * len(t), 0.4)
         for tw, th, b in zip(np.float32(t), np.float32(t[::-1]), boxes):
             assert b.w == 0.9 * math.exp(float(tw)) and b.h == 1.8 * math.exp(float(th))
+
+    @pytest.mark.parametrize("w,h", [(math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+                                     (1.0, math.nan), (0.0, 1.0), (1.0, -2.0)])
+    def test_anchor_prior_rejects_non_positive_or_non_finite(self, w, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AnchorPrior(w, h)
 
     def test_anchor_count_mismatch(self):
         cmap = make_map(np.zeros((12, 2, 2)), grid=2, anchors=2, classes=1)
@@ -304,3 +310,37 @@ class TestDetectionLines:
         path.write_text("1 0.5 0.5\n")
         with pytest.raises(ValueError, match="8 fields"):
             parse_detection_file(path)
+
+    @pytest.mark.parametrize("line,why", [
+        ("x 0.5 0.5 0.1 0.1 0.9 0 0.9", "invalid literal for int"),        # frame
+        ("1 0.5 abc 0.1 0.1 0.9 0 0.9", "could not convert"),              # real
+        ("1 0.5 0.5 0.1 0.1 0.9 1.5 0.9", "invalid literal for int"),      # class id
+        ("1 0.5 0.5 0.000000 0.1 0.9 0 0.9", "extents must be positive"),  # zero width
+        ("1 1.5 0.5 0.1 0.1 0.9 0 0.9", "outside"),                        # center
+        ("1 0.5 0.5 0.1 0.1 1.2 0 0.9", r"\[0,1\]"),                       # objectness
+        ("1 0.5 0.5 0.1 0.1 0.9 -1 0.9", "class id"),                      # class id < 0
+        ("1 0.5 0.5 0.1 0.1 nan 0 0.9", r"\[0,1\]"),                       # NaN score
+    ])
+    def test_bad_value_names_path_and_line(self, tmp_path, line, why):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 0.5 0.5 0.1 0.1 0.9 0 0.9\n\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"^{path}: line 3: .*{why}"):
+            parse_detection_file(path)
+
+    def test_sub_resolution_extent_reads_back(self, tmp_path):
+        # anchor 0.9 on a 1-cell grid with t_w = -15 decodes to w = 2.75e-7,
+        # below the 6-decimal print resolution
+        v = np.zeros((6, 1, 1), np.float32)
+        v[2] = -15.0
+        (got,) = decode(make_map(v, grid=1, anchors=1, classes=1), [AnchorPrior(0.9, 0.9)], 0.4)
+        assert 0 < got.w < 5e-7
+        path = tmp_path / "det.txt"
+        write_detections(path, {4: [got]})
+        assert path.read_text().split()[3] == "0.000001"
+        ((back,),) = read_detections(path, [4])
+        assert back.w == 1e-6 and back.h == pytest.approx(got.h, abs=1e-6)
+
+    def test_extents_printed_nonzero_unchanged(self):
+        for w in (6e-7, 9.99e-7, 1e-6, 1.4e-6, 0.5):
+            b = DetectionBox(0.5, 0.5, w, w, 0.9, 0, 0.9)
+            assert format_detection_line(0, b).split()[3] == f"{w:.6f}"

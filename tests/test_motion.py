@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.motion import (Frame, GatingPolicy, MotionProbabilityMap, decide,
-                            motion_map, stack_frames)
+from skipdet.motion import Frame, GatingPolicy, decide, motion_map, stack_frames
 from skipdet.tensor import ShapeError, Tensor
 
 
@@ -40,20 +39,20 @@ class TestStackFrames:
         cur, ref = const_frame(1, 0.25), const_frame(0, 0.75)
         stack = stack_frames(cur, ref)
         assert stack.shape == (6, 4, 4)
-        assert np.all(stack.data[:3] == np.float32(0.25))
-        assert np.all(stack.data[3:] == np.float32(0.75))
+        assert np.all(stack[:3] == np.float32(0.25))
+        assert np.all(stack[3:] == np.float32(0.75))
 
     def test_self_stack_mirrors_channels(self):
         f = random_frame(3)
         stack = stack_frames(f, f)
         c = f.pixels.shape[0]
         for ch in range(c):
-            assert np.array_equal(stack.data[ch], stack.data[ch + c])
+            assert np.array_equal(stack[ch], stack[ch + c])
 
     def test_white_current_black_reference(self):
         stack = stack_frames(const_frame(1, 1.0), const_frame(0, 0.0))
-        assert np.all(stack.data[:3] == 1.0)
-        assert np.all(stack.data[3:] == 0.0)
+        assert np.all(stack[:3] == 1.0)
+        assert np.all(stack[3:] == 0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="mismatch"):
@@ -64,23 +63,23 @@ class TestMotionMap:
     def test_identical_frames_zero_map(self):
         f = random_frame(0)
         m = motion_map(stack_frames(f, f), GatingPolicy.default(3))
-        assert np.all(m.values.data == 0.0)
+        assert np.all(m == 0.0)
 
     def test_single_channel_difference(self):
         cur = const_frame(1, 0.8, channels=1)
         ref = const_frame(0, 0.5, channels=1)
         m = motion_map(stack_frames(cur, ref), GatingPolicy.default(1))
         expected = np.float32(0.8) - np.float32(0.5)
-        assert np.all(m.values.data == expected)
+        assert np.all(m == expected)
 
     def test_full_swing_saturates(self):
         m = motion_map(stack_frames(const_frame(1, 1.0), const_frame(0, 0.0)),
                        GatingPolicy.default(3))
-        assert np.all(m.values.data == 1.0)
+        assert np.all(m == 1.0)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            motion_map(Tensor.zeros((2, 4, 4)), GatingPolicy.default(3))
+            motion_map(np.zeros((2, 4, 4), np.float32), GatingPolicy.default(3))
 
     def test_custom_gate_weights(self):
         w = np.zeros((1, 2, 1, 1), np.float32)
@@ -88,14 +87,29 @@ class TestMotionMap:
         policy = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)))
         m = motion_map(stack_frames(const_frame(1, 0.4, channels=1),
                                     const_frame(0, 0.9, channels=1)), policy)
-        assert np.all(m.values.data == np.float32(0.8))
+        assert np.all(m == np.float32(0.8))
+
+    def test_raw_arrays_in_and_out(self):
+        stack = stack_frames(random_frame(1), random_frame(2))
+        m = motion_map(stack, GatingPolicy.default(3))
+        assert type(stack) is np.ndarray and stack.dtype == np.float32
+        assert type(m) is np.ndarray and m.dtype == np.float32 and m.shape == (1, 6, 6)
+        assert 0.0 <= m.min() and m.max() <= 1.0
+
+    def test_non_finite_raw_map_rejected(self):
+        # each product is finite, but their sum overflows float32
+        w = np.full((1, 2, 1, 1), np.finfo(np.float32).max, np.float32)
+        policy = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)))
+        stack = stack_frames(const_frame(1, 1.0, channels=1), const_frame(0, 1.0, channels=1))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            motion_map(stack, policy)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31))
     def test_zero_for_any_self_stack(self, seed):
         f = random_frame(seed)
         m = motion_map(stack_frames(f, f), GatingPolicy.default(3))
-        assert np.all(m.values.data == 0.0)
+        assert np.all(m == 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31))
@@ -104,11 +118,11 @@ class TestMotionMap:
         policy = GatingPolicy.default(3)
         ab = motion_map(stack_frames(a, b), policy)
         ba = motion_map(stack_frames(b, a), policy)
-        np.testing.assert_array_equal(ab.values.data, ba.values.data)
+        np.testing.assert_array_equal(ab, ba)
 
 
 def mmap(values):
-    return MotionProbabilityMap(Tensor(np.asarray(values, np.float32)[None]))
+    return np.asarray(values, np.float32)[None]
 
 
 class TestDecide:
@@ -179,6 +193,3 @@ class TestGatingPolicy:
         with pytest.raises(ShapeError):
             GatingPolicy(kernel=Tensor.zeros((1, 3, 1, 1)), bias=Tensor.zeros((1,)))
 
-    def test_map_range_enforced(self):
-        with pytest.raises(ValueError):
-            MotionProbabilityMap(Tensor(np.full((1, 2, 2), 1.5, np.float32)))
