@@ -31,8 +31,12 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start}: cannot decode utf-8: {exc.reason}") from None
     out = {}
-    for n, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -76,8 +76,8 @@ class DetectionBox:
     def __post_init__(self) -> None:
         if not (0.0 <= self.cx <= 1.0 and 0.0 <= self.cy <= 1.0):
             raise ValueError(f"box center ({self.cx}, {self.cy}) outside [0,1]")
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box extents must be positive, got {self.w}x{self.h}")
+        if not (0 < self.w < math.inf and 0 < self.h < math.inf):
+            raise ValueError(f"box extents must be positive and finite, got {self.w}x{self.h}")
         if not (0.0 <= self.objectness <= 1.0 and 0.0 <= self.class_score <= 1.0):
             raise ValueError("objectness and class score must lie in [0,1]")
         if self.class_id < 0:
@@ -336,8 +336,12 @@ def write_detections(path, per_frame: dict[int, Sequence[DetectionBox]]) -> None
 
 
 def parse_detection_file(path) -> dict[int, list[DetectionBox]]:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start}: cannot decode utf-8: {exc.reason}") from None
     per_frame: dict[int, list[DetectionBox]] = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -345,12 +349,15 @@ def parse_detection_file(path) -> dict[int, list[DetectionBox]]:
         if len(parts) != 8:
             raise ValueError(f"{path}: line {n}: expected 8 fields, got {len(parts)}")
         try:
+            frame = int(parts[0])
+            if frame < 0:
+                raise ValueError(f"frame index must be non-negative, got {frame}")
             box = DetectionBox(cx=float(parts[1]), cy=float(parts[2]), w=float(parts[3]),
                                h=float(parts[4]), objectness=float(parts[5]),
                                class_id=int(parts[6]), class_score=float(parts[7]))
-            per_frame.setdefault(int(parts[0]), []).append(box)
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
+        per_frame.setdefault(frame, []).append(box)
     return per_frame
 
 

@@ -80,9 +80,6 @@ class SynapticGenome:
             if lo < 0.0 or hi > 1.0:
                 raise ValueError(f"layer {idx}: probabilities must lie in [0,1]")
 
-    def synapse_count(self) -> int:
-        return sum(p.size for p in self.probabilities.values())
-
     def bias_count(self) -> int:
         return sum(p.shape[0] for p in self.probabilities.values())
 

@@ -325,6 +325,24 @@ def _conv_flops(layer: LayerSpec, out_shape: tuple[int, int, int]) -> int:
     return 2 * k * k * layer.in_channels * layer.out_channels * ho * wo
 
 
+def _layer_flops(net: NetworkDescriptor,
+                 input_shape: tuple[int, int, int]) -> Iterator[tuple[int, LayerSpec, int]]:
+    """Yield (index, layer, dense FLOPs) per conv, pool and pointwise layer.
+
+    Shapes propagate from ``input_shape``; a detect-head costs nothing and
+    is not yielded.
+    """
+    shape = tuple(int(d) for d in input_shape)
+    if len(shape) != 3 or min(shape) < 1:
+        raise ShapeError(f"input shape must be 3 positive extents, got {input_shape}")
+    for i, layer in enumerate(net.layers):
+        shape = _propagate(shape, layer, i)
+        if layer.kind == "conv":
+            yield i, layer, _conv_flops(layer, shape)
+        elif layer.kind in ("maxpool2", "pointwise"):
+            yield i, layer, shape[0] * shape[1] * shape[2]
+
+
 def count_flops(net: NetworkDescriptor, input_shape: tuple[int, int, int]) -> int:
     """Dense forward cost in FLOPs at the given input shape.
 
@@ -333,35 +351,19 @@ def count_flops(net: NetworkDescriptor, input_shape: tuple[int, int, int]) -> in
     element; a detect-head is a free relabeling. Sparsity masks are ignored,
     see :func:`effective_flops`.
     """
-    shape = tuple(int(d) for d in input_shape)
-    if len(shape) != 3 or min(shape) < 1:
-        raise ShapeError(f"input shape must be 3 positive extents, got {input_shape}")
-    total = 0
-    for i, layer in enumerate(net.layers):
-        out_shape = _propagate(shape, layer, i)
-        if layer.kind == "conv":
-            total += _conv_flops(layer, out_shape)
-        elif layer.kind in ("maxpool2", "pointwise"):
-            total += out_shape[0] * out_shape[1] * out_shape[2]
-        shape = out_shape
-    return total
+    return sum(flops for _, _, flops in _layer_flops(net, input_shape))
 
 
 def effective_flops(net: NetworkDescriptor, input_shape: tuple[int, int, int],
                     store: WeightStore) -> float:
     """Reporting-only FLOP figure with each conv layer scaled by mask density."""
     store.validate_for(net)
-    shape = tuple(int(d) for d in input_shape)
     total = 0.0
-    for i, layer in enumerate(net.layers):
-        out_shape = _propagate(shape, layer, i)
-        if layer.kind == "conv":
-            lw = store[i]
-            density = float(lw.mask.mean()) if lw.mask is not None else 1.0
-            total += _conv_flops(layer, out_shape) * density
-        elif layer.kind in ("maxpool2", "pointwise"):
-            total += out_shape[0] * out_shape[1] * out_shape[2]
-        shape = out_shape
+    for i, layer, flops in _layer_flops(net, input_shape):
+        if layer.kind == "conv" and store[i].mask is not None:
+            total += flops * float(store[i].mask.mean())
+        else:
+            total += flops
     return total
 
 

@@ -31,7 +31,6 @@ from .tensor import (
     Tensor,
     _col2im_batch,
     _conv2d_batch,
-    _finite_or_raise,
     _maxpool2_backward,
     _maxpool2_batch,
     _pointwise_grad,
@@ -103,10 +102,6 @@ def _forward_batch(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
     for i, layer in enumerate(net.layers):
         if layer.kind == "conv":
             kernel, bias = weights[i]
-            if out.shape[1] != kernel.shape[1]:
-                raise ShapeError(
-                    f"layer {i} (conv): expects {kernel.shape[1]} input "
-                    f"channels but receives {out.shape[1]}")
             pre, cols = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)
             if layer.activation == "linear":
                 post = pre
@@ -117,8 +112,6 @@ def _forward_batch(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
                 caches.append(("conv", i, out.shape, cols, pre, post))
             out = post
         elif layer.kind == "maxpool2":
-            if out.shape[2] % 2 or out.shape[3] % 2:
-                raise ShapeError(f"layer {i} (maxpool2): odd spatial extent {out.shape[2:]}")
             pooled = _maxpool2_batch(out)
             if caches is not None:
                 caches.append(("maxpool2", i, out, pooled))
@@ -128,13 +121,8 @@ def _forward_batch(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
             if caches is not None:
                 caches.append(("pointwise", i, out, post))
             out = post
-        else:  # detect-head
-            expected = (layer.anchors * (5 + layer.classes), layer.grid, layer.grid)
-            if out.shape[1:] != expected:
-                raise ShapeError(
-                    f"layer {i} (detect-head): expects shape {expected}, got {out.shape[1:]}")
-            if caches is not None:
-                caches.append(("detect-head", i))
+        elif caches is not None:  # detect-head
+            caches.append(("detect-head", i))
     return out
 
 
@@ -185,13 +173,15 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor) -> Tensor:
 
     Deterministic: identical inputs, weights, and masks produce bit-identical
     outputs. Masked synapses are zero in the store and so contribute exactly
-    zero.
+    zero. The store and the input shape are checked here; the layers are
+    not, because the descriptor proved their shapes when it was built. A
+    non-finite output raises ``ValueError``.
     """
     store.validate_for(net)
     if x.shape != net.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match network input {net.input_shape}")
     out = _forward_batch(net, _weights_map(store), x.data[None])
-    return Tensor(_finite_or_raise(out[0], "forward"))
+    return Tensor(out[0])
 
 
 OBJECTNESS_BIAS_INIT = -2.0

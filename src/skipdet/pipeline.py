@@ -28,7 +28,6 @@ from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
 from .motion import Frame, GatingPolicy, decide, motion_map, stack_frames
 from .netdef import NetworkDescriptor, WeightStore
 from .network import forward
-from .tensor import ShapeError
 
 __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
@@ -69,19 +68,12 @@ def process_frame(state: PipelineState, frame: Frame, policy: GatingPolicy,
     """Advance the pipeline by one frame.
 
     Returns the frame's detections, whether deep inference ran, the new
-    state, and per-stage timings. Validation happens before any state is
-    built, so the caller's state is untouched on error.
+    state, and per-stage timings. A frame's shape is checked once, by the
+    stage that uses it: ``stack_frames`` against the reference, or
+    ``forward`` against the network input when there is no reference or in
+    always mode. States are immutable, so the caller's state stays usable
+    after an error.
     """
-    if frame.pixels.shape != net.input_shape:
-        raise ShapeError(
-            f"frame {frame.index}: shape {frame.pixels.shape} does not match "
-            f"network input {net.input_shape}")
-    if state.reference_frame is not None:
-        if frame.pixels.shape != state.reference_frame.pixels.shape:
-            raise ShapeError(
-                f"frame {frame.index}: shape {frame.pixels.shape} does not match "
-                f"reference {state.reference_frame.pixels.shape}")
-
     gate_s = 0.0
     gap = state.frames_since_inference + 1
     if state.reference_frame is None or always:

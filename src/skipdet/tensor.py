@@ -6,8 +6,11 @@ any number of threads. The strided convolution and pooling kernels are
 bit-identical to the gather/scatter/argmax kernels kept as oracles in
 ``tests/oracles.py``: same values, same tie routing, same gradients.
 Convolution is cross-correlation (no kernel flip), the convention used by
-mainstream detector frameworks. Values are 32-bit floats throughout, and
-each operation verifies its result is finite.
+mainstream detector frameworks. Values are 32-bit floats throughout. The
+one finiteness check is ``Tensor``'s constructor, which every public
+operation returns through: a non-finite result raises
+``ValueError("tensor values must be finite")``. The raw-array kernels below
+check nothing; their callers validate shapes once, at the boundary.
 """
 
 from __future__ import annotations
@@ -65,9 +68,6 @@ class Tensor:
     def __array__(self, dtype=None, copy=None):
         return self.data if dtype is None else self.data.astype(dtype)
 
-    def tolist(self):
-        return self.data.tolist()
-
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "Tensor":
         return cls(np.zeros(tuple(shape), dtype=np.float32))
@@ -82,12 +82,6 @@ def tensor(values) -> Tensor:
     if isinstance(values, Tensor):
         return values
     return Tensor(np.asarray(values))
-
-
-def _finite_or_raise(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise FloatingPointError(f"{op} produced non-finite values")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +266,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: BiasLike,
             f"non-positive output extent {ho}x{wo} for input {x.shape}, "
             f"kernel {kernel.shape}, stride {stride}, pad {pad}")
     out, _ = _conv2d_batch(x.data[None], kernel.data, bias_arr, stride, pad)
-    return Tensor(_finite_or_raise(out[0], "conv2d"))
+    return Tensor(out[0])
 
 
 def pointwise(x: Tensor, fn: str, alpha: float = 0.1) -> Tensor:
     """Apply an elementwise function; ``alpha`` is the leaky-relu slope."""
-    out = _pointwise_raw(x.data, fn, alpha)
-    return Tensor(_finite_or_raise(out, f"pointwise({fn})"))
+    return Tensor(_pointwise_raw(x.data, fn, alpha))
 
 
 def maxpool2(x: Tensor) -> Tensor:

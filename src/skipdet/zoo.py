@@ -1,9 +1,7 @@
 """Reference architecture descriptors bundled with the package.
 
-The descriptors ship as descriptor-only FNET v1 files under ``data/``.
-Builder functions below are the source of truth; ``write_bundled`` is used
-to regenerate the data files and the test suite checks the two stay in
-sync.
+Each bundled name maps to a builder function below; ``load_bundled``
+builds the descriptor from it, and an unknown name raises ``KeyError``.
 
 The YOLOv2-VOC and Darknet-19 descriptors model the sequential conv/pool
 stack of those architectures (batch-norm folded into the conv weights, and
@@ -12,13 +10,10 @@ no passthrough/reorg branch, which a linear layer list cannot express).
 
 from __future__ import annotations
 
-import importlib.resources
-from pathlib import Path
+from .netdef import LayerSpec, NetworkDescriptor
 
-from .netdef import LayerSpec, NetworkDescriptor, decode_network, encode_network
-
-__all__ = ["BUNDLED_NAMES", "bundled_bytes", "load_bundled", "tiny_detector",
-           "yolov2_voc", "darknet19", "vgg16", "write_bundled"]
+__all__ = ["BUNDLED_NAMES", "load_bundled", "tiny_detector",
+           "yolov2_voc", "darknet19", "vgg16"]
 
 
 def _conv3(cin: int, cout: int, alpha: float = 0.1) -> LayerSpec:
@@ -97,21 +92,7 @@ _BUILDERS = {
 BUNDLED_NAMES = tuple(_BUILDERS)
 
 
-def bundled_bytes(name: str) -> bytes:
+def load_bundled(name: str) -> NetworkDescriptor:
     if name not in _BUILDERS:
         raise KeyError(f"unknown bundled network {name!r}, have {BUNDLED_NAMES}")
-    resource = importlib.resources.files("skipdet").joinpath(f"data/{name}.fnet")
-    return resource.read_bytes()
-
-
-def load_bundled(name: str) -> NetworkDescriptor:
-    net, _ = decode_network(bundled_bytes(name))
-    return net
-
-
-def write_bundled(directory) -> None:
-    """Regenerate the bundled descriptor files (descriptor-only, no weights)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, builder in _BUILDERS.items():
-        (directory / f"{name}.fnet").write_bytes(encode_network(builder()))
+    return _BUILDERS[name]()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from skipdet import cli
+from skipdet import cli, zoo
 from skipdet.netdef import LayerSpec, NetworkDescriptor, load_network, save_network
 from skipdet.network import init_weights
 
@@ -61,6 +61,14 @@ class TestConfigHandling:
         rc = cli.run_cli(["profile", "--set", "network"])
         assert rc == 1
         assert "key=value" in capsys.readouterr().err
+
+    def test_undecodable_config_names_path_and_byte(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"network=\xffvgg16\n")
+        rc = cli.run_cli(["profile", "--config", str(cfg)])
+        assert rc == 1
+        assert f"skipdet profile: error: {cfg}: byte 8: cannot decode utf-8" \
+            in capsys.readouterr().err
 
 
 class TestProfile:
@@ -171,7 +179,9 @@ class TestEvolveCommand:
         assert store.has_masks()
 
     def test_descriptor_only_network_rejected(self, tmp_path, capsys):
-        rc = cli.run_cli(["evolve", "--set", "network=src/skipdet/data/tiny.fnet",
+        path = tmp_path / "tiny.fnet"
+        save_network(path, zoo.tiny_detector())
+        rc = cli.run_cli(["evolve", "--set", f"network={path}",
                           "--set", f"out={tmp_path}", "--set", "gamma=0.9",
                           "--set", "generations=1"])
         assert rc == 1

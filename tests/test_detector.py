@@ -320,11 +320,22 @@ class TestDetectionLines:
         ("1 0.5 0.5 0.1 0.1 1.2 0 0.9", r"\[0,1\]"),                       # objectness
         ("1 0.5 0.5 0.1 0.1 0.9 -1 0.9", "class id"),                      # class id < 0
         ("1 0.5 0.5 0.1 0.1 nan 0 0.9", r"\[0,1\]"),                       # NaN score
+        ("1 0.5 0.5 inf 0.1 0.9 0 0.9", "positive and finite"),            # inf width
+        ("1 0.5 0.5 0.1 inf 0.9 0 0.9", "positive and finite"),            # inf height
+        ("1 0.5 0.5 nan 0.1 0.9 0 0.9", "positive and finite"),            # NaN width
+        ("-3 0.5 0.5 0.1 0.1 0.9 0 0.9", "frame index"),                   # frame < 0
+        ("-3 0.5 0.5 inf 0.2 1.0 0 1.0", "frame index"),                   # both
     ])
     def test_bad_value_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "bad.txt"
         path.write_text("1 0.5 0.5 0.1 0.1 0.9 0 0.9\n\n" + line + "\n")
         with pytest.raises(ValueError, match=rf"^{path}: line 3: .*{why}"):
+            parse_detection_file(path)
+
+    def test_undecodable_file_names_path_and_byte(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 0.5 0.5 0.1 0.1 0.9 0 0.9\n2 \xff\n")
+        with pytest.raises(ValueError, match=rf"^{path}: byte 30: cannot decode utf-8"):
             parse_detection_file(path)
 
     def test_sub_resolution_extent_reads_back(self, tmp_path):

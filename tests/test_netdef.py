@@ -195,12 +195,6 @@ class TestSerialization:
         with pytest.raises(FnetFormatError, match="trailing"):
             decode_network(blob + b"xx")
 
-    def test_bundled_files_match_builders(self):
-        assert zoo.bundled_bytes("tiny") == encode_network(zoo.tiny_detector())
-        assert zoo.bundled_bytes("yolov2_voc") == encode_network(zoo.yolov2_voc())
-        assert zoo.bundled_bytes("darknet19") == encode_network(zoo.darknet19())
-        assert zoo.bundled_bytes("vgg16") == encode_network(zoo.vgg16())
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31), st.booleans(), st.integers(1, 3))
     def test_round_trip_randomized_nets(self, seed, with_masks, blocks):
@@ -225,3 +219,44 @@ class TestSerialization:
         assert net2 == net
         assert store2.equals(store)
         assert encode_network(net2, store2) == blob
+
+
+def fuzz_blobs():
+    """Tiny FNET bytes: descriptor-only, weighted, and masked."""
+    net = NetworkDescriptor("fz", (1, 2, 2), (
+        LayerSpec.conv(1, 2, 1, activation="leaky"),
+        LayerSpec.maxpool2(),
+        LayerSpec.pointwise("tanh"),
+        LayerSpec.conv(2, 1, 1),
+    ))
+    store = init_weights(net, 3)
+    masked = store.with_masks({0: np.array([1, 0], np.uint8).reshape(2, 1, 1, 1)})
+    return {"descriptor": encode_network(net), "weighted": encode_network(net, store),
+            "masked": encode_network(net, masked)}
+
+
+FUZZ_BLOBS = fuzz_blobs()
+
+
+class TestMutatedFnet:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FUZZ_BLOBS)),
+           st.sampled_from(["truncate", "replace", "insert"]), st.integers(0, 280),
+           st.binary(min_size=1, max_size=4))
+    def test_fails_only_with_format_error(self, variant, how, at, junk):
+        data = FUZZ_BLOBS[variant]
+        at = min(at, len(data))
+        if how == "truncate":
+            data = data[:at]
+        elif how == "replace":
+            data = data[:at] + junk + data[at + len(junk):]
+        else:
+            data = data[:at] + junk + data[at:]
+        try:
+            net, store = decode_network(data)
+        except FnetFormatError as exc:
+            assert 0 <= exc.offset <= len(data)
+        else:
+            assert isinstance(net, NetworkDescriptor)
+            if store is not None:
+                store.validate_for(net)

@@ -77,6 +77,14 @@ class TestForward:
         with pytest.raises(ShapeError, match="layer 5"):
             forward(net, partial, Tensor.zeros((2, 8, 8)))
 
+    def test_non_finite_output_raises(self):
+        # each product is finite, but their sum overflows float32
+        net = NetworkDescriptor("ovf", (2, 3, 3), (LayerSpec.conv(2, 1, 1),))
+        store = WeightStore({0: LayerWeights(Tensor.full((1, 2, 1, 1), 3e38),
+                                             Tensor.zeros((1,)))})
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            forward(net, store, Tensor.full((2, 3, 3), 1.0))
+
     def test_wrong_input_shape(self):
         net = gradcheck_net()
         with pytest.raises(ShapeError, match="input shape"):

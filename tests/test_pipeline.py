@@ -187,9 +187,11 @@ class TestRun:
         net, store = net_and_store
         frames = scene_frames(3, seed=9)
         frames[2] = Frame(3, Tensor.zeros((3, 16, 16)))
-        with pytest.raises(ShapeError, match="frame 3"):
-            run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                OBJ_THR, NMS_THR, mode="gated")
+        for mode in ("gated", "always"):
+            with pytest.raises(ShapeError, match="^frame 3: ") as info:
+                run(frames, net, store, ANCHORS, GatingPolicy.default(3),
+                    OBJ_THR, NMS_THR, mode=mode)
+            assert str(info.value).count("frame 3:") == 1
 
     @pytest.mark.parametrize("error", [FloatingPointError, OverflowError, ValueError])
     def test_forward_error_carries_frame_index(self, net_and_store, monkeypatch, error):

@@ -75,6 +75,12 @@ class TestConv2d:
         with pytest.raises(ShapeError, match=r"\(2, 4, 4\).*\(1, 3, 2, 2\)"):
             conv2d(Tensor.zeros((2, 4, 4)), Tensor.zeros((1, 3, 2, 2)), [0.0])
 
+    def test_non_finite_result_raises(self):
+        # each product is finite, but their sum overflows float32
+        kernel = Tensor.full((1, 2, 1, 1), 3e38)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            conv2d(Tensor.full((2, 3, 3), 1.0), kernel, [0.0])
+
     def test_non_positive_output_extent(self):
         with pytest.raises(ShapeError, match="non-positive"):
             conv2d(Tensor.zeros((1, 2, 2)), Tensor.zeros((1, 1, 5, 5)), [0.0])
@@ -130,6 +136,11 @@ class TestPointwise:
     def test_sigmoid_extreme_values_finite(self):
         out = pointwise(tensor([-100.0, 100.0]), "sigmoid")
         assert out.data[0] == 0.0 and out.data[1] == 1.0
+
+    def test_non_finite_result_raises(self):
+        x = Tensor.full((1, 2, 2), -3e38)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            pointwise(x, "leaky-relu", alpha=10.0)
 
     def test_unknown_fn(self):
         with pytest.raises(ValueError, match="unknown pointwise"):
