@@ -19,7 +19,8 @@ from . import detector, evolve, netdef, network, pipeline, ppm, synth, zoo
 from .motion import GatingPolicy
 __all__ = ["ConfigError", "main", "run_cli"]
 
-DEFAULT_ANCHORS = "0.9,0.9;1.8,1.8"
+# The decoding keys of every subcommand that runs the detector.
+_DECODE_KEYS = {"anchors": "0.9,0.9;1.8,1.8", "obj_threshold": "0.4", "nms_threshold": "0.5"}
 
 
 class ConfigError(ValueError):
@@ -106,6 +107,18 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"size must be an integer or WxH, got {text!r}") from None
 
 
+def _anchors_for(cfg, net, source: str) -> list[detector.AnchorPrior]:
+    """The ``anchors`` key, one prior per anchor slot of the detect head."""
+    head = net.detect_head()
+    if head is None:
+        raise ConfigError(f"{source}: this command needs a detect-head network")
+    anchors = _parse_anchors(cfg["anchors"])
+    if len(anchors) != head.anchors:
+        raise ConfigError(f"anchors: {len(anchors)} priors given, but {source} has "
+                          f"{head.anchors} anchor slots")
+    return anchors
+
+
 def _load_weighted_network(path: str):
     net, store = netdef.load_network(path)
     if store is None:
@@ -131,15 +144,31 @@ def _policy_from_config(cfg, channels: int) -> GatingPolicy:
         if len(conv_layers) != 1:
             raise ConfigError(f"{weights_file}: gate network must have exactly one conv layer")
         lw = gate_store[conv_layers[0]]
+        if lw.kernel.shape[1] != 2 * channels:
+            raise ConfigError(f"{weights_file}: gate conv takes {lw.kernel.shape[1]} input "
+                              f"channels, but {channels}-channel frames need {2 * channels}")
         return GatingPolicy(kernel=lw.kernel, bias=lw.bias, pixel_threshold=p0,
                             area_threshold=tau, force_every=force)
     return GatingPolicy.default(channels, pixel_threshold=p0, area_threshold=tau,
                                 force_every=force)
 
 
-def _detection_scene(cfg, count: int, seed: int):
-    width, height = _parse_size(cfg["size"])
-    return synth.random_detection_scenes(count, width=width, height=height, seed=seed)
+def _training_data(cfg, net, anchors, seed: int):
+    """Train and holdout scenes at the network's input shape, the train
+    targets and the ``TrainConfig``; shared by ``train-tiny`` and ``evolve``."""
+    channels, height, width = net.input_shape
+    train = synth.random_detection_scenes(
+        _get_int(cfg, "frames"), width=width, height=height, channels=channels, seed=seed)
+    holdout = synth.random_detection_scenes(
+        _get_int(cfg, "holdout"), width=width, height=height, channels=channels,
+        seed=seed + 7919)
+    head = net.detect_head()
+    dataset = [(f.pixels, detector.build_target_map(boxes, head.grid, anchors, head.classes))
+               for f, boxes in zip(*train)]
+    train_cfg = network.TrainConfig(
+        learning_rate=_get_float(cfg, "lr"), epochs=_get_int(cfg, "epochs"),
+        batch_size=_get_int(cfg, "batch"), seed=seed, loss="detector-composite")
+    return train, holdout, dataset, train_cfg
 
 
 def _eval_detector(net, store, anchors, frames, truth, obj_thr, nms_thr) -> float:
@@ -171,20 +200,13 @@ def _cmd_synth(cfg) -> int:
 
 def _cmd_train_tiny(cfg) -> int:
     seed = _get_int(cfg, "seed")
-    anchors = _parse_anchors(cfg["anchors"])
     net = zoo.load_bundled("tiny")
-    train_frames, train_truth = _detection_scene(cfg, _get_int(cfg, "frames"), seed)
-    hold_frames, hold_truth = _detection_scene(cfg, _get_int(cfg, "holdout"), seed + 7919)
-    head = net.detect_head()
-    dataset = [(f.pixels, detector.build_target_map(boxes, head.grid, anchors, head.classes))
-               for f, boxes in zip(train_frames, train_truth)]
-    train_cfg = network.TrainConfig(
-        learning_rate=_get_float(cfg, "lr"), epochs=_get_int(cfg, "epochs"),
-        batch_size=_get_int(cfg, "batch"), seed=seed, loss="detector-composite")
+    anchors = _anchors_for(cfg, net, "tiny")
+    train, holdout, dataset, train_cfg = _training_data(cfg, net, anchors, seed)
     store = network.train_sgd(net, network.init_weights(net, seed), dataset, train_cfg)
     obj_thr, nms_thr = _get_float(cfg, "obj_threshold"), _get_float(cfg, "nms_threshold")
-    iou_train = _eval_detector(net, store, anchors, train_frames, train_truth, obj_thr, nms_thr)
-    iou_hold = _eval_detector(net, store, anchors, hold_frames, hold_truth, obj_thr, nms_thr)
+    iou_train = _eval_detector(net, store, anchors, *train, obj_thr, nms_thr)
+    iou_hold = _eval_detector(net, store, anchors, *holdout, obj_thr, nms_thr)
     netdef.save_network(cfg["out"], net, store)
     print(f"trained tiny detector: train-iou={iou_train:.4f} holdout-iou={iou_hold:.4f} "
           f"params={netdef.count_params(net, store)} -> {cfg['out']}")
@@ -198,13 +220,13 @@ def _cmd_train_tiny(cfg) -> int:
 def _detect(cfg, mode: str, policy_from_config: bool):
     """One load, ``pipeline.run``, one write; shared by ``detect`` and ``run``."""
     net, store = _load_weighted_network(cfg["network"])
-    frames = ppm.load_frames(cfg["input"])
-    anchors = _parse_anchors(cfg["anchors"])
+    anchors = _anchors_for(cfg, net, cfg["network"])
     if mode not in pipeline.MODES:
         raise ConfigError(f"mode must be one of {pipeline.MODES}, got {mode!r}")
     channels = net.input_shape[0]
     policy = (_policy_from_config(cfg, channels) if policy_from_config
               else GatingPolicy.default(channels))
+    frames = ppm.load_frames(cfg["input"])
     report, detections = pipeline.run(
         frames, net, store, anchors, policy,
         obj_threshold=_get_float(cfg, "obj_threshold"),
@@ -268,23 +290,14 @@ def _cmd_anchors(cfg) -> int:
 def _cmd_evolve(cfg) -> int:
     seed = _get_int(cfg, "seed")
     net, store = _load_weighted_network(cfg["network"])
-    anchors = _parse_anchors(cfg["anchors"])
-    head = net.detect_head()
-    if head is None:
-        raise ConfigError(f"{cfg['network']}: evolution needs a detect-head network")
-    train_frames, train_truth = _detection_scene(cfg, _get_int(cfg, "frames"), seed)
-    hold_frames, hold_truth = _detection_scene(cfg, _get_int(cfg, "holdout"), seed + 7919)
-    dataset = [(f.pixels, detector.build_target_map(boxes, head.grid, anchors, head.classes))
-               for f, boxes in zip(train_frames, train_truth)]
+    anchors = _anchors_for(cfg, net, cfg["network"])
+    _, (hold_frames, hold_truth), dataset, retrain = _training_data(cfg, net, anchors, seed)
     obj_thr, nms_thr = _get_float(cfg, "obj_threshold"), _get_float(cfg, "nms_threshold")
 
     def metric(m_net, m_store) -> float:
         return _eval_detector(m_net, m_store, anchors, hold_frames, hold_truth,
                               obj_thr, nms_thr)
 
-    retrain = network.TrainConfig(
-        learning_rate=_get_float(cfg, "lr"), epochs=_get_int(cfg, "epochs"),
-        batch_size=_get_int(cfg, "batch"), seed=seed, loss="detector-composite")
     lineage = evolve.evolve_generations(
         net, store, dataset, metric, generations=_get_int(cfg, "generations"),
         env=evolve.EnvironmentalFactor(_get_float(cfg, "gamma")),
@@ -299,10 +312,7 @@ def _cmd_evolve(cfg) -> int:
     return 0
 
 
-_COMMON_DETECT_KEYS = {
-    "input": None, "network": None, "anchors": DEFAULT_ANCHORS,
-    "obj_threshold": "0.4", "nms_threshold": "0.5", "out": None,
-}
+_DETECT_KEYS = {"input": None, "network": None, **_DECODE_KEYS, "out": None}
 
 SUBCOMMANDS = {
     "synth": (_cmd_synth, {
@@ -311,14 +321,12 @@ SUBCOMMANDS = {
         "noise": "0", "seed": "0",
     }),
     "train-tiny": (_cmd_train_tiny, {
-        "out": None, "frames": "500", "holdout": "100", "size": "96",
-        "epochs": "32", "lr": "0.003", "batch": "8", "seed": "0",
-        "anchors": DEFAULT_ANCHORS, "obj_threshold": "0.4",
-        "nms_threshold": "0.5", "report": "",
+        "out": None, "frames": "500", "holdout": "100", "epochs": "32",
+        "lr": "0.003", "batch": "8", "seed": "0", **_DECODE_KEYS, "report": "",
     }),
-    "detect": (_cmd_detect, dict(_COMMON_DETECT_KEYS)),
+    "detect": (_cmd_detect, dict(_DETECT_KEYS)),
     "run": (_cmd_run, {
-        **_COMMON_DETECT_KEYS, "mode": "gated", "report": "",
+        **_DETECT_KEYS, "mode": "gated", "report": "",
         "gate.p0": "0.1", "gate.tau": "0.002", "gate.force_every": "0",
         "gate.weights_file": "",
     }),
@@ -328,9 +336,8 @@ SUBCOMMANDS = {
     }),
     "evolve": (_cmd_evolve, {
         "network": None, "out": None, "gamma": None, "generations": None,
-        "frames": "400", "holdout": "100", "size": "96", "epochs": "16",
-        "lr": "0.01", "batch": "8", "seed": "0", "anchors": DEFAULT_ANCHORS,
-        "obj_threshold": "0.4", "nms_threshold": "0.5",
+        "frames": "400", "holdout": "100", "epochs": "16", "lr": "0.01",
+        "batch": "8", "seed": "0", **_DECODE_KEYS,
     }),
 }
 

@@ -5,14 +5,14 @@ environmental factor, retrain the survivors, and repeat across generations.
 Encoding: per layer, each synapse's existence probability is its weight
 magnitude over the layer's maximum magnitude, so already-pruned synapses
 get probability 0 and the strongest synapse gets 1. Synthesis draws each
-synapse independently as Bernoulli(gamma_layer * p); biases are never
+synapse independently as Bernoulli(gamma * p); biases are never
 pruned. A unit (conv output channel) left with no incoming synapses is
 removed entirely by zeroing its outgoing synapses in the next conv layer,
 iterated to a fixed point.
 
-When every layer's gamma is below 1 and the genome has any probability
-below 1, parameter counts are forced to strictly decrease each generation:
-if a sampling round removes nothing, the retained synapse with the lowest
+When gamma is below 1 and the genome has any probability below 1,
+parameter counts are forced to strictly decrease each generation: if a
+sampling round removes nothing, the retained synapse with the lowest
 existence probability is dropped.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,27 +44,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnvironmentalFactor:
-    """Per-layer retention multipliers in (0,1]; a scalar broadcasts."""
+    """Retention multiplier gamma in (0,1], the same for every conv layer."""
 
-    gamma: Union[float, Mapping[int, float]]
+    gamma: float
 
     def __post_init__(self) -> None:
-        values = [self.gamma] if isinstance(self.gamma, (int, float)) else list(self.gamma.values())
-        if not values:
-            raise ValueError("environmental factor needs at least one gamma")
-        for g in values:
-            if not 0.0 < g <= 1.0:
-                raise ValueError(f"gamma must lie in (0, 1], got {g}")
-
-    def resolve(self, layer_index: int) -> float:
-        if isinstance(self.gamma, (int, float)):
-            return float(self.gamma)
-        if layer_index not in self.gamma:
-            raise KeyError(f"no gamma for layer {layer_index}")
-        return float(self.gamma[layer_index])
-
-    def all_below_one(self, layer_indices: Sequence[int]) -> bool:
-        return all(self.resolve(i) < 1.0 for i in layer_indices)
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +92,6 @@ def _dead_unit_closure(masks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     while changed:
         changed = False
         for prev, nxt in zip(order, order[1:]):
-            if masks[nxt].shape[1] != masks[prev].shape[0]:
-                continue  # channel counts not adjacent; leave untouched
             dead = masks[prev].reshape(masks[prev].shape[0], -1).sum(axis=1) == 0
             if dead.any() and masks[nxt][:, dead].any():
                 masks[nxt][:, dead] = 0
@@ -119,7 +103,7 @@ def synthesize_offspring(genome: SynapticGenome, env: EnvironmentalFactor,
                          seed: int) -> tuple[dict[int, np.ndarray], float]:
     """Sample an offspring mask set; returns (masks, expected parameter count).
 
-    Each synapse survives independently with probability gamma_layer * p.
+    Each synapse survives independently with probability gamma * p.
     The expected count is the analytic sum of those probabilities plus the
     bias count (biases are never pruned) and does not model the dead-unit
     closure. Deterministic for a given seed.
@@ -129,7 +113,7 @@ def synthesize_offspring(genome: SynapticGenome, env: EnvironmentalFactor,
     expected = float(genome.bias_count())
     for idx in sorted(genome.probabilities):
         p = genome.probabilities[idx].data.astype(np.float64)
-        keep = env.resolve(idx) * p
+        keep = env.gamma * p
         masks[idx] = (rng.random(p.shape) < keep).astype(np.uint8)
         expected += float(keep.sum())
     return _dead_unit_closure(masks), expected
@@ -195,13 +179,12 @@ def evolve_generations(net: NetworkDescriptor, store: WeightStore,
         raise ValueError(f"generations must be positive, got {generations}")
     entries = [LineageEntry(0, net, store, count_params(net, store),
                             metric_fn(net, store), seed)]
-    conv_indices = net.conv_indices()
     current = store
     for g in range(1, generations + 1):
         gen_seed = (seed + g) % 2 ** 64
         genome = encode_genome(net, current)
         masks, _ = synthesize_offspring(genome, env, gen_seed)
-        enforce = (env.all_below_one(conv_indices)
+        enforce = (env.gamma < 1.0
                    and any(float(p.data.min()) < 1.0 for p in genome.probabilities.values()))
         candidate = current.with_masks(masks)
         while enforce and count_params(net, candidate) >= entries[-1].param_count:

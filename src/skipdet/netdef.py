@@ -382,21 +382,26 @@ class FnetFormatError(ValueError):
         self.offset = offset
 
 
+# Per layer kind, the fields of its layer line in written order: the FNET
+# key, the ``LayerSpec`` attribute and the parser of the value. Floats are
+# written with ``repr`` so that they read back bit for bit.
+_FIELDS = {
+    "conv": (("in", "in_channels", int), ("out", "out_channels", int),
+             ("k", "kernel_size", int), ("stride", "stride", int), ("pad", "pad", int),
+             ("act", "activation", str), ("alpha", "alpha", float)),
+    "maxpool2": (),
+    "pointwise": (("fn", "fn", str), ("alpha", "alpha", float)),
+    "detect-head": (("s", "grid", int), ("a", "anchors", int), ("c", "classes", int)),
+}
+
+
 def _layer_line(index: int, layer: LayerSpec, masked: bool) -> str:
-    if layer.kind == "conv":
-        parts = [
-            "conv", f"in={layer.in_channels}", f"out={layer.out_channels}",
-            f"k={layer.kernel_size}", f"stride={layer.stride}", f"pad={layer.pad}",
-            f"act={layer.activation}", f"alpha={layer.alpha!r}",
-        ]
-        if masked:
-            parts.append("mask=1")
-    elif layer.kind == "maxpool2":
-        parts = ["maxpool2"]
-    elif layer.kind == "pointwise":
-        parts = ["pointwise", f"fn={layer.fn}", f"alpha={layer.alpha!r}"]
-    else:
-        parts = ["detect-head", f"s={layer.grid}", f"a={layer.anchors}", f"c={layer.classes}"]
+    parts = [layer.kind]
+    for key, attr, parse in _FIELDS[layer.kind]:
+        value = getattr(layer, attr)
+        parts.append(f"{key}={value!r}" if parse is float else f"{key}={value}")
+    if masked:
+        parts.append("mask=1")
     return f"layer.{index}=" + ";".join(parts)
 
 
@@ -474,23 +479,11 @@ def _parse_layer(value: str, offset: int) -> tuple[LayerSpec, bool]:
     for part in parts[1:]:
         k, v = _parse_kv(part, offset, "layer field")
         fields[k] = v
+    if kind not in _FIELDS:
+        raise FnetFormatError(f"unknown layer kind {kind!r}", offset)
     try:
-        if kind == "conv":
-            spec = LayerSpec.conv(
-                int(fields["in"]), int(fields["out"]), int(fields["k"]),
-                int(fields["stride"]), int(fields["pad"]),
-                fields["act"], float(fields["alpha"]))
-        elif kind == "maxpool2":
-            spec = LayerSpec.maxpool2()
-        elif kind == "pointwise":
-            spec = LayerSpec.pointwise(fields["fn"], float(fields["alpha"]))
-        elif kind == "detect-head":
-            spec = LayerSpec.detect_head(int(fields["s"]), int(fields["a"]), int(fields["c"]))
-        else:
-            raise FnetFormatError(f"unknown layer kind {kind!r}", offset)
+        spec = LayerSpec(kind, **{attr: parse(fields[key]) for key, attr, parse in _FIELDS[kind]})
     except (KeyError, ValueError) as exc:
-        if isinstance(exc, FnetFormatError):
-            raise
         raise FnetFormatError(f"bad layer line {value!r}: {exc}", offset) from None
     return spec, fields.get("mask") == "1"
 

@@ -82,18 +82,22 @@ def list_frame_files(directory) -> list[tuple[int, Path]]:
     """(index, path) pairs for *.ppm/*.pgm files, sorted by filename.
 
     The index is the trailing number in the stem when present, else the
-    1-based position in sorted order.
+    1-based position in sorted order. Two files with the same index raise
+    ``ValueError`` naming both.
     """
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir()
                    if p.suffix.lower() in (".ppm", ".pgm"))
     if not paths:
         raise FileNotFoundError(f"no .ppm/.pgm frames in {directory}")
-    out = []
+    by_index: dict[int, Path] = {}
     for n, p in enumerate(paths, start=1):
         numbers = _FRAME_NUM.findall(p.stem)
-        out.append((int(numbers[-1]) if numbers else n, p))
-    return out
+        index = int(numbers[-1]) if numbers else n
+        if index in by_index:
+            raise ValueError(f"{by_index[index]} and {p} both have frame index {index}")
+        by_index[index] = p
+    return list(by_index.items())
 
 
 def load_frames(directory) -> list[Frame]:

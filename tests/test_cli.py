@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skipdet import cli, zoo
+from skipdet import cli, synth, zoo
 from skipdet.netdef import LayerSpec, NetworkDescriptor, load_network, save_network
 from skipdet.network import init_weights
 
@@ -151,6 +153,55 @@ class TestGateWeightsFile:
         assert read_report(rep)["inferences"] == 1
 
 
+class TestChecksAgainstTheNetwork:
+    """A config that cannot fit the network fails at load, naming the key or
+    file, before any scene is made, frame is inferred or file is written."""
+
+    @pytest.mark.parametrize("command", ["detect", "run"])
+    def test_anchor_count_checked_before_inference(self, command, mini_weighted_net,
+                                                   scene_dir, tmp_path, capsys):
+        out = tmp_path / "det.txt"
+        rc = cli.run_cli([command, "--set", f"input={scene_dir}",
+                          "--set", f"network={mini_weighted_net}",
+                          "--set", f"out={out}", "--set", "anchors=0.9,0.9"])
+        assert rc == 1
+        assert (f"anchors: 1 priors given, but {mini_weighted_net} has 2 anchor slots"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_anchor_count_checked_before_scenes(self, tmp_path, monkeypatch, capsys):
+        made = []
+        monkeypatch.setattr(synth, "random_detection_scenes", lambda *a, **k: made.append(a))
+        rc = cli.run_cli(["train-tiny", "--set", f"out={tmp_path / 't.fnet'}",
+                          "--set", "anchors=0.9,0.9;1.8,1.8;3,3"])
+        assert rc == 1
+        assert "anchors: 3 priors given, but tiny has 2 anchor slots" in capsys.readouterr().err
+        assert made == []
+
+    def test_evolve_needs_a_detect_head(self, tmp_path, capsys):
+        net = NetworkDescriptor("headless", (3, 8, 8), (LayerSpec.conv(3, 2, 1),))
+        path = tmp_path / "headless.fnet"
+        save_network(path, net, init_weights(net, 0))
+        rc = cli.run_cli(["evolve", "--set", f"network={path}", "--set", f"out={tmp_path}",
+                          "--set", "gamma=0.9", "--set", "generations=1"])
+        assert rc == 1
+        assert f"{path}: this command needs a detect-head network" in capsys.readouterr().err
+
+    def test_gate_channels_checked_before_inference(self, mini_weighted_net, scene_dir,
+                                                    tmp_path, capsys):
+        gate_net = NetworkDescriptor("gate", (2, 4, 4), (LayerSpec.conv(2, 1, 1),))
+        gate_path = tmp_path / "gate.fnet"
+        save_network(gate_path, gate_net, init_weights(gate_net, 0))
+        out = tmp_path / "det.txt"
+        rc = cli.run_cli(["run", "--set", f"input={scene_dir}",
+                          "--set", f"network={mini_weighted_net}", "--set", f"out={out}",
+                          "--set", f"gate.weights_file={gate_path}"])
+        assert rc == 1
+        assert (f"{gate_path}: gate conv takes 2 input channels, but 3-channel frames need 6"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestAnchorsCommand:
     def test_prints_parseable_anchors(self, scene_dir, capsys):
         rc = cli.run_cli(["anchors", "--set", f"truth={scene_dir}/truth.txt",
@@ -170,13 +221,34 @@ class TestEvolveCommand:
                           "--set", f"out={out}", "--set", "gamma=0.9",
                           "--set", "generations=1", "--set", "epochs=1",
                           "--set", "frames=16", "--set", "holdout=4",
-                          "--set", "size=32", "--set", "batch=4"])
+                          "--set", "batch=4"])
         assert rc == 0
         doc = json.loads((out / "lineage.json").read_text())
         assert [e["generation"] for e in doc["entries"]] == [0, 1]
         assert doc["entries"][1]["param-count"] < doc["entries"][0]["param-count"]
         net, store = load_network(out / "gen_1.fnet")
         assert store.has_masks()
+
+    def test_scenes_take_the_network_input_shape(self, mini_weighted_net, tmp_path):
+        mini, _ = load_network(mini_weighted_net)
+        gray = NetworkDescriptor("gray", (1, 32, 32),
+                                 (LayerSpec.conv(1, 4, 3, pad=1, activation="leaky"),
+                                  *mini.layers[1:]))
+        path = tmp_path / "gray.fnet"
+        save_network(path, gray, init_weights(gray, seed=13))
+        out = tmp_path / "lineage"
+        rc = cli.run_cli(["evolve", "--set", f"network={path}", "--set", f"out={out}",
+                          "--set", "gamma=0.9", "--set", "generations=1",
+                          "--set", "epochs=1", "--set", "frames=8", "--set", "holdout=4",
+                          "--set", "batch=4"])
+        assert rc == 0
+        gen1, _ = load_network(out / "gen_1.fnet")
+        assert gen1.input_shape == (1, 32, 32)
+
+    @pytest.mark.parametrize("command", ["train-tiny", "evolve"])
+    def test_size_is_not_a_key(self, command, capsys):
+        assert cli.run_cli([command, "--set", "size=96"]) == 1
+        assert "unknown config key 'size'" in capsys.readouterr().err
 
     def test_descriptor_only_network_rejected(self, tmp_path, capsys):
         path = tmp_path / "tiny.fnet"
@@ -265,9 +337,34 @@ class TestEveryConfigKeyIsRead:
             "profile": {"network": "tiny"},
             "anchors": {"truth": f"{scene_dir}/truth.txt", "grid": 8},
             "evolve": {"network": mini_weighted_net, "out": tmp_path / "lineage",
-                       "gamma": 0.9, "generations": 1, "size": 32, **small_training},
+                       "gamma": 0.9, "generations": 1, **small_training},
         }[command]
         argv = [command] + [arg for k, v in keys.items() for arg in ("--set", f"{k}={v}")]
         assert cli.run_cli(argv) == 0
         (cfg,) = configs
         assert set(cli.SUBCOMMANDS[command][1]) - cfg.read == set()
+
+
+def readme_keys() -> dict[str, set[str]]:
+    """Subcommand -> keys named in README's "Subcommand keys" list.
+
+    A key is a backticked name outside parentheses, before the first ``;``;
+    "all `x` keys plus" stands for the keys of subcommand x.
+    """
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Subcommand keys", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^\* `([\w-]+)`: (.*?)(?=^\* |^$|\Z)", section, re.M | re.S)
+    keys: dict[str, set[str]] = {}
+    for command, body in items:
+        body = re.sub(r"\([^)]*\)", "", " ".join(body.split())).split(";", 1)[0]
+        named = set()
+        for inherited in re.findall(r"all `([\w-]+)` keys plus", body):
+            named |= keys[inherited]
+        body = re.sub(r"all `[\w-]+` keys plus", "", body)
+        keys[command] = named | set(re.findall(r"`([\w.]+)`", body))
+    return keys
+
+
+def test_readme_names_every_subcommand_key():
+    assert readme_keys() == {name: set(defaults)
+                             for name, (_, defaults) in cli.SUBCOMMANDS.items()}

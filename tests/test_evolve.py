@@ -253,10 +253,6 @@ class TestEvolveGenerations:
             EnvironmentalFactor(0.0)
         with pytest.raises(ValueError):
             EnvironmentalFactor(1.5)
-        per_layer = EnvironmentalFactor({0: 0.5, 2: 1.0})
-        assert per_layer.resolve(0) == 0.5
-        with pytest.raises(KeyError):
-            per_layer.resolve(4)
 
 
 class TestLineagePersistence:

@@ -194,6 +194,15 @@ class TestPpm:
         np.testing.assert_allclose(frames[1].pixels.data,
                                    images[1].astype(np.float32).transpose(2, 0, 1) / 255)
 
+    def test_duplicate_frame_index_rejected(self, tmp_path):
+        image = np.zeros((2, 2, 3), np.uint8)
+        for name in ("a.ppm", "frame_1.ppm"):
+            write_ppm(tmp_path / name, image)
+        with pytest.raises(ValueError) as err:
+            list_frame_files(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'a.ppm'} and {tmp_path / 'frame_1.ppm'} "
+                                  f"both have frame index 1")
+
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             list_frame_files(tmp_path)
