@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .netdef import LayerWeights, NetworkDescriptor, WeightStore
+from .netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
 from .tensor import (
     ShapeError,
     Tensor,
@@ -96,21 +96,39 @@ def _weights_map(store: WeightStore) -> dict[int, tuple[np.ndarray, np.ndarray]]
     return {i: (lw.kernel.data, lw.bias.data) for i, lw in store.items()}
 
 
+def _conv_fn(layer: LayerSpec) -> Optional[str]:
+    """The pointwise function of a conv's activation; None for linear."""
+    if layer.activation == "linear":
+        return None
+    return "leaky-relu" if layer.activation == "leaky" else layer.activation
+
+
 def _forward_batch(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
                    caches: Optional[list] = None) -> np.ndarray:
+    """The network on a [B,C,H,W] batch; ``caches`` collects what backward needs.
+
+    Without caches (inference) each conv's im2col columns are dropped after
+    its matmul and its activation is written into the conv's own fresh
+    output. The transient heap then stays under the allocator's trim point,
+    so it is kept from one call to the next instead of being returned to
+    the OS and faulted in again (about 500 minor faults per ``tiny``
+    forward). Training keeps columns, pre- and post-activation. ``xb`` is
+    never written.
+    """
     out = xb
     for i, layer in enumerate(net.layers):
         if layer.kind == "conv":
             kernel, bias = weights[i]
-            pre, cols = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)
-            if layer.activation == "linear":
-                post = pre
+            fn = _conv_fn(layer)
+            if caches is None:
+                out = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)[0]
+                if fn is not None:
+                    _pointwise_raw(out, fn, layer.alpha, in_place=True)
             else:
-                fn = "leaky-relu" if layer.activation == "leaky" else layer.activation
-                post = _pointwise_raw(pre, fn, layer.alpha)
-            if caches is not None:
+                pre, cols = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)
+                post = pre if fn is None else _pointwise_raw(pre, fn, layer.alpha)
                 caches.append(("conv", i, out.shape, cols, pre, post))
-            out = post
+                out = post
         elif layer.kind == "maxpool2":
             pooled = _maxpool2_batch(out)
             if caches is not None:
@@ -141,8 +159,8 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
         if kind == "conv":
             _, i, in_shape, cols, pre, post = cache
             layer = net.layers[i]
-            if layer.activation != "linear":
-                fn = "leaky-relu" if layer.activation == "leaky" else layer.activation
+            fn = _conv_fn(layer)
+            if fn is not None:
                 g = g * _pointwise_grad(pre, post, fn, layer.alpha)
             b, f = g.shape[0], g.shape[1]
             g2 = g.reshape(b, f, -1)
@@ -175,7 +193,9 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor) -> Tensor:
     outputs. Masked synapses are zero in the store and so contribute exactly
     zero. The store and the input shape are checked here; the layers are
     not, because the descriptor proved their shapes when it was built. A
-    non-finite output raises ``ValueError``.
+    non-finite output raises ``ValueError``. Activations are applied in
+    place on buffers the forward itself allocated; ``x`` and the store are
+    never written.
     """
     store.validate_for(net)
     if x.shape != net.input_shape:

@@ -1,10 +1,15 @@
 """Dense float32 tensor primitives: convolution, activations, pooling.
 
-Every operation here is a pure function: inputs are never mutated and no
-hidden state is kept, not even a per-shape cache, so calls are safe from
-any number of threads. The strided convolution and pooling kernels are
-bit-identical to the gather/scatter/argmax kernels kept as oracles in
-``tests/oracles.py``: same values, same tie routing, same gradients.
+Every public operation is a pure function: inputs are never mutated, each
+result is a fresh tensor, and no hidden state is kept, not even a per-shape
+cache, so calls are safe from any number of threads. The raw-array kernels
+below keep that rule with one exception: an activation asked to work in
+place (``_pointwise_raw(..., in_place=True)``, or the raw leaky-relu kernel
+given ``out``) writes into a buffer its caller hands it and must own. The
+strided convolution and pooling kernels are bit-identical to the
+gather/scatter/argmax kernels kept as oracles in ``tests/oracles.py``: same
+values, same tie routing, same gradients; so is the branch-free leaky relu
+to the ``np.where`` select kept there.
 Convolution is cross-correlation (no kernel flip), the convention used by
 mainstream detector frameworks. Values are 32-bit floats throughout. The
 one finiteness check is ``Tensor``'s constructor, which every public
@@ -16,7 +21,7 @@ check nothing; their callers validate shapes once, at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -179,11 +184,13 @@ def _maxpool2_backward(grad_out: np.ndarray, x: np.ndarray,
 POINTWISE_FNS = ("leaky-relu", "sigmoid", "tanh", "abs", "clamp01")
 
 
-def _sigmoid(arr: np.ndarray) -> np.ndarray:
+def _sigmoid(arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # Split by sign so exp never overflows; flush the deep-saturation tail
     # to exactly zero, since subnormal outputs poison downstream matmul
-    # performance on x86 and carry no information at float32 scale.
-    out = np.empty_like(arr)
+    # performance on x86 and carry no information at float32 scale. ``out``
+    # may be ``arr`` itself: each half is read before it is written.
+    if out is None:
+        out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     ez = np.exp(arr[~pos])
@@ -192,17 +199,40 @@ def _sigmoid(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pointwise_raw(arr: np.ndarray, fn: str, alpha: float) -> np.ndarray:
+def _leaky_relu(arr: np.ndarray, alpha: float,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Leaky relu into ``out`` (which may be ``arr`` itself) or a fresh array.
+
+    Bit for bit ``np.where(arr >= 0, arr, alpha * arr)`` on finite input,
+    signed zeros included, but without a per-element branch: on mixed-sign
+    data that select, like a ``where=``-masked multiply, took about 25x as
+    long as this pair of vector ops on an x86 VM. For ``alpha <= 1``,
+    ``alpha * arr`` is never above ``arr`` where ``arr >= 0`` and never
+    below it where ``arr < 0``, so the larger of the two is the select; for
+    ``alpha > 1`` the smaller is. The two tie only on equal values or on
+    zeros of opposite sign (``alpha < 0``), and np.maximum and np.minimum
+    then return their second operand, ``arr``, as the pool kernel relies on
+    too. At ``alpha == 0`` an input of +inf gives NaN (0 * inf).
+    """
+    scaled = arr * np.float32(alpha)
+    pick = np.maximum if alpha <= 1 else np.minimum
+    return pick(scaled, arr, out=scaled if out is None else out)
+
+
+def _pointwise_raw(arr: np.ndarray, fn: str, alpha: float,
+                   in_place: bool = False) -> np.ndarray:
+    """``fn`` elementwise: into a fresh array, or into ``arr`` if ``in_place``."""
+    out = arr if in_place else None
     if fn == "leaky-relu":
-        return np.where(arr >= 0, arr, np.float32(alpha) * arr)
+        return _leaky_relu(arr, alpha, out)
     if fn == "sigmoid":
-        return _sigmoid(arr)
+        return _sigmoid(arr, out)
     if fn == "tanh":
-        return np.tanh(arr)
+        return np.tanh(arr, out=out)
     if fn == "abs":
-        return np.abs(arr)
+        return np.abs(arr, out=out)
     if fn == "clamp01":
-        return np.clip(arr, 0.0, 1.0)
+        return np.clip(arr, 0.0, 1.0, out=out)
     raise ValueError(f"unknown pointwise function {fn!r}, expected one of {POINTWISE_FNS}")
 
 
@@ -214,7 +244,8 @@ def _pointwise_grad(pre: np.ndarray, post: np.ndarray, fn: str, alpha: float) ->
     both edges), keeping backward passes deterministic.
     """
     if fn == "leaky-relu":
-        return np.where(pre >= 0, np.float32(1.0), np.float32(alpha))
+        # A lookup indexed by the sign test: same values as a select, no branch.
+        return np.float32([alpha, 1.0])[(pre >= 0).view(np.uint8)]
     if fn == "sigmoid":
         return post * (1.0 - post)
     if fn == "tanh":

@@ -229,12 +229,22 @@ def naive_decode_slot(t_x, t_y, t_w, t_h, t_obj, cls_raw, i, j, grid, anchor_w, 
 
 
 # ---------------------------------------------------------------------------
-# Gather/scatter convolution and argmax pooling kernels.
+# Gather/scatter convolution, argmax pooling and select-based leaky relu.
 #
 # These are the package's earlier kernels, kept with their arithmetic
 # unchanged so the current ones can be required to match them bit for bit.
 # Their per-geometry plan caches are left out; caching never changed a value.
 # ---------------------------------------------------------------------------
+
+def where_leaky_relu(arr, alpha):
+    """Leaky relu as a select between ``arr`` and ``alpha * arr``."""
+    return np.where(arr >= 0, arr, np.float32(alpha) * arr)
+
+
+def where_leaky_relu_grad(pre, alpha):
+    """Leaky relu's derivative factor: 1 where ``pre >= 0``, else ``alpha``."""
+    return np.where(pre >= 0, np.float32(1.0), np.float32(alpha))
+
 
 def gather_im2col_plan(c, h, w, kh, kw, stride, pad):
     """Gather indices ``[C*kh*kw, ho*wo]`` into a flattened padded image."""

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import skipdet
 from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
-from skipdet.network import (TrainConfig, TrainingDivergence, evaluate_loss,
+from skipdet.network import (TrainConfig, TrainingDivergence, _forward_batch, evaluate_loss,
                              forward, init_weights, loss_gradients, train_sgd)
-from skipdet.tensor import ShapeError, Tensor
+from skipdet.tensor import POINTWISE_FNS, ShapeError, Tensor
 
 import oracles
 
@@ -89,6 +96,123 @@ class TestForward:
         net = gradcheck_net()
         with pytest.raises(ShapeError, match="input shape"):
             forward(net, init_weights(net, 0), Tensor.zeros((2, 6, 6)))
+
+
+CONV_ACTIVATIONS = [("leaky", 0.0), ("leaky", 0.1), ("linear", 0.1),
+                    ("sigmoid", 0.1), ("tanh", 0.1)]
+
+
+def random_net(seed):
+    """Five convs, one per activation in random order, one of them 3x3 at
+    stride 2 and pad 2; even seeds start with a pointwise layer, and a conv
+    whose output extent is even may be followed by a maxpool."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 4))
+    hw = int(rng.integers(9, 15))
+    input_shape = (c, hw, hw)
+    layers = []
+    if seed % 2 == 0:
+        layers.append(LayerSpec.pointwise(POINTWISE_FNS[seed // 2 % len(POINTWISE_FNS)],
+                                          alpha=0.1))
+    strided = int(rng.integers(5))
+    for n, j in enumerate(rng.permutation(len(CONV_ACTIVATIONS))):
+        activation, alpha = CONV_ACTIVATIONS[j]
+        if n == strided:
+            k, stride, pad = 3, 2, 2
+        else:
+            k = int(rng.integers(1, 4))
+            stride, pad = 1, int(rng.integers(k // 2, 3))
+        f = int(rng.integers(1, 6))
+        layers.append(LayerSpec.conv(c, f, k, stride=stride, pad=pad,
+                                     activation=activation, alpha=alpha))
+        c, hw = f, (hw + 2 * pad - k) // stride + 1
+        if hw % 2 == 0 and hw >= 4 and rng.random() < 0.5:
+            layers.append(LayerSpec.maxpool2())
+            hw //= 2
+    return NetworkDescriptor(f"rand{seed}", input_shape, tuple(layers))
+
+
+def pointwise_first_net():
+    return NetworkDescriptor("pwfirst", (2, 6, 6), (
+        LayerSpec.pointwise("leaky-relu", alpha=0.1),
+        LayerSpec.conv(2, 3, 3, pad=1, activation="leaky", alpha=0.1),
+        LayerSpec.conv(3, 2, 1, activation="linear"),
+    ))
+
+
+class TestInferencePath:
+    """The cache-free forward writes activations in place on its own buffers."""
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bits_as_training_path(self, seed, batch):
+        net = random_net(seed)
+        store = init_weights(net, seed)
+        weights = weights_map(store, net.conv_indices())
+        rng = np.random.default_rng(seed + 100)
+        xb = rng.normal(size=(batch,) + net.input_shape).astype(np.float32)
+        xb[rng.random(xb.shape) < 0.1] = -0.0
+        before = xb.copy()
+        inferred = _forward_batch(net, weights, xb)
+        trained = _forward_batch(net, weights, xb, [])
+        assert inferred.shape == (batch,) + net.output_shape
+        assert np.array_equal(inferred.view(np.uint32), trained.view(np.uint32))
+        assert np.array_equal(xb.view(np.uint32), before.view(np.uint32))
+
+    @pytest.mark.parametrize("make_net", [pointwise_first_net, gradcheck_net,
+                                          lambda: random_net(0)])
+    def test_inputs_and_weights_untouched(self, make_net):
+        net = make_net()
+        store = init_weights(net, 3)
+        rng = np.random.default_rng(4)
+        xs = [Tensor(rng.normal(size=net.input_shape).astype(np.float32)) for _ in range(3)]
+        targets = [Tensor(rng.normal(size=net.output_shape).astype(np.float32)) for _ in xs]
+
+        def snapshot():
+            return ([x.data.tobytes() for x in xs + targets],
+                    [(lw.kernel.data.tobytes(), lw.bias.data.tobytes())
+                     for _, lw in store.items()])
+
+        before = snapshot()
+        for x in xs:
+            forward(net, store, x)
+        evaluate_loss(net, store, list(zip(xs, targets)), "squared-error")
+        assert snapshot() == before
+
+
+FAULTS_PER_FORWARD = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from skipdet.network import forward, init_weights
+    from skipdet.tensor import Tensor
+    from skipdet.zoo import load_bundled
+
+    net = load_bundled("tiny")
+    store = init_weights(net, 0)
+    x = Tensor(np.random.default_rng(0).random(net.input_shape, dtype=np.float32))
+    for _ in range(20):
+        forward(net, store, x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        forward(net, store, x)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux's")
+def test_warm_forward_does_not_refault_its_heap():
+    # A fresh process, since this one's heap history can hide the faults.
+    # A forward whose transient peak exceeds the allocator's trim point
+    # gives its pages back after every call and faults them in again.
+    pytest.importorskip("resource")
+    src = str(Path(skipdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_FORWARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 20
 
 
 class TestTrainSgd:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.tensor import (ShapeError, Tensor, _col2im_batch, _conv2d_batch, _im2col_batch,
-                            _maxpool2_backward, _maxpool2_batch, conv2d, maxpool2,
+from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _col2im_batch, _conv2d_batch,
+                            _im2col_batch, _maxpool2_backward, _maxpool2_batch,
+                            _pointwise_grad, _pointwise_raw, conv2d, maxpool2,
                             pointwise, tensor)
 
 import oracles
@@ -239,3 +240,41 @@ class TestKernelsMatchEarlierKernels:
         assert_same_bits(pooled, np.float32([[[[0.0, -0.0]]]]))
         grad = _maxpool2_backward(np.float32([[[[2.0, 3.0]]]]), x, pooled)
         np.testing.assert_array_equal(grad, np.float32([[[[2, 0, 3, 0], [0, 0, 0, 0]]]]))
+
+
+def signed_extremes(rng, shape):
+    """Normals with ±0.0 and ±3e38 planted, so sign and overflow both show."""
+    x = (4 * rng.normal(size=shape)).astype(np.float32)
+    flat = x.reshape(-1)
+    flat[:6] = [0.0, -0.0, 3e38, -3e38, -0.0, 0.0]
+    rng.shuffle(flat)
+    return x
+
+
+class TestLeakyReluMatchesEarlierKernel:
+    """The branch-free leaky relu reproduces the select-based one bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0, 2.5, -0.5])
+    def test_out_of_place_and_in_place(self, alpha):
+        rng = np.random.default_rng(7)
+        x = signed_extremes(rng, (2, 3, 5, 7))
+        before = x.copy()
+        with np.errstate(over="ignore"):
+            want = oracles.where_leaky_relu(x, alpha)
+            got = _pointwise_raw(x, "leaky-relu", alpha)
+            assert_same_bits(got, want)
+            assert_same_bits(x, before)
+            buf = x.copy()
+            assert _pointwise_raw(buf, "leaky-relu", alpha, in_place=True) is buf
+            assert_same_bits(buf, want)
+        assert_same_bits(_pointwise_grad(x, got, "leaky-relu", alpha),
+                         oracles.where_leaky_relu_grad(x, alpha))
+
+    @pytest.mark.parametrize("fn", POINTWISE_FNS)
+    def test_in_place_matches_fresh(self, fn):
+        x = signed_extremes(np.random.default_rng(8), (3, 4, 6))
+        with np.errstate(over="ignore"):
+            want = _pointwise_raw(x, fn, 0.1)
+            buf = x.copy()
+            assert _pointwise_raw(buf, fn, 0.1, in_place=True) is buf
+        assert_same_bits(buf, want)
