@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import detector, evolve, netdef, network, pipeline, ppm, synth, zoo
 from .motion import GatingPolicy
@@ -87,12 +88,30 @@ def _get_float(cfg, key) -> float:
         raise ConfigError(f"config key {key}={cfg[key]!r} is not a number") from None
 
 
+def _get_fraction(cfg, key) -> float:
+    value = _get_float(cfg, key)
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise ConfigError(f"config key {key}={cfg[key]!r} is not in [0, 1]")
+    return value
+
+
 def _parse_anchors(text: str) -> list[detector.AnchorPrior]:
     try:
         pairs = [tuple(float(v) for v in part.split(",")) for part in text.split(";")]
         return [detector.AnchorPrior(w, h) for w, h in pairs]
     except (ValueError, TypeError):
         raise ConfigError(f"anchors must look like 'w,h;w,h', got {text!r}") from None
+
+
+def _parse_velocities(text: str) -> tuple[tuple[float, float], ...]:
+    try:
+        velocities = tuple(tuple(float(v) for v in part.split(",")) for part in text.split(";"))
+        for v in velocities:
+            synth.check_velocity(v)
+    except ValueError:
+        raise ConfigError(f"velocity must look like 'vx,vy;vx,vy' with finite "
+                          f"numbers, got {text!r}") from None
+    return velocities
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -107,8 +126,9 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"size must be an integer or WxH, got {text!r}") from None
 
 
-def _anchors_for(cfg, net, source: str) -> list[detector.AnchorPrior]:
-    """The ``anchors`` key, one prior per anchor slot of the detect head."""
+def _decode_config(cfg, net, source: str):
+    """The ``_DECODE_KEYS``, read at load: the anchors, one prior per anchor
+    slot of the detect head, then the objectness and NMS thresholds in [0, 1]."""
     head = net.detect_head()
     if head is None:
         raise ConfigError(f"{source}: this command needs a detect-head network")
@@ -116,7 +136,7 @@ def _anchors_for(cfg, net, source: str) -> list[detector.AnchorPrior]:
     if len(anchors) != head.anchors:
         raise ConfigError(f"anchors: {len(anchors)} priors given, but {source} has "
                           f"{head.anchors} anchor slots")
-    return anchors
+    return anchors, _get_fraction(cfg, "obj_threshold"), _get_fraction(cfg, "nms_threshold")
 
 
 def _load_weighted_network(path: str):
@@ -133,7 +153,11 @@ def _resolve_network_arg(text: str):
     return netdef.load_network(text)
 
 
-def _policy_from_config(cfg, channels: int) -> GatingPolicy:
+def _gate_from_config(cfg, channels: int) -> Optional[GatingPolicy]:
+    """The ``run`` gate, built and so validated in both modes; ``None`` when always."""
+    mode = cfg["mode"]
+    if mode not in ("gated", "always"):
+        raise ConfigError(f"mode must be one of ('gated', 'always'), got {mode!r}")
     p0 = _get_float(cfg, "gate.p0")
     tau = _get_float(cfg, "gate.tau")
     force = _get_int(cfg, "gate.force_every")
@@ -147,10 +171,12 @@ def _policy_from_config(cfg, channels: int) -> GatingPolicy:
         if lw.kernel.shape[1] != 2 * channels:
             raise ConfigError(f"{weights_file}: gate conv takes {lw.kernel.shape[1]} input "
                               f"channels, but {channels}-channel frames need {2 * channels}")
-        return GatingPolicy(kernel=lw.kernel, bias=lw.bias, pixel_threshold=p0,
-                            area_threshold=tau, force_every=force)
-    return GatingPolicy.default(channels, pixel_threshold=p0, area_threshold=tau,
-                                force_every=force)
+        policy = GatingPolicy(kernel=lw.kernel, bias=lw.bias, pixel_threshold=p0,
+                              area_threshold=tau, force_every=force)
+    else:
+        policy = GatingPolicy.default(channels, pixel_threshold=p0, area_threshold=tau,
+                                      force_every=force)
+    return policy if mode == "gated" else None
 
 
 def _training_data(cfg, net, anchors, seed: int):
@@ -174,8 +200,7 @@ def _training_data(cfg, net, anchors, seed: int):
 def _eval_detector(net, store, anchors, frames, truth, obj_thr, nms_thr) -> float:
     if not frames:
         return 0.0
-    _, preds = pipeline.run(frames, net, store, anchors, GatingPolicy.default(net.input_shape[0]),
-                            obj_thr, nms_thr, mode="always")
+    _, preds = pipeline.run(frames, net, store, anchors, None, obj_thr, nms_thr)
     return detector.evaluate_mean_best_iou(preds, truth)
 
 
@@ -186,12 +211,11 @@ def _eval_detector(net, store, anchors, frames, truth, obj_thr, nms_thr) -> floa
 def _cmd_synth(cfg) -> int:
     frames = _get_int(cfg, "frames")
     width, height = _parse_size(cfg["size"])
-    velocities = tuple(tuple(float(v) for v in part.split(","))
-                       for part in cfg["velocity"].split(";"))
     spec = synth.SyntheticSceneSpec(
         frames=frames, width=width, height=height,
         channels=_get_int(cfg, "channels"), objects=_get_int(cfg, "objects"),
-        velocities=velocities, schedule=synth.parse_schedule(cfg["schedule"], frames),
+        velocities=_parse_velocities(cfg["velocity"]),
+        schedule=synth.parse_schedule(cfg["schedule"], frames),
         noise=_get_float(cfg, "noise"), seed=_get_int(cfg, "seed"))
     truth_path = synth.write_scene(spec, cfg["out"])
     print(f"wrote {frames} frames and {truth_path}")
@@ -201,10 +225,9 @@ def _cmd_synth(cfg) -> int:
 def _cmd_train_tiny(cfg) -> int:
     seed = _get_int(cfg, "seed")
     net = zoo.load_bundled("tiny")
-    anchors = _anchors_for(cfg, net, "tiny")
+    anchors, obj_thr, nms_thr = _decode_config(cfg, net, "tiny")
     train, holdout, dataset, train_cfg = _training_data(cfg, net, anchors, seed)
     store = network.train_sgd(net, network.init_weights(net, seed), dataset, train_cfg)
-    obj_thr, nms_thr = _get_float(cfg, "obj_threshold"), _get_float(cfg, "nms_threshold")
     iou_train = _eval_detector(net, store, anchors, *train, obj_thr, nms_thr)
     iou_hold = _eval_detector(net, store, anchors, *holdout, obj_thr, nms_thr)
     netdef.save_network(cfg["out"], net, store)
@@ -217,40 +240,33 @@ def _cmd_train_tiny(cfg) -> int:
     return 0
 
 
-def _detect(cfg, mode: str, policy_from_config: bool):
-    """One load, ``pipeline.run``, one write; shared by ``detect`` and ``run``."""
+def _detect(cfg, policy_for):
+    """One load, ``pipeline.run``, one write; shared by ``detect`` and ``run``.
+    ``policy_for(channels)`` gives the gate (``None``: infer every frame)."""
     net, store = _load_weighted_network(cfg["network"])
-    anchors = _anchors_for(cfg, net, cfg["network"])
-    if mode not in pipeline.MODES:
-        raise ConfigError(f"mode must be one of {pipeline.MODES}, got {mode!r}")
-    channels = net.input_shape[0]
-    policy = (_policy_from_config(cfg, channels) if policy_from_config
-              else GatingPolicy.default(channels))
+    anchors, obj_thr, nms_thr = _decode_config(cfg, net, cfg["network"])
+    policy = policy_for(net.input_shape[0])
     frames = ppm.load_frames(cfg["input"])
-    report, detections = pipeline.run(
-        frames, net, store, anchors, policy,
-        obj_threshold=_get_float(cfg, "obj_threshold"),
-        nms_threshold=_get_float(cfg, "nms_threshold"), mode=mode)
+    report, detections = pipeline.run(frames, net, store, anchors, policy, obj_thr, nms_thr)
     detector.write_detections(
         cfg["out"], {f.index: boxes for f, boxes in zip(frames, detections)})
     return report, detections
 
 
 def _cmd_detect(cfg) -> int:
-    """``run mode=always`` with the six detect keys; the gate is never read."""
-    report, detections = _detect(cfg, "always", policy_from_config=False)
+    """``run mode=always`` with the six detect keys and no gate."""
+    report, detections = _detect(cfg, lambda channels: None)
     total = sum(len(b) for b in detections)
     print(f"detect: {report.frames} frames, {total} boxes -> {cfg['out']}")
     return 0
 
 
 def _cmd_run(cfg) -> int:
-    mode = cfg["mode"]
-    report, _ = _detect(cfg, mode, policy_from_config=True)
+    report, _ = _detect(cfg, lambda channels: _gate_from_config(cfg, channels))
     report.config = dict(cfg)
     if cfg.get("report"):
         Path(cfg["report"]).write_text(report.to_json())
-    print(f"run[{mode}]: {report.frames} frames, {report.inferences} inferences "
+    print(f"run[{cfg['mode']}]: {report.frames} frames, {report.inferences} inferences "
           f"({report.inference_frequency:.2f}%), {report.frames_per_second:.1f} fps "
           f"-> {cfg['out']}")
     return 0
@@ -290,9 +306,8 @@ def _cmd_anchors(cfg) -> int:
 def _cmd_evolve(cfg) -> int:
     seed = _get_int(cfg, "seed")
     net, store = _load_weighted_network(cfg["network"])
-    anchors = _anchors_for(cfg, net, cfg["network"])
+    anchors, obj_thr, nms_thr = _decode_config(cfg, net, cfg["network"])
     _, (hold_frames, hold_truth), dataset, retrain = _training_data(cfg, net, anchors, seed)
-    obj_thr, nms_thr = _get_float(cfg, "obj_threshold"), _get_float(cfg, "nms_threshold")
 
     def metric(m_net, m_store) -> float:
         return _eval_detector(m_net, m_store, anchors, hold_frames, hold_truth,

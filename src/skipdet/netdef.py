@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .tensor import POINTWISE_FNS, ShapeError, Tensor
+from .tensor import POINTWISE_FNS, ShapeError, Tensor, conv_output_extent
 
 __all__ = [
     "CONV_ACTIVATIONS",
@@ -127,8 +127,8 @@ def _propagate(shape: tuple[int, int, int], layer: LayerSpec, index: int) -> tup
             raise ShapeError(
                 f"layer {index} (conv): expects {layer.in_channels} input "
                 f"channels but receives {c}")
-        ho = (h + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
-        wo = (w + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
+        ho = conv_output_extent(h, layer.kernel_size, layer.stride, layer.pad)
+        wo = conv_output_extent(w, layer.kernel_size, layer.stride, layer.pad)
         if ho < 1 or wo < 1:
             raise ShapeError(f"layer {index} (conv): non-positive output extent {ho}x{wo}")
         return (layer.out_channels, ho, wo)

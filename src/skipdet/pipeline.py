@@ -9,8 +9,8 @@ re-run decode+nms on the cached raw map rather than reusing cached boxes so
 threshold changes behave consistently; decode and nms are deterministic, so
 bit-equality still holds between a skipped frame and its reference.
 
-``mode="always"`` skips the gate and infers every frame; it is the one
-detection path, which the CLI's ``detect`` and evaluation metric also use.
+``policy=None`` infers every frame and calls no gate function; it is the
+one detection path, which the CLI's ``detect`` and evaluation metric use.
 
 Processing is strictly sequential per video; independent videos can run
 concurrently with separate states.
@@ -31,24 +31,19 @@ from .network import forward
 
 __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
-MODES = ("gated", "always")
-
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Reference cache plus counters; immutable, updated by replacement."""
+    """What the next frame needs: the reference and how old it is;
+    immutable, updated by replacement."""
 
     reference_frame: Optional[Frame] = None
     reference_map: Optional[ClassProbabilityMap] = None
-    frames_seen: int = 0
-    inferences_run: int = 0
     frames_since_inference: int = 0
 
     def __post_init__(self) -> None:
         if (self.reference_frame is None) != (self.reference_map is None):
             raise ValueError("reference frame and reference map must be set together")
-        if self.inferences_run > self.frames_seen:
-            raise ValueError("inference count cannot exceed frame count")
 
 
 @dataclass(frozen=True)
@@ -60,23 +55,24 @@ class FrameTiming:
     decode: float = 0.0
 
 
-def process_frame(state: PipelineState, frame: Frame, policy: GatingPolicy,
+def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPolicy],
                   net: NetworkDescriptor, store: WeightStore,
                   anchors: Sequence[AnchorPrior], obj_threshold: float,
-                  nms_threshold: float, always: bool = False,
+                  nms_threshold: float,
                   ) -> tuple[list[DetectionBox], bool, PipelineState, FrameTiming]:
     """Advance the pipeline by one frame.
 
     Returns the frame's detections, whether deep inference ran, the new
-    state, and per-stage timings. A frame's shape is checked once, by the
-    stage that uses it: ``stack_frames`` against the reference, or
-    ``forward`` against the network input when there is no reference or in
-    always mode. States are immutable, so the caller's state stays usable
-    after an error.
+    state, and per-stage timings. With ``policy=None`` the frame always
+    runs deep inference and the gate is never called. A frame's shape is
+    checked once, by the stage that uses it: ``stack_frames`` against the
+    reference, or ``forward`` against the network input when there is no
+    reference or no policy. States are immutable, so the caller's state
+    stays usable after an error.
     """
     gate_s = 0.0
     gap = state.frames_since_inference + 1
-    if state.reference_frame is None or always:
+    if state.reference_frame is None or policy is None:
         must_infer = True
     else:
         t0 = time.perf_counter()
@@ -89,14 +85,10 @@ def process_frame(state: PipelineState, frame: Frame, policy: GatingPolicy,
         t0 = time.perf_counter()
         cmap = map_from_output(net, forward(net, store, frame.pixels))
         infer_s = time.perf_counter() - t0
-        new_state = replace(state, reference_frame=frame, reference_map=cmap,
-                            frames_seen=state.frames_seen + 1,
-                            inferences_run=state.inferences_run + 1,
-                            frames_since_inference=0)
+        new_state = PipelineState(reference_frame=frame, reference_map=cmap)
     else:
         cmap = state.reference_map
-        new_state = replace(state, frames_seen=state.frames_seen + 1,
-                            frames_since_inference=gap)
+        new_state = replace(state, frames_since_inference=gap)
 
     t0 = time.perf_counter()
     boxes = nms(decode(cmap, anchors, obj_threshold), nms_threshold)
@@ -138,23 +130,21 @@ class RunReport:
 
 
 def run(frames: Sequence[Frame], net: NetworkDescriptor, store: WeightStore,
-        anchors: Sequence[AnchorPrior], policy: GatingPolicy,
-        obj_threshold: float, nms_threshold: float, mode: str = "gated",
+        anchors: Sequence[AnchorPrior], policy: Optional[GatingPolicy],
+        obj_threshold: float, nms_threshold: float,
         ) -> tuple[RunReport, list[list[DetectionBox]]]:
     """Fold :func:`process_frame` over a frame sequence in order.
 
-    Wall time covers the gate, infer, and decode stages only (frame I/O is
-    the caller's business); FPS is frames divided by that total. A
+    ``policy=None`` infers every frame. Wall time covers the gate, infer,
+    and decode stages only (frame I/O is the caller's business); FPS is
+    frames divided by that total. A
     ``ValueError``, ``ArithmeticError`` or ``OSError`` raised for a frame is
     re-raised as the same type with ``frame <index>:`` before its message.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     frames = list(frames)
     if not frames:
         raise ValueError("frame sequence must be non-empty")
     state = PipelineState()
-    always = mode == "always"
     decisions: list[int] = []
     detections: list[list[DetectionBox]] = []
     times = {"gate": 0.0, "infer": 0.0, "decode": 0.0}
@@ -162,7 +152,7 @@ def run(frames: Sequence[Frame], net: NetworkDescriptor, store: WeightStore,
         try:
             boxes, did_infer, state, timing = process_frame(
                 state, frame, policy, net, store, anchors,
-                obj_threshold, nms_threshold, always=always)
+                obj_threshold, nms_threshold)
         except (ArithmeticError, OSError, ValueError) as exc:
             raise type(exc)(f"frame {frame.index}: {exc}") from exc
         decisions.append(1 if did_infer else 0)
@@ -171,10 +161,11 @@ def run(frames: Sequence[Frame], net: NetworkDescriptor, store: WeightStore,
         times["infer"] += timing.infer
         times["decode"] += timing.decode
     total = sum(times.values())
+    inferences = sum(decisions)
     report = RunReport(
         frames=len(frames),
-        inferences=state.inferences_run,
-        inference_frequency=100.0 * state.inferences_run / len(frames),
+        inferences=inferences,
+        inference_frequency=100.0 * inferences / len(frames),
         wall_time=times,
         frames_per_second=len(frames) / total if total > 0 else 0.0,
         decisions=decisions,

@@ -15,6 +15,7 @@ files store it, so in-memory frames match disk round-trips bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,9 +26,9 @@ from .detector import DetectionBox, write_detections
 from .motion import Frame
 from .ppm import frame_from_image, save_frames
 
-__all__ = ["MotionInterval", "SyntheticSceneSpec", "frames_from_scene",
-           "generate_scene", "parse_schedule", "random_detection_scenes",
-           "write_scene"]
+__all__ = ["MotionInterval", "SyntheticSceneSpec", "check_velocity",
+           "frames_from_scene", "generate_scene", "parse_schedule",
+           "random_detection_scenes", "write_scene"]
 
 MAX_NOISE = 0.05
 
@@ -71,6 +72,12 @@ def _validate_schedule(intervals: Sequence[MotionInterval], frames: int) -> None
         raise ValueError(f"schedule covers 1..{cursor - 1}, need 1..{frames}")
 
 
+def check_velocity(v: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless ``v`` is a pair of finite numbers."""
+    if len(v) != 2 or not all(math.isfinite(c) for c in v):
+        raise ValueError(f"velocity must be a pair of finite numbers, got {tuple(v)!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSceneSpec:
     """Everything that determines a generated scene, including the seed."""
@@ -97,6 +104,8 @@ class SyntheticSceneSpec:
         if len(self.velocities) not in (1, self.objects):
             raise ValueError(
                 f"need 1 or {self.objects} velocities, got {len(self.velocities)}")
+        for v in self.velocities:
+            check_velocity(v)
         _validate_schedule(self.schedule, self.frames)
 
     def velocity(self, obj: int) -> tuple[float, float]:

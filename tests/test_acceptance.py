@@ -133,8 +133,7 @@ def test_c03_equivalence_oracle():
             seed=int(rng.integers(0, 2 ** 31)))
         frames = frames_from_scene(generate_scene(spec)[0])
         store = init_weights(net, seed=case)
-        _, gated = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                       OBJ_THR, NMS_THR, mode="always")
+        _, gated = run(frames, net, store, ANCHORS, None, OBJ_THR, NMS_THR)
         oracle = []
         for f in frames:
             cmap = map_from_output(net, forward(net, store, f.pixels))
@@ -154,12 +153,10 @@ def test_c04_throughput_analogue(trained_tiny, motion_scene):
 
     gated_fps, always_fps = [], []
     for _ in range(5):
-        report, _ = run(frames, net, store, ANCHORS, policy, OBJ_THR, NMS_THR,
-                        mode="gated")
+        report, _ = run(frames, net, store, ANCHORS, policy, OBJ_THR, NMS_THR)
         gated_fps.append(report.frames_per_second)
         skip_rate = 1.0 - report.inferences / report.frames
-        report, _ = run(frames, net, store, ANCHORS, policy, OBJ_THR, NMS_THR,
-                        mode="always")
+        report, _ = run(frames, net, store, ANCHORS, None, OBJ_THR, NMS_THR)
         always_fps.append(report.frames_per_second)
     ratio = statistics.median(gated_fps) / statistics.median(always_fps)
     ok = ratio >= 1.3 and skip_rate >= 0.30

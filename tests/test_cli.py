@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipdet import cli, synth, zoo
+from skipdet import cli, ppm, synth, zoo
 from skipdet.netdef import LayerSpec, NetworkDescriptor, load_network, save_network
 from skipdet.network import init_weights
 
@@ -267,6 +267,52 @@ class TestSynthCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "schedule" in err
+
+    @pytest.mark.parametrize("velocity", ["1", "inf,0", "nan,0", "abc", "1,2,3"])
+    def test_bad_velocity_is_a_config_error(self, velocity, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = cli.run_cli(["synth", "--set", f"out={out}", "--set", "frames=4",
+                          "--set", "schedule=1-4:moving", "--set", f"velocity={velocity}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("velocity must look like 'vx,vy;vx,vy' with finite numbers, "
+                f"got {velocity!r}") in err
+        assert not out.exists()
+
+
+BAD_THRESHOLDS = [("obj_threshold", "nan"), ("nms_threshold", "nan"),
+                  ("obj_threshold", "-0.1"), ("nms_threshold", "1.5")]
+
+
+class TestDecodeThresholds:
+    """``obj_threshold`` and ``nms_threshold`` lie in [0, 1]. Any other
+    value, NaN included, fails at load, naming the key, before any scene is
+    made or frame is read."""
+
+    @pytest.mark.parametrize("command", ["detect", "run"])
+    @pytest.mark.parametrize("key,value", BAD_THRESHOLDS)
+    def test_checked_before_frames_are_read(self, command, key, value, mini_weighted_net,
+                                            scene_dir, tmp_path, monkeypatch, capsys):
+        read = []
+        monkeypatch.setattr(ppm, "load_frames", lambda *a: read.append(a))
+        out = tmp_path / "det.txt"
+        rc = cli.run_cli([command, "--set", f"input={scene_dir}",
+                          "--set", f"network={mini_weighted_net}",
+                          "--set", f"out={out}", "--set", f"{key}={value}"])
+        assert rc == 1
+        assert f"config key {key}={value!r} is not in [0, 1]" in capsys.readouterr().err
+        assert read == [] and not out.exists()
+
+    @pytest.mark.parametrize("key,value", BAD_THRESHOLDS)
+    def test_train_tiny_checked_before_scenes(self, key, value, tmp_path, monkeypatch, capsys):
+        made = []
+        monkeypatch.setattr(synth, "random_detection_scenes", lambda *a, **k: made.append(a))
+        out = tmp_path / "t.fnet"
+        rc = cli.run_cli(["train-tiny", "--set", f"out={out}", "--set", f"{key}={value}"])
+        assert rc == 1
+        assert f"config key {key}={value!r} is not in [0, 1]" in capsys.readouterr().err
+        assert made == [] and not out.exists()
 
 
 class TestCrossProcessDeterminism:

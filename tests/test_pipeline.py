@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,7 +69,6 @@ class TestProcessFrame:
             PipelineState(), frames[0], policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
         assert did_infer is True
         assert state.reference_frame is frames[0]
-        assert state.inferences_run == state.frames_seen == 1
         assert state.frames_since_inference == 0
 
     def test_identical_second_frame_skips_bit_identically(self, net_and_store):
@@ -82,6 +84,24 @@ class TestProcessFrame:
         assert boxes2 == boxes1
         assert state.frames_since_inference == 1
 
+    def test_no_policy_infers_without_calling_the_gate(self, net_and_store, monkeypatch):
+        net, store = net_and_store
+        f1 = scene_frames(1, seed=1)[0]
+        f2 = Frame(2, f1.pixels)
+        for name in ("stack_frames", "motion_map", "decide"):
+            def gate_called(*args, name=name):
+                raise AssertionError(f"{name} called with policy=None")
+            monkeypatch.setattr(f"skipdet.pipeline.{name}", gate_called)
+        boxes1, _, state, _ = process_frame(
+            PipelineState(), f1, None, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        boxes2, did_infer, state, timing = process_frame(
+            state, f2, None, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        assert did_infer is True
+        assert state.reference_frame is f2
+        assert state.frames_since_inference == 0
+        assert timing.gate == 0.0
+        assert boxes2 == boxes1
+
     def test_error_leaves_state_reusable(self, net_and_store):
         net, store = net_and_store
         policy = GatingPolicy.default(3)
@@ -92,9 +112,9 @@ class TestProcessFrame:
         with pytest.raises(ShapeError):
             process_frame(state, bad, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
         # state still usable for the next valid frame
-        _, _, state2, _ = process_frame(
+        _, did_infer, state2, _ = process_frame(
             state, good[1], policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-        assert state2.frames_seen == 2
+        assert state2.frames_since_inference == (0 if did_infer else 1)
 
 
 class TestRun:
@@ -102,7 +122,7 @@ class TestRun:
         net, store = net_and_store
         frames = scene_frames(50, seed=3, moving=False)
         report, _ = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                        OBJ_THR, NMS_THR, mode="gated")
+                        OBJ_THR, NMS_THR)
         assert report.inferences == 1
         assert report.inference_frequency == pytest.approx(2.0)
         assert report.decisions == [1] + [0] * 49
@@ -110,8 +130,7 @@ class TestRun:
     def test_always_mode_100_percent(self, net_and_store):
         net, store = net_and_store
         frames = scene_frames(20, seed=4, moving=False)
-        report, _ = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                        OBJ_THR, NMS_THR, mode="always")
+        report, _ = run(frames, net, store, ANCHORS, None, OBJ_THR, NMS_THR)
         assert report.inference_frequency == 100.0
         assert report.decisions == [1] * 20
 
@@ -119,8 +138,7 @@ class TestRun:
         net, store = net_and_store
         for seed in range(3):
             frames = scene_frames(10, seed=seed)
-            _, detections = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                                OBJ_THR, NMS_THR, mode="always")
+            _, detections = run(frames, net, store, ANCHORS, None, OBJ_THR, NMS_THR)
             oracle = standalone_detections(net, store, frames)
             assert render(frames, detections) == render(frames, oracle)
 
@@ -134,7 +152,7 @@ class TestRun:
             noise=0.0, seed=5)
         frames = frames_from_scene(generate_scene(spec)[0])
         report, detections = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                                 OBJ_THR, NMS_THR, mode="gated")
+                                 OBJ_THR, NMS_THR)
         assert 0 < report.inferences < len(frames)
         last_infer = None
         for n, bit in enumerate(report.decisions):
@@ -148,7 +166,7 @@ class TestRun:
         net, store = net_and_store
         frames = scene_frames(15, seed=6)
         report, detections = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                                 OBJ_THR, NMS_THR, mode="gated")
+                                 OBJ_THR, NMS_THR)
         assert report.inferences == sum(report.decisions)
         assert report.decisions[0] == 1
         assert len(report.decisions) == report.frames == len(frames) == len(detections)
@@ -166,7 +184,7 @@ class TestRun:
         for tau in (0.0, 0.005, 0.02, 0.1, 0.5, 1.0):
             policy = GatingPolicy.default(3, pixel_threshold=0.1, area_threshold=tau)
             report, _ = run(frames, net, store, ANCHORS, policy,
-                            OBJ_THR, NMS_THR, mode="gated")
+                            OBJ_THR, NMS_THR)
             if last is not None:
                 assert report.inferences <= last
             last = report.inferences
@@ -176,21 +194,20 @@ class TestRun:
         frames = scene_frames(12, seed=8, moving=False)
         policy = GatingPolicy.default(3, force_every=4)
         report, _ = run(frames, net, store, ANCHORS, policy,
-                        OBJ_THR, NMS_THR, mode="gated")
+                        OBJ_THR, NMS_THR)
         assert report.decisions == [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
         every = GatingPolicy.default(3, force_every=1)
         report, _ = run(frames, net, store, ANCHORS, every,
-                        OBJ_THR, NMS_THR, mode="gated")
+                        OBJ_THR, NMS_THR)
         assert report.inference_frequency == 100.0
 
     def test_error_carries_frame_index(self, net_and_store):
         net, store = net_and_store
         frames = scene_frames(3, seed=9)
         frames[2] = Frame(3, Tensor.zeros((3, 16, 16)))
-        for mode in ("gated", "always"):
+        for policy in (GatingPolicy.default(3), None):
             with pytest.raises(ShapeError, match="^frame 3: ") as info:
-                run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                    OBJ_THR, NMS_THR, mode=mode)
+                run(frames, net, store, ANCHORS, policy, OBJ_THR, NMS_THR)
             assert str(info.value).count("frame 3:") == 1
 
     @pytest.mark.parametrize("error", [FloatingPointError, OverflowError, ValueError])
@@ -204,7 +221,7 @@ class TestRun:
         monkeypatch.setattr("skipdet.pipeline.forward", failing_forward)
         with pytest.raises(error, match="^frame 1: forward produced non-finite values$"):
             run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                OBJ_THR, NMS_THR, mode="gated")
+                OBJ_THR, NMS_THR)
 
     def test_empty_sequence_rejected(self, net_and_store):
         net, store = net_and_store
@@ -216,7 +233,7 @@ class TestRun:
         net, store = net_and_store
         frames = scene_frames(5, seed=10)
         report, _ = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
-                        OBJ_THR, NMS_THR, mode="gated")
+                        OBJ_THR, NMS_THR)
         report.config = {"mode": "gated"}
         doc = report.to_json_dict()
         assert set(doc) == {"frames", "inferences", "inference-frequency",
@@ -229,6 +246,24 @@ class TestPipelineState:
         with pytest.raises(ValueError, match="together"):
             PipelineState(reference_frame=scene_frames(1, seed=0)[0])
 
-    def test_counter_invariant(self):
-        with pytest.raises(ValueError, match="exceed"):
-            PipelineState(frames_seen=1, inferences_run=2)
+
+class TestTraceWrapPoints:
+    """The benchmark's tracer wraps pipeline functions by module attribute;
+    a gated run must still pass through every name it wraps."""
+
+    def test_gated_run_reaches_every_wrapped_function(self, net_and_store, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        net, store = net_and_store
+        spec = SyntheticSceneSpec(
+            frames=4, width=32, height=32, velocities=((3.0, 2.0),),
+            schedule=(MotionInterval(1, 2, True), MotionInterval(3, 4, False)),
+            noise=0.0, seed=12)
+        frames = frames_from_scene(generate_scene(spec)[0])
+        with tracing.traced(tracing.Tracer()) as tracer:
+            report, _ = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
+                            OBJ_THR, NMS_THR)
+        assert report.decisions == [1, 1, 0, 0]
+        assert {"pipeline.process_frame", "motion.stack_frames", "motion.motion_map",
+                "motion.decide", "network.forward", "detector.map_from_output",
+                "detector.decode", "detector.nms"} <= {s.name for s in tracer.spans}

@@ -53,6 +53,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="channels"):
             spec_with(10, (MotionInterval(1, 10, True),), channels=4)
 
+    @pytest.mark.parametrize("velocity", [(1.0,), (float("inf"), 0.0),
+                                          (float("nan"), 0.0), (1.0, 2.0, 3.0)])
+    def test_velocity_is_a_finite_pair(self, velocity):
+        with pytest.raises(ValueError, match="velocity must be a pair of finite numbers"):
+            spec_with(10, (MotionInterval(1, 10, True),), velocities=(velocity,))
+
     def test_velocity_count(self):
         with pytest.raises(ValueError, match="velocities"):
             spec_with(10, (MotionInterval(1, 10, True),), objects=3,
