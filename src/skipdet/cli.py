@@ -242,14 +242,20 @@ def _cmd_train_tiny(cfg) -> int:
 
 def _detect(cfg, policy_for):
     """One load, ``pipeline.run``, one write; shared by ``detect`` and ``run``.
-    ``policy_for(channels)`` gives the gate (``None``: infer every frame)."""
+    ``policy_for(channels)`` gives the gate (``None``: infer every frame).
+
+    The frame files are listed up front, so an empty directory or a repeated
+    index fails before any frame is read; each frame is then read when the
+    run reaches it, so memory does not grow with the clip's length.
+    """
     net, store = _load_weighted_network(cfg["network"])
     anchors, obj_thr, nms_thr = _decode_config(cfg, net, cfg["network"])
     policy = policy_for(net.input_shape[0])
-    frames = ppm.load_frames(cfg["input"])
+    files = ppm.list_frame_files(cfg["input"])
+    frames = (ppm.frame_from_image(index, ppm.read_ppm(path)) for index, path in files)
     report, detections = pipeline.run(frames, net, store, anchors, policy, obj_thr, nms_thr)
     detector.write_detections(
-        cfg["out"], {f.index: boxes for f, boxes in zip(frames, detections)})
+        cfg["out"], {index: boxes for (index, _), boxes in zip(files, detections)})
     return report, detections
 
 

@@ -128,8 +128,12 @@ def decode(cmap: ClassProbabilityMap, anchors: Sequence[AnchorPrior],
         raise ValueError(f"map has {cmap.anchors} anchor slots, got {len(anchors)} priors")
     s, a_count, c_count = cmap.grid, cmap.anchors, cmap.classes
     v = cmap.values.data.reshape(a_count, 5 + c_count, s, s)
-    sig = _sigmoid(v[:, :2])
     obj = _sigmoid(v[:, 4])
+    # The loop's own test on the largest objectness: it is monotone in the
+    # objectness, so when the largest slot fails every slot does.
+    if float(obj.max()) < obj_threshold:
+        return []
+    sig = _sigmoid(v[:, :2])
     cls_raw = v[:, 5:]
     shifted = cls_raw - cls_raw.max(axis=1, keepdims=True)
     ez = np.exp(shifted)

@@ -112,8 +112,12 @@ def motion_map(stack: np.ndarray, policy: GatingPolicy) -> np.ndarray:
             f"channels {policy.kernel.shape[1]}")
     c = stack.shape[0] // 2
     w = policy.kernel.data[0, :, 0, 0]
-    paired = w[:c, None, None] * stack[:c] + w[c:, None, None] * stack[c:]
-    raw = paired.sum(axis=0, keepdims=True) + policy.bias.data[0]
+    # Summed in place, the same values with one [C,H,W] temporary fewer, so
+    # a streamed run's per-frame heap stays under the allocator's trim point.
+    paired = w[:c, None, None] * stack[:c]
+    paired += w[c:, None, None] * stack[c:]
+    raw = paired.sum(axis=0, keepdims=True)
+    raw += policy.bias.data[0]
     if not np.isfinite(raw).all():
         raise ValueError("motion map values must be finite")
     return np.clip(np.abs(raw), 0.0, 1.0)

@@ -3,11 +3,13 @@
 The state machine: the first frame always runs deep inference (there is no
 reference yet). Afterwards each frame is stacked with the reference frame,
 gated by the motion map, and either (a) run through the detector, becoming
-the new reference together with its class probability map, or (b) skipped,
-in which case the stored reference map is decoded instead. Skipped frames
-re-run decode+nms on the cached raw map rather than reusing cached boxes so
-threshold changes behave consistently; decode and nms are deterministic, so
-bit-equality still holds between a skipped frame and its reference.
+the new reference together with its class probability map and its boxes,
+or (b) skipped, in which case the reference's boxes are returned again.
+The state keeps the boxes with the anchors and thresholds that made them;
+a skipped frame decoded with other settings re-runs decode+nms on the
+stored reference map and keeps that result instead. Decode and nms are
+deterministic, so a skipped frame's boxes equal a fresh decode of the
+reference map either way.
 
 ``policy=None`` infers every frame and calls no gate function; it is the
 one detection path, which the CLI's ``detect`` and evaluation metric use.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
                        map_from_output, nms)
@@ -34,12 +36,15 @@ __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
 @dataclass(frozen=True)
 class PipelineState:
-    """What the next frame needs: the reference and how old it is;
-    immutable, updated by replacement."""
+    """What the next frame needs: the reference, how old it is, and the
+    reference's boxes with the settings that decoded them (see
+    :func:`_decode_settings`); immutable, updated by replacement."""
 
     reference_frame: Optional[Frame] = None
     reference_map: Optional[ClassProbabilityMap] = None
     frames_since_inference: int = 0
+    reference_boxes: tuple[DetectionBox, ...] = ()
+    reference_settings: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if (self.reference_frame is None) != (self.reference_map is None):
@@ -55,6 +60,18 @@ class FrameTiming:
     decode: float = 0.0
 
 
+def _decode_settings(anchors: Sequence[AnchorPrior], obj_threshold: float,
+                    nms_threshold: float) -> tuple:
+    """What decode+nms output depends on besides the map.
+
+    The types are part of it: under NEP 50 a float32 threshold or extent
+    computes in float32, so ``0.5`` and ``np.float32(0.5)`` compare equal
+    yet can keep different boxes.
+    """
+    values = (*(v for a in anchors for v in (a.w, a.h)), obj_threshold, nms_threshold)
+    return values + tuple(map(type, values))
+
+
 def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPolicy],
                   net: NetworkDescriptor, store: WeightStore,
                   anchors: Sequence[AnchorPrior], obj_threshold: float,
@@ -64,7 +81,11 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
 
     Returns the frame's detections, whether deep inference ran, the new
     state, and per-stage timings. With ``policy=None`` the frame always
-    runs deep inference and the gate is never called. A frame's shape is
+    runs deep inference and the gate is never called. A skipped frame
+    returns a new list of the reference's stored boxes, calling neither
+    ``decode`` nor ``nms``, when its anchors and thresholds equal the ones
+    that made them; otherwise it decodes the reference map and stores the
+    result. The returned list is the caller's to change. A frame's shape is
     checked once, by the stage that uses it: ``stack_frames`` against the
     reference, or ``forward`` against the network input when there is no
     reference or no policy. States are immutable, so the caller's state
@@ -87,13 +108,17 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
         infer_s = time.perf_counter() - t0
         new_state = PipelineState(reference_frame=frame, reference_map=cmap)
     else:
-        cmap = state.reference_map
         new_state = replace(state, frames_since_inference=gap)
 
     t0 = time.perf_counter()
-    boxes = nms(decode(cmap, anchors, obj_threshold), nms_threshold)
+    settings = _decode_settings(anchors, obj_threshold, nms_threshold)
+    if settings != new_state.reference_settings:
+        boxes = nms(decode(new_state.reference_map, anchors, obj_threshold), nms_threshold)
+        new_state = replace(new_state, reference_boxes=tuple(boxes),
+                            reference_settings=settings)
     decode_s = time.perf_counter() - t0
-    return boxes, must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
+    return (list(new_state.reference_boxes), must_infer, new_state,
+            FrameTiming(gate_s, infer_s, decode_s))
 
 
 @dataclass
@@ -129,21 +154,22 @@ class RunReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def run(frames: Sequence[Frame], net: NetworkDescriptor, store: WeightStore,
+def run(frames: Iterable[Frame], net: NetworkDescriptor, store: WeightStore,
         anchors: Sequence[AnchorPrior], policy: Optional[GatingPolicy],
         obj_threshold: float, nms_threshold: float,
         ) -> tuple[RunReport, list[list[DetectionBox]]]:
-    """Fold :func:`process_frame` over a frame sequence in order.
+    """Fold :func:`process_frame` over frames in order.
 
-    ``policy=None`` infers every frame. Wall time covers the gate, infer,
-    and decode stages only (frame I/O is the caller's business); FPS is
-    frames divided by that total. A
-    ``ValueError``, ``ArithmeticError`` or ``OSError`` raised for a frame is
-    re-raised as the same type with ``frame <index>:`` before its message.
+    ``frames`` may be any iterable, a lazy one included: it is read once,
+    one frame at a time, and never held whole, so a run keeps only the
+    current frame and the reference alive. ``policy=None`` infers every
+    frame. Wall time covers the gate, infer, and decode stages only (frame
+    I/O is the caller's business); FPS is frames divided by that total. A
+    ``ValueError``, ``ArithmeticError`` or ``OSError`` raised for a frame by
+    :func:`process_frame` is re-raised as the same type with
+    ``frame <index>:`` before its message; one raised by the iterable
+    itself passes through unchanged.
     """
-    frames = list(frames)
-    if not frames:
-        raise ValueError("frame sequence must be non-empty")
     state = PipelineState()
     decisions: list[int] = []
     detections: list[list[DetectionBox]] = []
@@ -160,14 +186,17 @@ def run(frames: Sequence[Frame], net: NetworkDescriptor, store: WeightStore,
         times["gate"] += timing.gate
         times["infer"] += timing.infer
         times["decode"] += timing.decode
+    if not decisions:
+        raise ValueError("frame sequence must be non-empty")
+    frames_seen = len(decisions)
     total = sum(times.values())
     inferences = sum(decisions)
     report = RunReport(
-        frames=len(frames),
+        frames=frames_seen,
         inferences=inferences,
-        inference_frequency=100.0 * inferences / len(frames),
+        inference_frequency=100.0 * inferences / frames_seen,
         wall_time=times,
-        frames_per_second=len(frames) / total if total > 0 else 0.0,
+        frames_per_second=frames_seen / total if total > 0 else 0.0,
         decisions=decisions,
     )
     return report, detections

@@ -2,9 +2,9 @@
 
 Everything here is written the slow, obvious way (plain loops, float64) and
 deliberately shares no code with the package internals, so the two sides
-can check each other. The exception is the last section: the package's
-earlier vectorised kernels, kept as bit-exact references for the current
-ones.
+can check each other. The exception is the last two sections: the
+package's earlier vectorised kernels and its earlier decode, kept as
+bit-exact references for the current ones.
 """
 
 from __future__ import annotations
@@ -297,3 +297,42 @@ def argmax_maxpool2_backward(grad_out, am, in_shape):
     np.put_along_axis(scattered, am[..., None], grad_out[..., None], axis=-1)
     v = scattered.reshape(b, c, h // 2, w // 2, 2, 2)
     return v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier decode: every slot goes through the Python loop,
+# with no early return when no slot reaches the objectness bar.
+# ---------------------------------------------------------------------------
+
+def loop_decode(cmap, anchors, obj_threshold):
+    from skipdet.detector import LOG_SCALE_LIMIT, DetectionBox
+    from skipdet.tensor import _sigmoid
+
+    s, a_count, c_count = cmap.grid, cmap.anchors, cmap.classes
+    v = cmap.values.data.reshape(a_count, 5 + c_count, s, s)
+    sig = _sigmoid(v[:, :2])
+    obj = _sigmoid(v[:, 4])
+    cls_raw = v[:, 5:]
+    shifted = cls_raw - cls_raw.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    softmax = ez / ez.sum(axis=1, keepdims=True)
+    boxes = []
+    for i in range(s):
+        for j in range(s):
+            for a in range(a_count):
+                objectness = float(obj[a, i, j])
+                if objectness < obj_threshold:
+                    continue
+                cls = int(np.argmax(softmax[a, :, i, j]))
+                t_w = min(max(float(v[a, 2, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
+                t_h = min(max(float(v[a, 3, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
+                boxes.append(DetectionBox(
+                    cx=(j + float(sig[a, 0, i, j])) / s,
+                    cy=(i + float(sig[a, 1, i, j])) / s,
+                    w=anchors[a].w * math.exp(t_w) / s,
+                    h=anchors[a].h * math.exp(t_h) / s,
+                    objectness=objectness,
+                    class_id=cls,
+                    class_score=float(softmax[a, cls, i, j]),
+                ))
+    return boxes

@@ -1,11 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skipdet import cli, ppm, synth, zoo
+import skipdet
+from skipdet import cli, detector, pipeline, ppm, synth, zoo
 from skipdet.netdef import LayerSpec, NetworkDescriptor, load_network, save_network
 from skipdet.network import init_weights
 
@@ -285,6 +291,50 @@ BAD_THRESHOLDS = [("obj_threshold", "nan"), ("nms_threshold", "nan"),
                   ("obj_threshold", "-0.1"), ("nms_threshold", "1.5")]
 
 
+class TestStreaming:
+    """``run`` and ``detect`` read each frame when the run reaches it and
+    keep only the current frame and the reference alive."""
+
+    @pytest.mark.parametrize("command", ["detect", "run"])
+    def test_at_most_two_frames_alive(self, command, mini_weighted_net, scene_dir, tmp_path,
+                                      monkeypatch):
+        alive, most = set(), []
+        make_frame, process_frame = ppm.frame_from_image, pipeline.process_frame
+
+        def tracked_frame(index, image):
+            frame = make_frame(index, image)
+            alive.add(index)
+            weakref.finalize(frame, alive.discard, index)
+            return frame
+
+        def counting_process_frame(*args):
+            most.append(len(alive))
+            return process_frame(*args)
+
+        monkeypatch.setattr(ppm, "frame_from_image", tracked_frame)
+        monkeypatch.setattr(pipeline, "process_frame", counting_process_frame)
+        out = tmp_path / "det.txt"
+        assert cli.run_cli([command, "--set", f"input={scene_dir}",
+                            "--set", f"network={mini_weighted_net}",
+                            "--set", f"out={out}"]) == 0
+        assert len(most) == 12 and max(most) <= 2
+        assert set(detector.parse_detection_file(out)) <= set(range(1, 13))
+
+    def test_malformed_frame_fails_when_reached(self, mini_weighted_net, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert cli.run_cli(["synth", "--set", f"out={scene}", "--set", "frames=5",
+                            "--set", "size=32", "--set", "schedule=1-5:moving"]) == 0
+        bad = scene / "frame_000003.ppm"
+        bad.write_bytes(bad.read_bytes()[:100])
+        out, rep = tmp_path / "det.txt", tmp_path / "report.json"
+        rc = cli.run_cli(["run", "--set", f"input={scene}", "--set", f"network={mini_weighted_net}",
+                          "--set", f"out={out}", "--set", f"report={rep}"])
+        assert rc == 1
+        assert (f"skipdet run: error: {bad}: byte 13: raster truncated, expected 3072 bytes, "
+                "got 87\n") == capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+
 class TestDecodeThresholds:
     """``obj_threshold`` and ``nms_threshold`` lie in [0, 1]. Any other
     value, NaN included, fails at load, naming the key, before any scene is
@@ -295,7 +345,7 @@ class TestDecodeThresholds:
     def test_checked_before_frames_are_read(self, command, key, value, mini_weighted_net,
                                             scene_dir, tmp_path, monkeypatch, capsys):
         read = []
-        monkeypatch.setattr(ppm, "load_frames", lambda *a: read.append(a))
+        monkeypatch.setattr(ppm, "read_ppm", lambda *a: read.append(a))
         out = tmp_path / "det.txt"
         rc = cli.run_cli([command, "--set", f"input={scene_dir}",
                           "--set", f"network={mini_weighted_net}",
@@ -318,9 +368,6 @@ class TestDecodeThresholds:
 class TestCrossProcessDeterminism:
     def test_reports_identical_across_processes(self, mini_weighted_net,
                                                 scene_dir, tmp_path):
-        import subprocess
-        import sys
-
         reports = []
         for n in range(2):
             rep = tmp_path / f"rep{n}.json"
@@ -414,3 +461,44 @@ def readme_keys() -> dict[str, set[str]]:
 def test_readme_names_every_subcommand_key():
     assert readme_keys() == {name: set(defaults)
                              for name, (_, defaults) in cli.SUBCOMMANDS.items()}
+
+
+FAULTS_PER_RUN_FRAME = textwrap.dedent("""
+    import resource
+    import sys
+    import tempfile
+    from pathlib import Path
+    from skipdet import cli, netdef, network, zoo
+
+    tmp = Path(tempfile.mkdtemp())
+    net = zoo.load_bundled("tiny")
+    netdef.save_network(tmp / "tiny.fnet", net, network.init_weights(net, 0))
+    assert cli.run_cli(["synth", "--set", f"out={tmp / 'clip'}", "--set", "frames=60",
+                        "--set", "velocity=3,2", "--set", "schedule=1-37:moving,38-60:frozen",
+                        "--set", "seed=11"]) == 0
+    argv = ["run", "--set", f"input={tmp / 'clip'}", "--set", f"network={tmp / 'tiny.fnet'}",
+            "--set", f"out={tmp / 'det.txt'}"]
+    for _ in range(3):
+        assert cli.run_cli(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        assert cli.run_cli(argv) == 0
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (5 * 60),
+          file=sys.stderr)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux's")
+def test_warm_run_does_not_refault_the_clip():
+    # A fresh process, since this one's heap history can hide the faults.
+    # A run that decodes the whole clip before its first frame allocates
+    # every frame again on each call, and faults its pages in again.
+    pytest.importorskip("resource")
+    src = str(Path(skipdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_RUN_FRAME], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stderr.strip().splitlines()[-1]) < 2

@@ -84,6 +84,23 @@ class TestDecode:
         boosted = decode(make_map(v2.reshape(12, 3, 3), 3, 2, 1), anchors, 0.5)
         assert kept <= {(b.cx, b.cy) for b in boosted}
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_loop_at_every_threshold(self, seed):
+        # Covers the early return when no slot reaches the bar: just above
+        # the largest objectness in float64, and in float32, where NEP 50
+        # compares in float32; a NaN bar keeps every slot.
+        rng = np.random.default_rng(seed)
+        grid, a_count, classes = int(rng.integers(1, 7)), int(rng.integers(1, 4)), 1 + seed % 3
+        v = rng.normal(scale=3.0, size=(a_count * (5 + classes), grid, grid))
+        cmap = make_map(v, grid, a_count, classes)
+        anchors = [AnchorPrior(0.5 + a, 1.5 + a) for a in range(a_count)]
+        top = max(b.objectness for b in oracles.loop_decode(cmap, anchors, 0.0))
+        for thr in (0.0, 0.4, 1.0, top, np.nextafter(top, 2.0), np.float32(top),
+                    np.float32(np.nextafter(top, 2.0)), math.nan):
+            assert decode(cmap, anchors, thr) == oracles.loop_decode(cmap, anchors, thr), thr
+        assert decode(cmap, anchors, np.nextafter(top, 2.0)) == []
+        assert len(decode(cmap, anchors, math.nan)) == grid * grid * a_count
+
     @pytest.mark.parametrize("t", [800.0, -800.0, 711.0, -744.0])
     def test_extreme_log_scales_clamp_to_limit(self, t):
         v = np.zeros((6, 1, 1), np.float32)

@@ -96,6 +96,18 @@ class TestMotionMap:
         assert type(m) is np.ndarray and m.dtype == np.float32 and m.shape == (1, 6, 6)
         assert 0.0 <= m.min() and m.max() <= 1.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_equal_the_one_expression_form(self, seed):
+        rng = np.random.default_rng(seed)
+        c = 1 + 2 * (seed % 2)
+        w = rng.normal(size=(1, 2 * c, 1, 1)).astype(np.float32)
+        policy = GatingPolicy(kernel=Tensor(w), bias=Tensor(rng.normal(size=1).astype(np.float32)))
+        stack = stack_frames(random_frame(seed, channels=c), random_frame(seed + 9, channels=c))
+        k = w[0, :, 0, 0]
+        paired = k[:c, None, None] * stack[:c] + k[c:, None, None] * stack[c:]
+        want = np.clip(np.abs(paired.sum(axis=0, keepdims=True) + policy.bias.data[0]), 0.0, 1.0)
+        assert np.array_equal(motion_map(stack, policy).view(np.uint32), want.view(np.uint32))
+
     def test_non_finite_raw_map_rejected(self):
         # each product is finite, but their sum overflows float32
         w = np.full((1, 2, 1, 1), np.finfo(np.float32).max, np.float32)

@@ -225,9 +225,19 @@ class TestRun:
 
     def test_empty_sequence_rejected(self, net_and_store):
         net, store = net_and_store
-        with pytest.raises(ValueError, match="non-empty"):
-            run([], net, store, ANCHORS, GatingPolicy.default(3),
-                OBJ_THR, NMS_THR)
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError, match="non-empty"):
+                run(empty, net, store, ANCHORS, GatingPolicy.default(3),
+                    OBJ_THR, NMS_THR)
+
+    def test_lazy_frames_equal_a_list(self, net_and_store):
+        net, store = net_and_store
+        frames = scene_frames(8, seed=14)
+        policy = GatingPolicy.default(3)
+        listed = run(frames, net, store, ANCHORS, policy, OBJ_THR, NMS_THR)
+        lazy = run((f for f in frames), net, store, ANCHORS, policy, OBJ_THR, NMS_THR)
+        assert lazy[0].decisions == listed[0].decisions and lazy[0].frames == 8
+        assert render(frames, lazy[1]) == render(frames, listed[1])
 
     def test_report_json_field_names(self, net_and_store):
         net, store = net_and_store
@@ -239,6 +249,99 @@ class TestRun:
         assert set(doc) == {"frames", "inferences", "inference-frequency",
                             "wall-time", "frames-per-second", "decisions", "config"}
         assert set(doc["wall-time"]) == {"gate", "infer", "decode"}
+
+
+def redecoding_oracle(net, store, frames, decisions, anchors, obj_thr, nms_thr):
+    """Each frame's boxes decoded afresh from the map of the last frame that
+    inferred, as the pipeline did before it kept the reference's boxes."""
+    out = []
+    for frame, bit in zip(frames, decisions):
+        if bit:
+            cmap = map_from_output(net, forward(net, store, frame.pixels))
+        out.append(nms(decode(cmap, anchors, obj_thr), nms_thr))
+    return out
+
+
+class TestReuse:
+    """A skipped frame returns the reference's boxes without decoding them
+    again, unless its decode settings differ from the ones that made them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import skipdet.pipeline as pipeline
+
+        calls = {"decode": 0, "nms": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(pipeline, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(pipeline, name, counted)
+        return calls
+
+    def first_two(self, net, store, settings=(ANCHORS, OBJ_THR, NMS_THR)):
+        f1 = scene_frames(1, seed=1)[0]
+        policy = GatingPolicy.default(3)
+        _, _, state, _ = process_frame(PipelineState(), f1, policy, net, store, *settings)
+        return f1, policy, state
+
+    def test_skipped_frame_calls_neither_decode_nor_nms(self, net_and_store, calls):
+        net, store = net_and_store
+        f1, policy, state = self.first_two(net, store)
+        assert calls == {"decode": 1, "nms": 1}
+        for n in range(2, 5):
+            boxes, did_infer, state, _ = process_frame(
+                state, Frame(n, f1.pixels), policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+            assert not did_infer
+            assert boxes == nms(decode(state.reference_map, ANCHORS, OBJ_THR), NMS_THR)
+        assert calls == {"decode": 1, "nms": 1}
+
+    @pytest.mark.parametrize("changed", [
+        ([AnchorPrior(0.5, 1.1), AnchorPrior(2.0, 1.2)], OBJ_THR, NMS_THR),
+        (ANCHORS, 0.1, NMS_THR),
+        (ANCHORS, 0.0, 0.2),
+        (ANCHORS, np.float32(OBJ_THR), NMS_THR),  # equal, but compares in float32
+    ])
+    def test_changed_settings_redecode_once(self, net_and_store, calls, changed):
+        net, store = net_and_store
+        f1, policy, state = self.first_two(net, store)
+        for n in (2, 3):
+            boxes, did_infer, state, _ = process_frame(
+                state, Frame(n, f1.pixels), policy, net, store, *changed)
+            assert not did_infer
+            anchors, obj_thr, nms_thr = changed
+            assert boxes == nms(decode(state.reference_map, anchors, obj_thr), nms_thr)
+        # frame 2 re-decoded; frame 3, with the same settings, reused
+        assert calls == {"decode": 2, "nms": 2}
+
+    def test_returned_list_is_the_callers(self, net_and_store):
+        net, store = net_and_store
+        f1 = scene_frames(1, seed=1)[0]
+        policy = GatingPolicy.default(3)
+        state = PipelineState()
+        returned = []
+        for n in range(1, 4):
+            boxes, _, state, _ = process_frame(
+                state, Frame(n, f1.pixels), policy, net, store, ANCHORS, 0.0, NMS_THR)
+            returned.append(list(boxes))
+            boxes.clear()
+        assert returned[0] and returned[0] == returned[1] == returned[2]
+
+    @pytest.mark.parametrize("obj_thr", [0.4, 0.1, 0.0])
+    def test_gated_run_equals_redecoding(self, net_and_store, obj_thr):
+        net, store = net_and_store
+        spec = SyntheticSceneSpec(
+            frames=24, width=32, height=32, velocities=((4.0, 3.0),),
+            schedule=(MotionInterval(1, 6, True), MotionInterval(7, 14, False),
+                      MotionInterval(15, 18, True), MotionInterval(19, 24, False)),
+            noise=0.0, seed=13)
+        frames = frames_from_scene(generate_scene(spec)[0])
+        report, detections = run(frames, net, store, ANCHORS, GatingPolicy.default(3),
+                                 obj_thr, NMS_THR)
+        assert 0 < report.inferences < len(frames)
+        oracle = redecoding_oracle(net, store, frames, report.decisions, ANCHORS,
+                                   obj_thr, NMS_THR)
+        assert render(frames, detections) == render(frames, oracle)
+        assert obj_thr > 0 or all(detections)
 
 
 class TestPipelineState:

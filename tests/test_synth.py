@@ -189,6 +189,16 @@ class TestPpm:
         np.testing.assert_allclose(f.pixels.data.ravel(),
                                    [0.0, 128 / 255, 1.0], rtol=1e-6)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_frame_from_image_bits_equal_float32_division(self, channels):
+        # every byte value, against a float32 cast then a float32 division
+        img = np.random.default_rng(channels).permutation(
+            np.arange(256 * channels) % 256).astype(np.uint8).reshape(16, 16, channels)
+        want = img.astype(np.float32).transpose(2, 0, 1) / np.float32(255.0)
+        got = frame_from_image(1, img).pixels.data
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint32), np.ascontiguousarray(want).view(np.uint32))
+
     def test_save_load_frames_preserve_order_and_index(self, tmp_path):
         rng = np.random.default_rng(2)
         images = [rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8) for _ in range(3)]
