@@ -72,12 +72,13 @@ def read_ppm(path) -> np.ndarray:
 def frame_from_image(index: int, image: np.ndarray) -> Frame:
     """uint8 [H,W,C] to a Frame with float pixels in [0,1], [C,H,W].
 
-    The float32 quotient is written straight into the frame's C-order
-    buffer, the one array made per frame: a run that reads frames as it
-    goes then keeps its transient heap under the allocator's trim point.
+    The pixels are cast and divided in the frame's own C-order buffer, the
+    one array made per frame: a run that reads frames as it goes then keeps
+    its transient heap under the allocator's trim point.
     """
     pixels = np.empty(image.shape[2:] + image.shape[:2], dtype=np.float32)
-    np.divide(image.transpose(2, 0, 1), np.float32(255.0), out=pixels, dtype=np.float32)
+    pixels[...] = image.transpose(2, 0, 1)
+    pixels /= np.float32(255.0)
     return Frame(index=index, pixels=Tensor(pixels))
 
 
