@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skipdet import pipeline
 from skipdet.detector import AnchorPrior, decode, format_detection_line, map_from_output, nms
 from skipdet.motion import Frame, GatingPolicy
 from skipdet.netdef import LayerSpec, NetworkDescriptor
@@ -268,8 +269,6 @@ class TestReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import skipdet.pipeline as pipeline
-
         calls = {"decode": 0, "nms": 0}
         for name in calls:
             def counted(*args, name=name, fn=getattr(pipeline, name)):
@@ -278,15 +277,16 @@ class TestReuse:
             monkeypatch.setattr(pipeline, name, counted)
         return calls
 
-    def first_two(self, net, store, settings=(ANCHORS, OBJ_THR, NMS_THR)):
+    def first_frame(self, net, store):
         f1 = scene_frames(1, seed=1)[0]
         policy = GatingPolicy.default(3)
-        _, _, state, _ = process_frame(PipelineState(), f1, policy, net, store, *settings)
+        _, _, state, _ = process_frame(PipelineState(), f1, policy, net, store,
+                                       ANCHORS, OBJ_THR, NMS_THR)
         return f1, policy, state
 
     def test_skipped_frame_calls_neither_decode_nor_nms(self, net_and_store, calls):
         net, store = net_and_store
-        f1, policy, state = self.first_two(net, store)
+        f1, policy, state = self.first_frame(net, store)
         assert calls == {"decode": 1, "nms": 1}
         for n in range(2, 5):
             boxes, did_infer, state, _ = process_frame(
@@ -303,7 +303,7 @@ class TestReuse:
     ])
     def test_changed_settings_redecode_once(self, net_and_store, calls, changed):
         net, store = net_and_store
-        f1, policy, state = self.first_two(net, store)
+        f1, policy, state = self.first_frame(net, store)
         for n in (2, 3):
             boxes, did_infer, state, _ = process_frame(
                 state, Frame(n, f1.pixels), policy, net, store, *changed)
