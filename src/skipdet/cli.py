@@ -158,9 +158,9 @@ def _gate_from_config(cfg, channels: int) -> Optional[GatingPolicy]:
     mode = cfg["mode"]
     if mode not in ("gated", "always"):
         raise ConfigError(f"mode must be one of ('gated', 'always'), got {mode!r}")
-    p0 = _get_float(cfg, "gate.p0")
-    tau = _get_float(cfg, "gate.tau")
-    force = _get_int(cfg, "gate.force_every")
+    settings = {"pixel_threshold": _get_float(cfg, "gate.p0"),
+                "area_threshold": _get_float(cfg, "gate.tau"),
+                "force_every": _get_int(cfg, "gate.force_every")}
     weights_file = cfg.get("gate.weights_file", "")
     if weights_file:
         gate_net, gate_store = _load_weighted_network(weights_file)
@@ -171,17 +171,19 @@ def _gate_from_config(cfg, channels: int) -> Optional[GatingPolicy]:
         if lw.kernel.shape[1] != 2 * channels:
             raise ConfigError(f"{weights_file}: gate conv takes {lw.kernel.shape[1]} input "
                               f"channels, but {channels}-channel frames need {2 * channels}")
-        policy = GatingPolicy(kernel=lw.kernel, bias=lw.bias, pixel_threshold=p0,
-                              area_threshold=tau, force_every=force)
+        policy = GatingPolicy(kernel=lw.kernel, bias=lw.bias, **settings)
     else:
-        policy = GatingPolicy.default(channels, pixel_threshold=p0, area_threshold=tau,
-                                      force_every=force)
+        policy = GatingPolicy.default(channels, **settings)
     return policy if mode == "gated" else None
 
 
 def _training_data(cfg, net, anchors, seed: int):
     """Train and holdout scenes at the network's input shape, the train
-    targets and the ``TrainConfig``; shared by ``train-tiny`` and ``evolve``."""
+    targets and the ``TrainConfig``; shared by ``train-tiny`` and ``evolve``.
+    The config is checked first, so a bad value fails before any scene is made."""
+    train_cfg = network.TrainConfig(
+        learning_rate=_get_float(cfg, "lr"), epochs=_get_int(cfg, "epochs"),
+        batch_size=_get_int(cfg, "batch"), seed=seed, loss="detector-composite")
     channels, height, width = net.input_shape
     train = synth.random_detection_scenes(
         _get_int(cfg, "frames"), width=width, height=height, channels=channels, seed=seed)
@@ -191,9 +193,6 @@ def _training_data(cfg, net, anchors, seed: int):
     head = net.detect_head()
     dataset = [(f.pixels, detector.build_target_map(boxes, head.grid, anchors, head.classes))
                for f, boxes in zip(*train)]
-    train_cfg = network.TrainConfig(
-        learning_rate=_get_float(cfg, "lr"), epochs=_get_int(cfg, "epochs"),
-        batch_size=_get_int(cfg, "batch"), seed=seed, loss="detector-composite")
     return train, holdout, dataset, train_cfg
 
 
@@ -298,6 +297,8 @@ def _cmd_profile(cfg) -> int:
 
 def _cmd_anchors(cfg) -> int:
     grid = _get_int(cfg, "grid")
+    if grid < 1:
+        raise ConfigError(f"config key grid={cfg['grid']!r} is not a positive integer")
     per_frame = detector.parse_detection_file(cfg["truth"])
     sizes = [(box.w * grid, box.h * grid)
              for boxes in per_frame.values() for box in boxes]
@@ -348,8 +349,8 @@ SUBCOMMANDS = {
     "detect": (_cmd_detect, dict(_DETECT_KEYS)),
     "run": (_cmd_run, {
         **_DETECT_KEYS, "mode": "gated", "report": "",
-        "gate.p0": "0.1", "gate.tau": "0.002", "gate.force_every": "0",
-        "gate.weights_file": "",
+        "gate.p0": str(GatingPolicy.pixel_threshold), "gate.tau": str(GatingPolicy.area_threshold),
+        "gate.force_every": str(GatingPolicy.force_every), "gate.weights_file": "",
     }),
     "profile": (_cmd_profile, {"network": None, "resolution": ""}),
     "anchors": (_cmd_anchors, {

@@ -1,5 +1,6 @@
-"""Single-shot detection head: grid/anchor decoding, IOU, NMS, k-means
-anchor priors, and IOU-based evaluation.
+"""Single-shot detection head: its raw layout, decoding, training target,
+composite loss and objectness prior, plus IOU, NMS, k-means anchor priors,
+and IOU-based evaluation. No other module knows the head's field layout.
 
 The box transform follows the YOLOv2 parameterization: for grid cell
 (i, j) and anchor a with raw values (t_x, t_y, t_w, t_h, t_obj, classes),
@@ -32,9 +33,11 @@ __all__ = [
     "ClassProbabilityMap",
     "DetectionBox",
     "build_target_map",
+    "composite_loss",
     "decode",
     "evaluate_mean_best_iou",
     "format_detection_line",
+    "init_objectness_bias",
     "iou",
     "kmeans_anchors",
     "map_from_output",
@@ -47,6 +50,21 @@ __all__ = [
 
 # A box spans at most e**30 (about 1e13) and at least e**-30 anchor extents.
 LOG_SCALE_LIMIT = 30.0
+
+COORD_WEIGHT = 5.0
+NOOBJ_WEIGHT = 0.5
+OBJECTNESS_BIAS_INIT = -2.0
+
+
+def _slots(values: np.ndarray, anchors: int) -> np.ndarray:
+    """View a ``[..., A*(5+C), S, S]`` head array as ``[..., A, 5+C, S, S]``."""
+    return values.reshape(*values.shape[:-3], anchors, -1, *values.shape[-2:])
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the class axis of a ``_slots`` view's class fields."""
+    ez = np.exp(z - z.max(axis=-3, keepdims=True))
+    return ez / ez.sum(axis=-3, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -126,37 +144,31 @@ def decode(cmap: ClassProbabilityMap, anchors: Sequence[AnchorPrior],
     """
     if len(anchors) != cmap.anchors:
         raise ValueError(f"map has {cmap.anchors} anchor slots, got {len(anchors)} priors")
-    s, a_count, c_count = cmap.grid, cmap.anchors, cmap.classes
-    v = cmap.values.data.reshape(a_count, 5 + c_count, s, s)
+    s = cmap.grid
+    v = _slots(cmap.values.data, cmap.anchors)
     obj = _sigmoid(v[:, 4])
-    # The loop's own test on the largest objectness: it is monotone in the
-    # objectness, so when the largest slot fails every slot does.
-    if float(obj.max()) < obj_threshold:
+    # Compared in float64, where every float32 objectness is exact, so NEP 50
+    # never rounds the bar to float32; a NaN bar keeps every slot. Python ints
+    # keep the box fields' types.
+    keep = np.argwhere(~(obj.transpose(1, 2, 0).astype(np.float64) < obj_threshold)).tolist()
+    if not keep:
         return []
     sig = _sigmoid(v[:, :2])
-    cls_raw = v[:, 5:]
-    shifted = cls_raw - cls_raw.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    softmax = ez / ez.sum(axis=1, keepdims=True)
+    softmax = _softmax(v[:, 5:])
     boxes = []
-    for i in range(s):
-        for j in range(s):
-            for a in range(a_count):
-                objectness = float(obj[a, i, j])
-                if objectness < obj_threshold:
-                    continue
-                cls = int(np.argmax(softmax[a, :, i, j]))
-                t_w = min(max(float(v[a, 2, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
-                t_h = min(max(float(v[a, 3, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
-                boxes.append(DetectionBox(
-                    cx=(j + float(sig[a, 0, i, j])) / s,
-                    cy=(i + float(sig[a, 1, i, j])) / s,
-                    w=anchors[a].w * math.exp(t_w) / s,
-                    h=anchors[a].h * math.exp(t_h) / s,
-                    objectness=objectness,
-                    class_id=cls,
-                    class_score=float(softmax[a, cls, i, j]),
-                ))
+    for i, j, a in keep:
+        cls = int(np.argmax(softmax[a, :, i, j]))
+        t_w = min(max(float(v[a, 2, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
+        t_h = min(max(float(v[a, 3, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
+        boxes.append(DetectionBox(
+            cx=(j + float(sig[a, 0, i, j])) / s,
+            cy=(i + float(sig[a, 1, i, j])) / s,
+            w=anchors[a].w * math.exp(t_w) / s,
+            h=anchors[a].h * math.exp(t_h) / s,
+            objectness=float(obj[a, i, j]),
+            class_id=cls,
+            class_score=float(softmax[a, cls, i, j]),
+        ))
     return boxes
 
 
@@ -300,8 +312,8 @@ def build_target_map(boxes: Sequence[DetectionBox], grid: int, anchors: Sequence
     objectness 1, one-hot class. Later boxes overwrite earlier claims of the
     same slot.
     """
-    a_count = len(anchors)
-    t = np.zeros((a_count, 5 + classes, grid, grid), dtype=np.float32)
+    target = np.zeros((len(anchors) * (5 + classes), grid, grid), dtype=np.float32)
+    t = _slots(target, len(anchors))
     priors = np.asarray([(a.w, a.h) for a in anchors], dtype=np.float64)
     for box in boxes:
         j = min(grid - 1, int(box.cx * grid))
@@ -315,7 +327,57 @@ def build_target_map(boxes: Sequence[DetectionBox], grid: int, anchors: Sequence
         t[a, 3, i, j] = math.log(bh / priors[a, 1])
         t[a, 4, i, j] = 1.0
         t[a, 5 + box.class_id, i, j] = 1.0
-    return Tensor(t.reshape(a_count * (5 + classes), grid, grid))
+    return Tensor(target)
+
+
+def composite_loss(pred: np.ndarray, target: np.ndarray, anchors: int):
+    """``detector-composite`` loss of a raw head batch against
+    :func:`build_target_map` targets, and its gradient; both batch means.
+
+    A slot is assigned iff its target objectness is exactly 1. The terms are
+    squared errors: on the x/y offsets' sigmoid and the raw log-scales
+    (weight ``COORD_WEIGHT``), on the objectness (1 if assigned, else
+    ``NOOBJ_WEIGHT``) and on the class softmax (1).
+    """
+    # Overflow here just means the run is diverging; the trainer detects the
+    # non-finite loss and reports it, so numpy warnings stay silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = pred.shape[0]
+        r, t = _slots(pred, anchors), _slots(target, anchors)
+        resp = (t[:, :, 4] == 1.0).astype(np.float32)
+        noobj = 1.0 - resp
+        grad = np.zeros_like(r)
+
+        sx, sy, so = _sigmoid(r[:, :, 0]), _sigmoid(r[:, :, 1]), _sigmoid(r[:, :, 4])
+        dx, dy = sx - t[:, :, 0], sy - t[:, :, 1]
+        dw, dh = r[:, :, 2] - t[:, :, 2], r[:, :, 3] - t[:, :, 3]
+        cw = np.float32(COORD_WEIGHT)
+        coord = float((cw * resp * (dx * dx + dy * dy + dw * dw + dh * dh)).sum(dtype=np.float64))
+        grad[:, :, 0] = 2 * cw * resp * dx * sx * (1 - sx)
+        grad[:, :, 1] = 2 * cw * resp * dy * sy * (1 - sy)
+        grad[:, :, 2] = 2 * cw * resp * dw
+        grad[:, :, 3] = 2 * cw * resp * dh
+
+        dobj = so - 1.0
+        nw = np.float32(NOOBJ_WEIGHT)
+        obj = float((resp * dobj * dobj + nw * noobj * so * so).sum(dtype=np.float64))
+        grad[:, :, 4] = (2 * resp * dobj + 2 * nw * noobj * so) * so * (1 - so)
+
+        sm = _softmax(r[:, :, 5:])
+        dc = sm - t[:, :, 5:]
+        cls = float(((dc * dc).sum(axis=2) * resp).sum(dtype=np.float64))
+        inner = (dc * sm).sum(axis=2, keepdims=True)
+        grad[:, :, 5:] = 2 * sm * (dc - inner) * resp[:, :, None]
+
+        grad *= np.float32(1.0 / b)
+        return (coord + obj + cls) / b, grad.reshape(pred.shape)
+
+
+def init_objectness_bias(bias: np.ndarray, anchors: int) -> None:
+    """Set every anchor's objectness bias in a head conv's ``bias`` to
+    ``OBJECTNESS_BIAS_INIT``, so that empty cells start near their no-object
+    target instead of swamping early training."""
+    _slots(bias.reshape(-1, 1, 1), anchors)[:, 4] = OBJECTNESS_BIAS_INIT
 
 
 # ---------------------------------------------------------------------------

@@ -74,17 +74,15 @@ class GatingPolicy:
             raise ShapeError(f"gate bias must have shape (1,), got {self.bias.shape}")
 
     @classmethod
-    def default(cls, channels: int, pixel_threshold: float = 0.1,
-                area_threshold: float = 0.002, force_every: int = 0) -> "GatingPolicy":
-        """Analytic frame-difference weights for C-channel frames."""
+    def default(cls, channels: int, **settings) -> "GatingPolicy":
+        """Analytic frame-difference weights for C-channel frames; the keyword
+        arguments set the other fields, which keep their defaults otherwise."""
         if channels < 1:
             raise ValueError(f"channels must be positive, got {channels}")
         w = np.empty((1, 2 * channels, 1, 1), dtype=np.float32)
         w[0, :channels] = 1.0 / channels
         w[0, channels:] = -1.0 / channels
-        return cls(kernel=Tensor(w), bias=Tensor.zeros((1,)),
-                   pixel_threshold=pixel_threshold, area_threshold=area_threshold,
-                   force_every=force_every)
+        return cls(kernel=Tensor(w), bias=Tensor.zeros((1,)), **settings)
 
 
 def stack_frames(current: Frame, reference: Frame) -> np.ndarray:

@@ -24,6 +24,7 @@ flagged ``mask=1`` contribute. Round-trips are bit-exact by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
@@ -76,6 +77,8 @@ class LayerSpec:
     classes: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.kind == "conv":
             if min(self.in_channels, self.out_channels, self.kernel_size, self.stride) < 1:
                 raise ValueError(f"conv layer extents must be positive: {self}")
@@ -163,17 +166,17 @@ class NetworkDescriptor:
     def __post_init__(self) -> None:
         if not self.name or any(ch in self.name for ch in "\n\r="):
             raise ValueError(f"descriptor name must be non-empty without '=' or newlines: {self.name!r}")
-        shape = tuple(int(d) for d in self.input_shape)
-        if len(shape) != 3 or min(shape) < 1:
-            raise ShapeError(f"input shape must be 3 positive extents, got {self.input_shape}")
-        object.__setattr__(self, "input_shape", shape)
+        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         self.layer_shapes()
 
-    def layer_shapes(self) -> list[tuple[int, int, int]]:
-        """Output shape after each layer, validating compatibility."""
+    def layer_shapes(self, input_shape: Optional[tuple] = None) -> list[tuple[int, int, int]]:
+        """Output shape after each layer, from ``input_shape`` (by default the
+        declared one), validating compatibility."""
+        shape = tuple(int(d) for d in (self.input_shape if input_shape is None else input_shape))
+        if len(shape) != 3 or min(shape) < 1:
+            raise ShapeError(f"input shape must be 3 positive extents, got {shape}")
         shapes = []
-        shape = self.input_shape
         for i, layer in enumerate(self.layers):
             shape = _propagate(shape, layer, i)
             shapes.append(shape)
@@ -332,11 +335,7 @@ def _layer_flops(net: NetworkDescriptor,
     Shapes propagate from ``input_shape``; a detect-head costs nothing and
     is not yielded.
     """
-    shape = tuple(int(d) for d in input_shape)
-    if len(shape) != 3 or min(shape) < 1:
-        raise ShapeError(f"input shape must be 3 positive extents, got {input_shape}")
-    for i, layer in enumerate(net.layers):
-        shape = _propagate(shape, layer, i)
+    for i, (layer, shape) in enumerate(zip(net.layers, net.layer_shapes(input_shape))):
         if layer.kind == "conv":
             yield i, layer, _conv_flops(layer, shape)
         elif layer.kind in ("maxpool2", "pointwise"):

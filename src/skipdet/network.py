@@ -6,25 +6,24 @@ available:
 
 * ``squared-error``: mean squared difference against a target tensor of the
   output's shape.
-* ``detector-composite``: a detection-grid loss over a raw head output.
-  Coordinate terms weigh 5.0 (squared error on the sigmoid of the x/y
-  offsets and on the raw log-scales), objectness squared error weighs 1.0
-  for assigned slots and 0.5 elsewhere, and class terms are squared error
-  on the softmax, weight 1.0. A slot is assigned iff the target's
-  objectness channel is exactly 1.
+* ``detector-composite``: :func:`detector.composite_loss` over a raw head
+  output; the detector module owns the head's layout.
 
-With a fixed seed, training is bit-exactly reproducible. Synapses whose
-mask is zero are pinned at exactly zero for the whole run: their gradient
-is discarded and the mask is re-applied after every update.
+With a fixed seed, training is bit-exactly reproducible for one numpy
+build on one BLAS kernel. Synapses whose mask is zero are pinned at exactly
+zero for the whole run: their gradient is discarded and the mask is
+re-applied after every update.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import detector
 from .netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
 from .tensor import (
     ShapeError,
@@ -35,7 +34,6 @@ from .tensor import (
     _maxpool2_batch,
     _pointwise_grad,
     _pointwise_raw,
-    _sigmoid,
 )
 
 __all__ = [
@@ -51,9 +49,6 @@ __all__ = [
 
 LOSSES = ("squared-error", "detector-composite")
 
-COORD_WEIGHT = 5.0
-NOOBJ_WEIGHT = 0.5
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -66,8 +61,8 @@ class TrainConfig:
     loss: str = "squared-error"
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
@@ -204,18 +199,14 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor) -> Tensor:
     return Tensor(out[0])
 
 
-OBJECTNESS_BIAS_INIT = -2.0
-
-
 def init_weights(net: NetworkDescriptor, seed: int = 0) -> WeightStore:
     """Deterministic initial weights: He-scale signed-constant kernels.
 
     Every kernel entry gets the layer's He magnitude with a random sign,
     which trains as well as Gaussian init here while keeping weight
     magnitudes commensurate, so magnitude-based pruning stays meaningful.
-    Biases start at zero, except the objectness channels of the conv layer
-    feeding a detect-head, which start negative so that empty grid cells
-    begin near their no-object target instead of swamping early training.
+    Biases start at zero, except that the conv layer feeding a detect-head
+    gets the objectness prior of :func:`detector.init_objectness_bias`.
     """
     rng = np.random.default_rng(seed)
     conv_indices = net.conv_indices()
@@ -229,8 +220,7 @@ def init_weights(net: NetworkDescriptor, seed: int = 0) -> WeightStore:
         kernel = (std * np.sign(rng.random(shape) - 0.5)).astype(np.float32)
         bias = np.zeros(shape[0], dtype=np.float32)
         if i == head_conv:
-            for a in range(head.anchors):
-                bias[a * (5 + head.classes) + 4] = OBJECTNESS_BIAS_INIT
+            detector.init_objectness_bias(bias, head.anchors)
         layers[i] = LayerWeights(Tensor(kernel), Tensor(bias))
     return WeightStore(layers)
 
@@ -247,58 +237,13 @@ def _squared_error(pred: np.ndarray, target: np.ndarray):
     return loss, grad
 
 
-def _composite(pred: np.ndarray, target: np.ndarray, anchors: int, classes: int):
-    # Overflow here just means the run is diverging; the trainer detects the
-    # non-finite loss and reports it, so numpy warnings stay silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _composite_inner(pred, target, anchors, classes)
-
-
-def _composite_inner(pred: np.ndarray, target: np.ndarray, anchors: int, classes: int):
-    b, _, s, _ = pred.shape
-    ch = 5 + classes
-    r = pred.reshape(b, anchors, ch, s, s)
-    t = target.reshape(b, anchors, ch, s, s)
-    resp = (t[:, :, 4] == 1.0).astype(np.float32)
-    noobj = 1.0 - resp
-    grad = np.zeros_like(r)
-
-    sx, sy, so = _sigmoid(r[:, :, 0]), _sigmoid(r[:, :, 1]), _sigmoid(r[:, :, 4])
-    dx, dy = sx - t[:, :, 0], sy - t[:, :, 1]
-    dw, dh = r[:, :, 2] - t[:, :, 2], r[:, :, 3] - t[:, :, 3]
-    cw = np.float32(COORD_WEIGHT)
-    coord = float((cw * resp * (dx * dx + dy * dy + dw * dw + dh * dh)).sum(dtype=np.float64))
-    grad[:, :, 0] = 2 * cw * resp * dx * sx * (1 - sx)
-    grad[:, :, 1] = 2 * cw * resp * dy * sy * (1 - sy)
-    grad[:, :, 2] = 2 * cw * resp * dw
-    grad[:, :, 3] = 2 * cw * resp * dh
-
-    dobj = so - 1.0
-    nw = np.float32(NOOBJ_WEIGHT)
-    obj = float((resp * dobj * dobj + nw * noobj * so * so).sum(dtype=np.float64))
-    grad[:, :, 4] = (2 * resp * dobj + 2 * nw * noobj * so) * so * (1 - so)
-
-    z = r[:, :, 5:]
-    z_shift = z - z.max(axis=2, keepdims=True)
-    ez = np.exp(z_shift)
-    sm = ez / ez.sum(axis=2, keepdims=True)
-    dc = sm - t[:, :, 5:]
-    cls = float(((dc * dc).sum(axis=2) * resp).sum(dtype=np.float64))
-    inner = (dc * sm).sum(axis=2, keepdims=True)
-    grad[:, :, 5:] = 2 * sm * (dc - inner) * resp[:, :, None]
-
-    loss = (coord + obj + cls) / b
-    grad *= np.float32(1.0 / b)
-    return loss, grad.reshape(pred.shape)
-
-
 def _loss_fn(net: NetworkDescriptor, loss: str):
     if loss == "squared-error":
         return _squared_error
     head = net.detect_head()
     if head is None:
         raise ValueError("detector-composite loss requires a detect-head layer")
-    return lambda p, t: _composite(p, t, head.anchors, head.classes)
+    return lambda p, t: detector.composite_loss(p, t, head.anchors)
 
 
 def _stack_dataset(net: NetworkDescriptor, dataset: Sequence[tuple[Tensor, Tensor]]):

@@ -12,6 +12,7 @@ import pytest
 
 import skipdet
 from skipdet import cli, detector, pipeline, ppm, synth, zoo
+from skipdet.motion import GatingPolicy
 from skipdet.netdef import LayerSpec, NetworkDescriptor, load_network, save_network
 from skipdet.network import init_weights
 
@@ -141,6 +142,15 @@ class TestDetectRunEquivalence:
         assert d1 == d2
 
 
+def test_run_gate_defaults_are_the_policy_defaults():
+    defaults = cli.SUBCOMMANDS["run"][1]
+    assert (defaults["gate.p0"], defaults["gate.tau"], defaults["gate.force_every"]) == (
+        "0.1", "0.002", "0")
+    got, want = cli._gate_from_config(defaults, 3), GatingPolicy.default(3)
+    for name in ("pixel_threshold", "area_threshold", "force_every"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
 class TestGateWeightsFile:
     def test_custom_gate_layer_loaded_from_fnet(self, mini_weighted_net, scene_dir,
                                                 tmp_path):
@@ -184,6 +194,22 @@ class TestChecksAgainstTheNetwork:
         assert "anchors: 3 priors given, but tiny has 2 anchor slots" in capsys.readouterr().err
         assert made == []
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("lr", "inf", "learning rate must be positive and finite, got inf"),
+        ("lr", "0", "learning rate must be positive and finite, got 0.0"),
+        ("batch", "0", "batch size must be positive, got 0"),
+        ("epochs", "-1", "epochs must be non-negative, got -1"),
+    ])
+    def test_train_config_checked_before_scenes(self, key, value, message, tmp_path,
+                                                monkeypatch, capsys):
+        made = []
+        monkeypatch.setattr(synth, "random_detection_scenes", lambda *a, **k: made.append(a))
+        out = tmp_path / "t.fnet"
+        rc = cli.run_cli(["train-tiny", "--set", f"out={out}", "--set", f"{key}={value}"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert made == [] and not out.exists()
+
     def test_evolve_needs_a_detect_head(self, tmp_path, capsys):
         net = NetworkDescriptor("headless", (3, 8, 8), (LayerSpec.conv(3, 2, 1),))
         path = tmp_path / "headless.fnet"
@@ -217,6 +243,16 @@ class TestAnchorsCommand:
         assert line.startswith("anchors=")
         pairs = [tuple(map(float, p.split(","))) for p in line[8:].split(";")]
         assert len(pairs) == 2 and all(w > 0 and h > 0 for w, h in pairs)
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_grid_checked_before_the_truth_file(self, grid, tmp_path, monkeypatch, capsys):
+        read = []
+        monkeypatch.setattr(detector, "parse_detection_file", read.append)
+        rc = cli.run_cli(["anchors", "--set", f"truth={tmp_path / 'truth.txt'}",
+                          "--set", f"grid={grid}"])
+        assert rc == 1
+        assert f"config key grid={grid!r} is not a positive integer" in capsys.readouterr().err
+        assert read == []
 
 
 class TestEvolveCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,16 +89,25 @@ class TestDecode:
     def test_equals_the_loop_at_every_threshold(self, seed):
         # Covers the early return when no slot reaches the bar: just above
         # the largest objectness in float64, and in float32, where NEP 50
-        # compares in float32; a NaN bar keeps every slot.
+        # compares in float32; a NaN bar keeps every slot. A median bar keeps
+        # some. Each field must have the loop's type as well as its value
+        # (float32 extents give float32 widths).
         rng = np.random.default_rng(seed)
         grid, a_count, classes = int(rng.integers(1, 7)), int(rng.integers(1, 4)), 1 + seed % 3
         v = rng.normal(scale=3.0, size=(a_count * (5 + classes), grid, grid))
         cmap = make_map(v, grid, a_count, classes)
         anchors = [AnchorPrior(0.5 + a, 1.5 + a) for a in range(a_count)]
-        top = max(b.objectness for b in oracles.loop_decode(cmap, anchors, 0.0))
-        for thr in (0.0, 0.4, 1.0, top, np.nextafter(top, 2.0), np.float32(top),
-                    np.float32(np.nextafter(top, 2.0)), math.nan):
-            assert decode(cmap, anchors, thr) == oracles.loop_decode(cmap, anchors, thr), thr
+        objs = sorted(b.objectness for b in oracles.loop_decode(cmap, anchors, 0.0))
+        top, median = objs[-1], objs[len(objs) // 2]
+        f32_anchors = [AnchorPrior(np.float32(p.w), np.float32(p.h)) for p in anchors]
+        for priors in (anchors, f32_anchors):
+            for thr in (0.0, 0.4, 1.0, top, np.nextafter(top, 2.0), np.float32(top),
+                        np.float32(np.nextafter(top, 2.0)), median, np.float32(median),
+                        math.nan):
+                got, want = decode(cmap, priors, thr), oracles.loop_decode(cmap, priors, thr)
+                assert got == want, thr
+                assert ([[type(f) for f in dataclasses.astuple(b)] for b in got]
+                        == [[type(f) for f in dataclasses.astuple(b)] for b in want]), thr
         assert decode(cmap, anchors, np.nextafter(top, 2.0)) == []
         assert len(decode(cmap, anchors, math.nan)) == grid * grid * a_count
 

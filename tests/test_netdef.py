@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,20 @@ class TestSerialization:
         for cut in (5, len(blob) // 2, len(blob) - 3):
             with pytest.raises(FnetFormatError, match="byte"):
                 decode_network(blob[:cut])
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_rejected_at_its_line(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LayerSpec.pointwise("leaky-relu", alpha=float(alpha))
+        blob = encode_network(zoo.tiny_detector(), init_weights(zoo.tiny_detector(), 0))
+        at = blob.index(b"alpha=0.1")
+        line_start = blob.rindex(b"\n", 0, at) + 1
+        mutated = blob[:at] + f"alpha={alpha}".encode() + blob[at + len(b"alpha=0.1"):]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FnetFormatError, match="alpha must be finite") as info:
+                decode_network(mutated)
+        assert info.value.offset == line_start
 
     def test_trailing_bytes_rejected(self):
         blob = encode_network(toy_net(), random_store(toy_net(), 0, False))

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import skipdet
+from skipdet.detector import OBJECTNESS_BIAS_INIT
 from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
 from skipdet.network import (TrainConfig, TrainingDivergence, _forward_batch, evaluate_loss,
                              forward, init_weights, loss_gradients, train_sgd)
@@ -313,10 +315,25 @@ class TestConcurrency:
             assert np.array_equal(e, g)
 
 
+@pytest.mark.parametrize("anchors,classes", [(2, 1), (3, 4)])
+def test_init_weights_sets_only_the_objectness_biases(anchors, classes):
+    net = NetworkDescriptor("head", (1, 4, 4), (
+        LayerSpec.conv(1, 3, 3, pad=1, activation="leaky"),
+        LayerSpec.conv(3, anchors * (5 + classes), 1),
+        LayerSpec.detect_head(grid=4, anchors=anchors, classes=classes),
+    ))
+    store = init_weights(net, 0)
+    assert np.array_equal(store[0].bias.data, np.zeros(3, np.float32))
+    want = np.zeros(anchors * (5 + classes), np.float32)
+    want[[a * (5 + classes) + 4 for a in range(anchors)]] = OBJECTNESS_BIAS_INIT
+    assert np.array_equal(store[1].bias.data, want)
+
+
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0, epochs=1)
+        for lr in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TrainConfig(learning_rate=lr, epochs=1)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.1, epochs=-1)
         with pytest.raises(ValueError):
