@@ -81,6 +81,14 @@ def _get_int(cfg, key) -> int:
         raise ConfigError(f"config key {key}={cfg[key]!r} is not an integer") from None
 
 
+def _get_count(cfg, key) -> int:
+    """A non-negative integer: a frame count or a seed."""
+    value = _get_int(cfg, key)
+    if value < 0:
+        raise ConfigError(f"config key {key}={cfg[key]!r} is negative")
+    return value
+
+
 def _get_float(cfg, key) -> float:
     try:
         return float(cfg[key])
@@ -177,19 +185,24 @@ def _gate_from_config(cfg, channels: int) -> Optional[GatingPolicy]:
     return policy if mode == "gated" else None
 
 
-def _training_data(cfg, net, anchors, seed: int):
+def _training_counts(cfg) -> tuple[int, ...]:
+    """``seed``, ``frames`` and ``holdout``, read before any file is read."""
+    return tuple(_get_count(cfg, key) for key in ("seed", "frames", "holdout"))
+
+
+def _training_data(cfg, net, anchors, counts: tuple[int, ...]):
     """Train and holdout scenes at the network's input shape, the train
     targets and the ``TrainConfig``; shared by ``train-tiny`` and ``evolve``.
     The config is checked first, so a bad value fails before any scene is made."""
+    seed, frames, holdout_frames = counts
     train_cfg = network.TrainConfig(
         learning_rate=_get_float(cfg, "lr"), epochs=_get_int(cfg, "epochs"),
         batch_size=_get_int(cfg, "batch"), seed=seed, loss="detector-composite")
     channels, height, width = net.input_shape
     train = synth.random_detection_scenes(
-        _get_int(cfg, "frames"), width=width, height=height, channels=channels, seed=seed)
+        frames, width=width, height=height, channels=channels, seed=seed)
     holdout = synth.random_detection_scenes(
-        _get_int(cfg, "holdout"), width=width, height=height, channels=channels,
-        seed=seed + 7919)
+        holdout_frames, width=width, height=height, channels=channels, seed=seed + 7919)
     head = net.detect_head()
     dataset = [(f.pixels, detector.build_target_map(boxes, head.grid, anchors, head.classes))
                for f, boxes in zip(*train)]
@@ -208,25 +221,25 @@ def _eval_detector(net, store, anchors, frames, truth, obj_thr, nms_thr) -> floa
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(cfg) -> int:
-    frames = _get_int(cfg, "frames")
+    frames = _get_count(cfg, "frames")
     width, height = _parse_size(cfg["size"])
     spec = synth.SyntheticSceneSpec(
         frames=frames, width=width, height=height,
         channels=_get_int(cfg, "channels"), objects=_get_int(cfg, "objects"),
         velocities=_parse_velocities(cfg["velocity"]),
         schedule=synth.parse_schedule(cfg["schedule"], frames),
-        noise=_get_float(cfg, "noise"), seed=_get_int(cfg, "seed"))
+        noise=_get_float(cfg, "noise"), seed=_get_count(cfg, "seed"))
     truth_path = synth.write_scene(spec, cfg["out"])
     print(f"wrote {frames} frames and {truth_path}")
     return 0
 
 
 def _cmd_train_tiny(cfg) -> int:
-    seed = _get_int(cfg, "seed")
+    counts = _training_counts(cfg)
     net = zoo.load_bundled("tiny")
     anchors, obj_thr, nms_thr = _decode_config(cfg, net, "tiny")
-    train, holdout, dataset, train_cfg = _training_data(cfg, net, anchors, seed)
-    store = network.train_sgd(net, network.init_weights(net, seed), dataset, train_cfg)
+    train, holdout, dataset, train_cfg = _training_data(cfg, net, anchors, counts)
+    store = network.train_sgd(net, network.init_weights(net, train_cfg.seed), dataset, train_cfg)
     iou_train = _eval_detector(net, store, anchors, *train, obj_thr, nms_thr)
     iou_hold = _eval_detector(net, store, anchors, *holdout, obj_thr, nms_thr)
     netdef.save_network(cfg["out"], net, store)
@@ -296,13 +309,13 @@ def _cmd_profile(cfg) -> int:
 
 
 def _cmd_anchors(cfg) -> int:
-    grid = _get_int(cfg, "grid")
+    grid, k, seed = _get_int(cfg, "grid"), _get_int(cfg, "k"), _get_count(cfg, "seed")
     if grid < 1:
         raise ConfigError(f"config key grid={cfg['grid']!r} is not a positive integer")
     per_frame = detector.parse_detection_file(cfg["truth"])
     sizes = [(box.w * grid, box.h * grid)
              for boxes in per_frame.values() for box in boxes]
-    priors = detector.kmeans_anchors(sizes, _get_int(cfg, "k"), seed=_get_int(cfg, "seed"))
+    priors = detector.kmeans_anchors(sizes, k, seed=seed)
     text = ";".join(f"{a.w:.4f},{a.h:.4f}" for a in priors)
     print(f"anchors={text}")
     if cfg.get("out"):
@@ -311,10 +324,10 @@ def _cmd_anchors(cfg) -> int:
 
 
 def _cmd_evolve(cfg) -> int:
-    seed = _get_int(cfg, "seed")
+    counts = _training_counts(cfg)
     net, store = _load_weighted_network(cfg["network"])
     anchors, obj_thr, nms_thr = _decode_config(cfg, net, cfg["network"])
-    _, (hold_frames, hold_truth), dataset, retrain = _training_data(cfg, net, anchors, seed)
+    _, (hold_frames, hold_truth), dataset, retrain = _training_data(cfg, net, anchors, counts)
 
     def metric(m_net, m_store) -> float:
         return _eval_detector(m_net, m_store, anchors, hold_frames, hold_truth,
@@ -323,7 +336,7 @@ def _cmd_evolve(cfg) -> int:
     lineage = evolve.evolve_generations(
         net, store, dataset, metric, generations=_get_int(cfg, "generations"),
         env=evolve.EnvironmentalFactor(_get_float(cfg, "gamma")),
-        retrain=retrain, seed=seed)
+        retrain=retrain, seed=retrain.seed)
     evolve.save_lineage(lineage, cfg["out"])
     for entry in lineage.entries:
         print(f"generation {entry.generation}: params={entry.param_count} "

@@ -69,7 +69,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnchorPrior:
-    """Canonical box extent in grid-cell units."""
+    """Canonical box extent in grid-cell units, stored as Python floats."""
 
     w: float
     h: float
@@ -77,6 +77,8 @@ class AnchorPrior:
     def __post_init__(self) -> None:
         if not (0 < self.w < math.inf and 0 < self.h < math.inf):
             raise ValueError(f"anchor extents must be positive and finite, got {self.w}x{self.h}")
+        object.__setattr__(self, "w", float(self.w))
+        object.__setattr__(self, "h", float(self.h))
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,14 @@ def decode(cmap: ClassProbabilityMap, anchors: Sequence[AnchorPrior],
     obj = _sigmoid(v[:, 4])
     # Compared in float64, where every float32 objectness is exact, so NEP 50
     # never rounds the bar to float32; a NaN bar keeps every slot. Python ints
-    # keep the box fields' types.
-    keep = np.argwhere(~(obj.transpose(1, 2, 0).astype(np.float64) < obj_threshold)).tolist()
-    if not keep:
+    # from ``tolist`` keep the box fields' types.
+    keep = ~(obj.transpose(1, 2, 0).astype(np.float64) < obj_threshold)
+    if not keep.any():
         return []
     sig = _sigmoid(v[:, :2])
     softmax = _softmax(v[:, 5:])
     boxes = []
-    for i, j, a in keep:
+    for i, j, a in np.argwhere(keep).tolist():
         cls = int(np.argmax(softmax[a, :, i, j]))
         t_w = min(max(float(v[a, 2, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
         t_h = min(max(float(v[a, 3, i, j]), -LOG_SCALE_LIMIT), LOG_SCALE_LIMIT)
@@ -198,6 +200,7 @@ def nms(boxes: Sequence[DetectionBox], iou_threshold: float) -> list[DetectionBo
     ties resolve to the earlier box in input order (decode order: lower cell
     index, then lower anchor index). Output is sorted by score descending.
     """
+    iou_threshold = float(iou_threshold)
     order = sorted(range(len(boxes)), key=lambda idx: -boxes[idx].score)
     suppressed = [False] * len(boxes)
     kept = []
@@ -282,7 +285,7 @@ def kmeans_anchors(sizes: Sequence[tuple[float, float]], k: int,
     if arr.ndim != 2 or arr.shape[1] != 2 or not (arr > 0).all():
         raise ValueError("sizes must be positive (w, h) pairs")
     cents, _ = _lloyd(arr, k, seed)
-    return [AnchorPrior(float(w), float(h)) for w, h in cents]
+    return [AnchorPrior(w, h) for w, h in cents]
 
 
 def evaluate_mean_best_iou(predictions: Sequence[Sequence[DetectionBox]],

@@ -49,7 +49,9 @@ class GatingPolicy:
     ``pixel_threshold`` (p0) marks a pixel as moving; ``area_threshold``
     (tau) is the moving-pixel fraction above which inference runs;
     ``force_every`` N forces inference once N frames have passed since the
-    last one (0 disables forcing, the default behavior).
+    last one (0 disables forcing, the default behavior). Both thresholds are
+    stored as Python floats, so only their values count: p0 is compared
+    against the float32 map in float32, tau against the fraction in float64.
     """
 
     kernel: Tensor
@@ -63,6 +65,8 @@ class GatingPolicy:
             raise ValueError(
                 f"thresholds must lie in [0,1], got p0={self.pixel_threshold}, "
                 f"tau={self.area_threshold}")
+        object.__setattr__(self, "pixel_threshold", float(self.pixel_threshold))
+        object.__setattr__(self, "area_threshold", float(self.area_threshold))
         if self.force_every < 0:
             raise ValueError(f"force_every must be non-negative, got {self.force_every}")
         shape = self.kernel.shape
@@ -118,7 +122,7 @@ def motion_map(stack: np.ndarray, policy: GatingPolicy) -> np.ndarray:
     raw += policy.bias.data[0]
     if not np.isfinite(raw).all():
         raise ValueError("motion map values must be finite")
-    return np.clip(np.abs(raw), 0.0, 1.0)
+    return np.minimum(np.abs(raw, out=raw), 1.0, out=raw)
 
 
 def decide(m: np.ndarray, policy: GatingPolicy, frames_since_inference: int) -> bool:

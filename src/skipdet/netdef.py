@@ -58,9 +58,9 @@ class LayerSpec:
 
     ``kind`` is one of ``conv``, ``maxpool2``, ``pointwise`` or
     ``detect-head``; only the fields relevant to the kind are meaningful.
-    ``alpha`` is the leaky slope for conv activations and leaky-relu
-    pointwise layers. A detect-head relabels a ``[A*(5+C), S, S]`` tensor as
-    a detection grid and carries no weights.
+    ``alpha``, stored as a Python float, is the leaky slope for conv
+    activations and leaky-relu pointwise layers. A detect-head relabels a
+    ``[A*(5+C), S, S]`` tensor as a detection grid and carries no weights.
     """
 
     kind: str
@@ -79,6 +79,7 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         if self.kind == "conv":
             if min(self.in_channels, self.out_channels, self.kernel_size, self.stride) < 1:
                 raise ValueError(f"conv layer extents must be positive: {self}")
@@ -382,8 +383,8 @@ class FnetFormatError(ValueError):
 
 
 # Per layer kind, the fields of its layer line in written order: the FNET
-# key, the ``LayerSpec`` attribute and the parser of the value. Floats are
-# written with ``repr`` so that they read back bit for bit.
+# key, the ``LayerSpec`` attribute and the parser of the value. The one float,
+# ``alpha``, is a Python float, whose ``str`` is its shortest round-trip repr.
 _FIELDS = {
     "conv": (("in", "in_channels", int), ("out", "out_channels", int),
              ("k", "kernel_size", int), ("stride", "stride", int), ("pad", "pad", int),
@@ -396,9 +397,7 @@ _FIELDS = {
 
 def _layer_line(index: int, layer: LayerSpec, masked: bool) -> str:
     parts = [layer.kind]
-    for key, attr, parse in _FIELDS[layer.kind]:
-        value = getattr(layer, attr)
-        parts.append(f"{key}={value!r}" if parse is float else f"{key}={value}")
+    parts += [f"{key}={getattr(layer, attr)}" for key, attr, _ in _FIELDS[layer.kind]]
     if masked:
         parts.append("mask=1")
     return f"layer.{index}=" + ";".join(parts)
@@ -566,4 +565,9 @@ def save_network(path, net: NetworkDescriptor, store: Optional[WeightStore] = No
 
 
 def load_network(path) -> tuple[NetworkDescriptor, Optional[WeightStore]]:
-    return decode_network(Path(path).read_bytes())
+    """:func:`decode_network` on a file; an ``FnetFormatError`` names the path."""
+    try:
+        return decode_network(Path(path).read_bytes())
+    except FnetFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -238,6 +238,8 @@ def _squared_error(pred: np.ndarray, target: np.ndarray):
 
 
 def _loss_fn(net: NetworkDescriptor, loss: str):
+    if loss not in LOSSES:
+        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
     if loss == "squared-error":
         return _squared_error
     head = net.detect_head()

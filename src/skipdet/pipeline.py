@@ -7,7 +7,8 @@ the new reference together with its class probability map and its boxes,
 or (b) skipped, in which case the reference's boxes are returned again.
 The state keeps the boxes with the anchors and thresholds that made them;
 a skipped frame decoded with other settings re-runs decode+nms on the
-stored reference map and keeps that result instead. Decode and nms are
+stored reference map and keeps that result instead. Settings count by
+value only: anchors and thresholds are Python floats. Decode and nms are
 deterministic, so a skipped frame's boxes equal a fresh decode of the
 reference map either way.
 
@@ -37,8 +38,8 @@ __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 @dataclass(frozen=True)
 class PipelineState:
     """What the next frame needs: the reference, how old it is, and the
-    reference's boxes with the settings that decoded them (see
-    :func:`_decode_settings`); immutable, updated by replacement."""
+    reference's boxes with the settings that decoded them (anchors and two
+    Python-float thresholds); immutable, updated by replacement."""
 
     reference_frame: Optional[Frame] = None
     reference_map: Optional[ClassProbabilityMap] = None
@@ -58,18 +59,6 @@ class FrameTiming:
     gate: float = 0.0
     infer: float = 0.0
     decode: float = 0.0
-
-
-def _decode_settings(anchors: Sequence[AnchorPrior], obj_threshold: float,
-                    nms_threshold: float) -> tuple:
-    """What decode+nms output depends on besides the map.
-
-    The types are part of it: under NEP 50 a float32 threshold or extent
-    computes in float32, so ``0.5`` and ``np.float32(0.5)`` compare equal
-    yet can keep different boxes.
-    """
-    values = (*(v for a in anchors for v in (a.w, a.h)), obj_threshold, nms_threshold)
-    return values + tuple(map(type, values))
 
 
 def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPolicy],
@@ -111,7 +100,8 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
         new_state = replace(state, frames_since_inference=gap)
 
     t0 = time.perf_counter()
-    settings = _decode_settings(anchors, obj_threshold, nms_threshold)
+    # Python floats: np.float32(0.4) == 0.4, yet the two bars keep different slots.
+    settings = (tuple(anchors), float(obj_threshold), float(nms_threshold))
     if settings != new_state.reference_settings:
         boxes = nms(decode(new_state.reference_map, anchors, obj_threshold), nms_threshold)
         new_state = replace(new_state, reference_boxes=tuple(boxes),

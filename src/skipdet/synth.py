@@ -106,6 +106,8 @@ class SyntheticSceneSpec:
                 f"need 1 or {self.objects} velocities, got {len(self.velocities)}")
         for v in self.velocities:
             check_velocity(v)
+        object.__setattr__(self, "velocities",
+                           tuple((float(vx), float(vy)) for vx, vy in self.velocities))
         _validate_schedule(self.schedule, self.frames)
 
     def velocity(self, obj: int) -> tuple[float, float]:

@@ -8,8 +8,8 @@ place (``_pointwise_raw(..., in_place=True)``, or the raw leaky-relu kernel
 given ``out``) writes into a buffer its caller hands it and must own. The
 strided convolution and pooling kernels are bit-identical to the
 gather/scatter/argmax kernels kept as oracles in ``tests/oracles.py``: same
-values, same tie routing, same gradients; so is the branch-free leaky relu
-to the ``np.where`` select kept there.
+values, same tie routing, same gradients; so are the branch-free leaky relu
+to the ``np.where`` select kept there and the sigmoid to its sign split.
 Convolution is cross-correlation (no kernel flip), the convention used by
 mainstream detector frameworks. Values are 32-bit floats throughout. The
 one finiteness check is ``Tensor``'s constructor, which every public
@@ -185,16 +185,13 @@ POINTWISE_FNS = ("leaky-relu", "sigmoid", "tanh", "abs", "clamp01")
 
 
 def _sigmoid(arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # Split by sign so exp never overflows; flush the deep-saturation tail
-    # to exactly zero, since subnormal outputs poison downstream matmul
-    # performance on x86 and carry no information at float32 scale. ``out``
-    # may be ``arr`` itself: each half is read before it is written.
-    if out is None:
-        out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # With e = exp(-|x|), which never overflows: 1 / (1 + e) for x >= 0 and
+    # e / (1 + e) below. Flush the deep-saturation tail to exactly zero,
+    # since subnormal outputs poison downstream matmul performance on x86 and
+    # carry no information at float32 scale. ``out`` may be ``arr`` itself:
+    # both operands of the divide are computed before it writes.
+    ez = np.exp(-np.abs(arr))
+    out = np.divide(np.where(arr >= 0, np.float32(1), ez), 1 + ez, out=out)
     out[out < 1e-30] = 0.0
     return out
 

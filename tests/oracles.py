@@ -229,7 +229,8 @@ def naive_decode_slot(t_x, t_y, t_w, t_h, t_obj, cls_raw, i, j, grid, anchor_w, 
 
 
 # ---------------------------------------------------------------------------
-# Gather/scatter convolution, argmax pooling and select-based leaky relu.
+# Gather/scatter convolution, argmax pooling, select-based leaky relu and
+# the sign-split sigmoid.
 #
 # These are the package's earlier kernels, kept with their arithmetic
 # unchanged so the current ones can be required to match them bit for bit.
@@ -297,6 +298,17 @@ def argmax_maxpool2_backward(grad_out, am, in_shape):
     np.put_along_axis(scattered, am[..., None], grad_out[..., None], axis=-1)
     v = scattered.reshape(b, c, h // 2, w // 2, 2, 2)
     return v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+
+def split_sigmoid(arr):
+    """Sigmoid split by sign into two masked halves, each with its own exp."""
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ez = np.exp(arr[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    out[out < 1e-30] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import skipdet
-from skipdet import cli, detector, pipeline, ppm, synth, zoo
+from skipdet import cli, detector, netdef, pipeline, ppm, synth, zoo
 from skipdet.motion import GatingPolicy
 from skipdet.netdef import LayerSpec, NetworkDescriptor, load_network, save_network
 from skipdet.network import init_weights
@@ -232,6 +232,51 @@ class TestChecksAgainstTheNetwork:
         assert (f"{gate_path}: gate conv takes 2 input channels, but 3-channel frames need 6"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["network", "gate.weights_file"])
+    def test_corrupt_fnet_error_names_the_file(self, key, mini_weighted_net, scene_dir,
+                                               tmp_path, capsys):
+        bad = tmp_path / "bad.fnet"
+        bad.write_bytes(Path(mini_weighted_net).read_bytes().replace(b"FNET v1", b"FNET v2"))
+        files = {"network": mini_weighted_net, key: bad}
+        out = tmp_path / "det.txt"
+        rc = cli.run_cli(["run", "--set", f"input={scene_dir}", "--set", f"out={out}",
+                          *[arg for k, v in files.items() for arg in ("--set", f"{k}={v}")]])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"skipdet run: error: {bad}: bad magic 'FNET v2', expected 'FNET v1' (byte 0)\n")
+        assert not out.exists()
+
+
+class TestNegativeCounts:
+    """A negative count or seed fails at load, naming its key, before any
+    scene is made or any file is read or written."""
+
+    @pytest.mark.parametrize("command,key", [
+        ("synth", "frames"), ("synth", "seed"), ("anchors", "seed"),
+        ("train-tiny", "frames"), ("train-tiny", "holdout"), ("train-tiny", "seed"),
+        ("evolve", "frames"), ("evolve", "holdout"), ("evolve", "seed"),
+    ])
+    def test_rejected_before_scenes_and_files(self, command, key, tmp_path, monkeypatch,
+                                              capsys):
+        touched = []
+        monkeypatch.setattr(synth, "random_detection_scenes", lambda *a, **k: touched.append(a))
+        monkeypatch.setattr(synth, "write_scene", lambda *a: touched.append(a))
+        monkeypatch.setattr(detector, "parse_detection_file", touched.append)
+        monkeypatch.setattr(netdef, "load_network", touched.append)
+        required = {
+            "synth": {"out": tmp_path / "scene"},
+            "anchors": {"truth": tmp_path / "truth.txt"},
+            "train-tiny": {"out": tmp_path / "tiny.fnet"},
+            "evolve": {"network": tmp_path / "net.fnet", "out": tmp_path / "lineage",
+                       "gamma": 0.9, "generations": 1},
+        }[command]
+        argv = [command] + [arg for k, v in {**required, key: -1}.items()
+                            for arg in ("--set", f"{k}={v}")]
+        assert cli.run_cli(argv) == 1
+        assert f"config key {key}='-1' is negative" in capsys.readouterr().err
+        assert touched == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnchorsCommand:

@@ -91,7 +91,7 @@ class TestDecode:
         # the largest objectness in float64, and in float32, where NEP 50
         # compares in float32; a NaN bar keeps every slot. A median bar keeps
         # some. Each field must have the loop's type as well as its value
-        # (float32 extents give float32 widths).
+        # (priors store float32 extents as Python floats, so widths are too).
         rng = np.random.default_rng(seed)
         grid, a_count, classes = int(rng.integers(1, 7)), int(rng.integers(1, 4)), 1 + seed % 3
         v = rng.normal(scale=3.0, size=(a_count * (5 + classes), grid, grid))

@@ -372,6 +372,14 @@ class TestGradients:
                                  [(x.data, dataset[0][1].data)], "detector-composite")
         assert prod == pytest.approx(ref, rel=1e-5)
 
+    @pytest.mark.parametrize("fn", [evaluate_loss, loss_gradients])
+    def test_unknown_loss_rejected(self, fn):
+        net = gradcheck_net()
+        dataset = [(Tensor(np.zeros((2, 8, 8), np.float32)), detector_target())]
+        with pytest.raises(ValueError, match="loss must be one of .*squared-error.*"
+                                             "detector-composite.*got 'bogus'"):
+            fn(net, init_weights(net, 0), dataset, "bogus")
+
     @pytest.mark.parametrize("fn,alpha", [("leaky-relu", 0.1), ("leaky-relu", 0.0),
                                           ("sigmoid", 0.1), ("tanh", 0.1),
                                           ("abs", 0.1), ("clamp01", 0.1)])

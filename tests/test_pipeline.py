@@ -299,7 +299,7 @@ class TestReuse:
         ([AnchorPrior(0.5, 1.1), AnchorPrior(2.0, 1.2)], OBJ_THR, NMS_THR),
         (ANCHORS, 0.1, NMS_THR),
         (ANCHORS, 0.0, 0.2),
-        (ANCHORS, np.float32(OBJ_THR), NMS_THR),  # equal, but compares in float32
+        (ANCHORS, np.float32(OBJ_THR), NMS_THR),  # == OBJ_THR, yet another float value
     ])
     def test_changed_settings_redecode_once(self, net_and_store, calls, changed):
         net, store = net_and_store

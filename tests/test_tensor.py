@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _col2im_batch, _conv2d_batch,
                             _im2col_batch, _maxpool2_backward, _maxpool2_batch,
-                            _pointwise_grad, _pointwise_raw, conv2d, maxpool2,
+                            _pointwise_grad, _pointwise_raw, _sigmoid, conv2d, maxpool2,
                             pointwise, tensor)
 
 import oracles
@@ -278,3 +278,44 @@ class TestLeakyReluMatchesEarlierKernel:
             buf = x.copy()
             assert _pointwise_raw(buf, fn, 0.1, in_place=True) is buf
         assert_same_bits(buf, want)
+
+
+class TestSigmoidMatchesEarlierKernel:
+    """The select-based sigmoid reproduces the sign-split one bit for bit."""
+
+    # ±0, the ends of float32 exp (±88.7, ±104), the flush to zero below
+    # about -69, and 3e38, whose negation exp takes to exactly zero
+    EDGES = (0.0, -0.0, 88.7, -88.7, 104.0, -104.0, 3e38, -3e38,
+             -68.0, -69.0, -69.08, -69.1, -70.0, -87.3, -87.4, -103.9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_contiguous_strided_and_in_place(self, seed):
+        rng = np.random.default_rng(seed)
+        flat = np.concatenate([np.float32(self.EDGES),
+                               np.linspace(-110, 110, 4000, dtype=np.float32),
+                               (8 * rng.normal(size=2984)).astype(np.float32)])
+        rng.shuffle(flat)
+        views = (lambda x: x, lambda x: x[:, ::2], lambda x: x[..., 1::3],
+                 lambda x: x.transpose(3, 1, 0, 2), lambda x: x[0, :, 4, :2])
+        for view in views:
+            v = view(flat.reshape(2, 5, 20, 35).copy())
+            want = oracles.split_sigmoid(v.copy())
+            before = v.copy()
+            assert_same_bits(_sigmoid(v), want)
+            assert_same_bits(v, before)
+            out = np.full_like(v, np.nan)
+            assert _sigmoid(v, out) is out
+            assert_same_bits(out, want)
+            buf = v.copy()
+            assert _sigmoid(buf, buf) is buf
+            assert_same_bits(buf, want)
+            assert _sigmoid(v, v) is v
+            assert_same_bits(v, want)
+
+    def test_edges(self):
+        x = np.float32(self.EDGES)
+        got = _sigmoid(x)
+        assert_same_bits(got, oracles.split_sigmoid(x))
+        assert_same_bits(got[:2], np.float32([0.5, 0.5]))
+        assert (got[x > 88] == 1).all() and (got[x <= -69.1] == 0).all()
+        assert 0 < got[x == -69.0][0] < 1e-29
