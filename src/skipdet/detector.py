@@ -83,7 +83,11 @@ class AnchorPrior:
 
 @dataclass(frozen=True)
 class DetectionBox:
-    """One detection in normalized image coordinates, center format."""
+    """One detection in normalized image coordinates, center format.
+
+    The fields are stored as Python ``float`` and ``int`` (``class_id``),
+    so a box built from numpy scalars equals one built from Python numbers.
+    """
 
     cx: float
     cy: float
@@ -102,6 +106,11 @@ class DetectionBox:
             raise ValueError("objectness and class score must lie in [0,1]")
         if self.class_id < 0:
             raise ValueError(f"class id must be non-negative, got {self.class_id}")
+        # iou, nms and the metric then compute in float64 whatever the
+        # caller's scalar type.
+        for name in ("cx", "cy", "w", "h", "objectness", "class_score"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "class_id", int(self.class_id))
 
     @property
     def score(self) -> float:

@@ -9,11 +9,14 @@ zero map. Arbitrary 1x1 weights can be substituted through the policy.
 
 The gate runs on every frame, so it works on raw float32 arrays: frames
 and policies are validated once, when built, and the only per-frame check
-is one finiteness test of the map.
+is one finiteness test of the map, by its maximum after ``abs``.
+``ppm.frame_from_image`` builds frames without the pixel range scan: bytes
+divided by 255 lie in [0,1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,14 @@ class Frame:
         lo, hi = float(self.pixels.data.min()), float(self.pixels.data.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"frame pixels must lie in [0,1], got range [{lo}, {hi}]")
+
+    @classmethod
+    def _trusted(cls, index: int, pixels: Tensor) -> "Frame":
+        """A Frame whose caller proved the checks above, without the range scan."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "index", index)
+        object.__setattr__(f, "pixels", pixels)
+        return f
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,8 @@ def motion_map(stack: np.ndarray, policy: GatingPolicy) -> np.ndarray:
     channel before accumulating. Under the default antisymmetric weights the
     paired products are exact IEEE negations, so identical frames yield a
     map of exact zeros rather than rounding residue. A non-finite raw map
-    (a gate kernel large enough to overflow float32) raises ``ValueError``.
+    (a gate kernel large enough to overflow float32, or a stack holding NaN
+    or an infinity) raises ``ValueError``.
     """
     if stack.ndim != 3 or stack.shape[0] != policy.kernel.shape[1]:
         raise ShapeError(
@@ -114,15 +126,23 @@ def motion_map(stack: np.ndarray, policy: GatingPolicy) -> np.ndarray:
             f"channels {policy.kernel.shape[1]}")
     c = stack.shape[0] // 2
     w = policy.kernel.data[0, :, 0, 0]
-    # Summed in place, the same values with one [C,H,W] temporary fewer, so
-    # a streamed run's per-frame heap stays under the allocator's trim point.
+    # The sums, abs and clamp write in place, so a streamed run's per-frame
+    # heap stays under the allocator's trim point; one [2C,H,W] array for
+    # all the products is faster but re-faulted the heap on about a third
+    # of process layouts. Adding the channels into channel 0 one after
+    # another is the order of ``sum(axis=0)``: the bits are the same.
     paired = w[:c, None, None] * stack[:c]
     paired += w[c:, None, None] * stack[c:]
-    raw = paired.sum(axis=0, keepdims=True)
+    raw = paired[:1]
+    for ch in range(1, c):
+        raw += paired[ch]
     raw += policy.bias.data[0]
-    if not np.isfinite(raw).all():
+    np.abs(raw, out=raw)
+    # NaN propagates through max and both infinities are +inf after abs,
+    # so one reduction finds any non-finite value.
+    if not math.isfinite(raw.max()):
         raise ValueError("motion map values must be finite")
-    return np.minimum(np.abs(raw, out=raw), 1.0, out=raw)
+    return np.minimum(raw, 1.0, out=raw)
 
 
 def decide(m: np.ndarray, policy: GatingPolicy, frames_since_inference: int) -> bool:

@@ -97,7 +97,11 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
         infer_s = time.perf_counter() - t0
         new_state = PipelineState(reference_frame=frame, reference_map=cmap)
     else:
-        new_state = replace(state, frames_since_inference=gap)
+        # Built directly: ``replace`` costs more than the rest of this branch.
+        new_state = PipelineState(
+            reference_frame=state.reference_frame, reference_map=state.reference_map,
+            frames_since_inference=gap, reference_boxes=state.reference_boxes,
+            reference_settings=state.reference_settings)
 
     t0 = time.perf_counter()
     # Python floats: np.float32(0.4) == 0.4, yet the two bars keep different slots.

@@ -4,6 +4,7 @@ directory handling. Pixels map to [0,1] by division by 255.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -42,7 +43,8 @@ def read_ppm(path) -> np.ndarray:
     A malformed file raises ``ValueError`` naming the path and the byte
     offset of the fault.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:2] == b"P6":
         channels = 3
     elif data[:2] == b"P5":
@@ -62,24 +64,32 @@ def read_ppm(path) -> np.ndarray:
     width, height, _ = fields
     pos += 1  # single whitespace byte after maxval
     need = width * height * channels
-    raster = data[pos:pos + need]
-    if len(raster) != need:
+    if len(data) - pos < need:
         raise ValueError(f"{path}: byte {pos}: raster truncated, expected {need} bytes, "
-                         f"got {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
+                         f"got {max(len(data) - pos, 0)}")
+    return np.frombuffer(data, np.uint8, need, pos).reshape(height, width, channels)
 
 
 def frame_from_image(index: int, image: np.ndarray) -> Frame:
-    """uint8 [H,W,C] to a Frame with float pixels in [0,1], [C,H,W].
+    """uint8 [H,W,C] array, C in {1,3}, to a Frame with [C,H,W] pixels in [0,1].
 
-    The pixels are cast and divided in the frame's own C-order buffer, the
-    one array made per frame: a run that reads frames as it goes then keeps
-    its transient heap under the allocator's trim point.
+    That contract and ``index >= 0`` are checked in O(1); anything else,
+    such as a float image, raises ``ValueError``. The pixels are cast and
+    divided in the frame's own C-order buffer, the one array made per frame,
+    so a run that reads frames as it goes keeps its transient heap under the
+    allocator's trim point. Bytes / 255 are finite and in [0,1], so neither
+    ``Tensor``'s finiteness scan nor ``Frame``'s range scan runs.
     """
+    if not (isinstance(image, np.ndarray) and image.dtype == np.uint8
+            and image.ndim == 3 and image.shape[2] in (1, 3) and image.size):
+        raise ValueError("image must be a non-empty uint8 [H,W,1|3] array, got "
+                         f"{np.asarray(image).dtype} {np.shape(image)}")
+    if index < 0:
+        raise ValueError(f"frame index must be non-negative, got {index}")
     pixels = np.empty(image.shape[2:] + image.shape[:2], dtype=np.float32)
     pixels[...] = image.transpose(2, 0, 1)
     pixels /= np.float32(255.0)
-    return Frame(index=index, pixels=Tensor(pixels))
+    return Frame._trusted(index, Tensor._trusted(pixels))
 
 
 _FRAME_NUM = re.compile(r"(\d+)")
@@ -93,17 +103,21 @@ def list_frame_files(directory) -> list[tuple[int, Path]]:
     ``ValueError`` naming both.
     """
     directory = Path(directory)
-    paths = sorted(p for p in directory.iterdir()
-                   if p.suffix.lower() in (".ppm", ".pgm"))
-    if not paths:
+    # Names whose ``Path.suffix`` is .ppm or .pgm in any case; in one
+    # directory, sorting the names orders their paths the same way.
+    with os.scandir(directory) as entries:
+        names = sorted(e.name for e in entries
+                       if len(e.name) > 4 and e.name[-4:].lower() in (".ppm", ".pgm"))
+    if not names:
         raise FileNotFoundError(f"no .ppm/.pgm frames in {directory}")
     by_index: dict[int, Path] = {}
-    for n, p in enumerate(paths, start=1):
-        numbers = _FRAME_NUM.findall(p.stem)
+    for n, name in enumerate(names, start=1):
+        numbers = _FRAME_NUM.findall(name[:-4])
         index = int(numbers[-1]) if numbers else n
+        path = directory / name
         if index in by_index:
-            raise ValueError(f"{by_index[index]} and {p} both have frame index {index}")
-        by_index[index] = p
+            raise ValueError(f"{by_index[index]} and {path} both have frame index {index}")
+        by_index[index] = path
     return list(by_index.items())
 
 

@@ -11,10 +11,13 @@ gather/scatter/argmax kernels kept as oracles in ``tests/oracles.py``: same
 values, same tie routing, same gradients; so are the branch-free leaky relu
 to the ``np.where`` select kept there and the sigmoid to its sign split.
 Convolution is cross-correlation (no kernel flip), the convention used by
-mainstream detector frameworks. Values are 32-bit floats throughout. The
+mainstream detector frameworks; a 1x1 one at stride 1 without padding
+uses its input as its columns. Values are 32-bit floats throughout. The
 one finiteness check is ``Tensor``'s constructor, which every public
 operation returns through: a non-finite result raises
-``ValueError("tensor values must be finite")``. The raw-array kernels below
+``ValueError("tensor values must be finite")``. The one way around it is
+the private ``Tensor._trusted``, for ``ppm.frame_from_image``, whose bytes
+divided by 255 are finite by construction. The raw-array kernels below
 check nothing; their callers validate shapes once, at the boundary.
 """
 
@@ -61,6 +64,13 @@ class Tensor:
         if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "Tensor":
+        """Wrap a C-contiguous float32 array its caller made finite, unscanned."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "data", arr)
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,6 +120,9 @@ def _pad_batch(x: np.ndarray, pad: int) -> np.ndarray:
 def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     """[B,C,H,W] to columns [B, C*kh*kw, Ho*Wo]; rows run (c, ky, kx)."""
     b, c = x.shape[:2]
+    if kh == kw == stride == 1 and pad == 0:
+        # A 1x1 window's columns are the input itself.
+        return x.reshape(b, c, -1), x.shape[2], x.shape[3]
     win = np.lib.stride_tricks.sliding_window_view(_pad_batch(x, pad), (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
     ho, wo = win.shape[2], win.shape[3]
@@ -123,7 +136,10 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     """Batched cross-correlation on raw arrays; returns (out, cols).
 
     ``x`` is [B,C,H,W], the result [B,F,Ho,Wo]. ``cols`` is returned so the
-    training engine can reuse it for the kernel gradient.
+    training engine can reuse it for the kernel gradient. For a 1x1 kernel
+    at stride 1 without padding ``cols`` is a view of ``x``, so a cached
+    ``cols`` stays valid only while nothing writes ``x``; the training
+    engine never writes a layer's input.
     """
     b = x.shape[0]
     f, _, kh, kw = kernel.shape

@@ -311,6 +311,38 @@ def split_sigmoid(arr):
     return out
 
 
+def channel_sum_motion_map(stack, kernel, bias):
+    """The gate with its channels summed by ``sum(axis=0)`` into a fresh
+    array and a separate ``isfinite`` scan before ``abs`` and the clamp."""
+    c = stack.shape[0] // 2
+    w = kernel[0, :, 0, 0]
+    paired = w[:c, None, None] * stack[:c]
+    paired += w[c:, None, None] * stack[c:]
+    raw = paired.sum(axis=0, keepdims=True)
+    raw += bias[0]
+    if not np.isfinite(raw).all():
+        raise ValueError("motion map values must be finite")
+    return np.minimum(np.abs(raw, out=raw), 1.0, out=raw)
+
+
+def path_list_frame_files(directory):
+    """Frame files found and ordered as ``pathlib.Path`` objects: the suffix
+    test, the sort and the stem are Path's."""
+    import re
+    from pathlib import Path
+
+    directory = Path(directory)
+    paths = sorted(p for p in directory.iterdir() if p.suffix.lower() in (".ppm", ".pgm"))
+    by_index = {}
+    for n, p in enumerate(paths, start=1):
+        numbers = re.findall(r"(\d+)", p.stem)
+        index = int(numbers[-1]) if numbers else n
+        if index in by_index:
+            raise ValueError(f"{by_index[index]} and {p} both have frame index {index}")
+        by_index[index] = p
+    return list(by_index.items())
+
+
 # ---------------------------------------------------------------------------
 # The package's earlier decode: every slot goes through the Python loop,
 # with no early return when no slot reaches the objectness bar.

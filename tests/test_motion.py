@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from skipdet.motion import Frame, GatingPolicy, decide, motion_map, stack_frames
 from skipdet.tensor import ShapeError, Tensor
 
+import oracles
+
 
 def frame(index, values):
     return Frame(index, Tensor(np.asarray(values, np.float32)))
@@ -115,6 +117,31 @@ class TestMotionMap:
         stack = stack_frames(const_frame(1, 1.0, channels=1), const_frame(0, 1.0, channels=1))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             motion_map(stack, policy)
+
+    @pytest.mark.parametrize("where", [0, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_stack_rejected(self, bad, where):
+        # a stack passed in directly, not made from checked frames
+        stack = np.full((6, 3, 3), 0.5, np.float32)
+        stack[where, 1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            motion_map(stack, GatingPolicy.default(3))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_equal_the_channel_sum_form(self, seed, channels):
+        rng = np.random.default_rng(seed)
+        w = (rng.normal(size=(1, 2 * channels, 1, 1)) * 10.0 ** rng.uniform(-2, 1)).astype(np.float32)
+        w[0, rng.integers(2 * channels), 0, 0] = (0.0, -0.0)[seed % 2]
+        bias = (rng.normal(size=1) * (seed % 3)).astype(np.float32)
+        policy = GatingPolicy(kernel=Tensor(w), bias=Tensor(bias))
+        stack = rng.random((2 * channels, 9, 11)).astype(np.float32)
+        zero = rng.random(stack.shape) < 0.3
+        stack[zero] = np.where(rng.random(zero.sum()) < 0.5, np.float32(0.0), np.float32(-0.0))
+        want = oracles.channel_sum_motion_map(stack, w, bias)
+        got = motion_map(stack, policy)
+        assert got.shape == want.shape == (1, 9, 11)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31))

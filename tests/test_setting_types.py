@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.detector import AnchorPrior, ClassProbabilityMap, DetectionBox, decode, iou, nms
+from skipdet.detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
+                              evaluate_mean_best_iou, iou, nms)
 from skipdet.motion import GatingPolicy, decide
 from skipdet.netdef import LayerSpec, NetworkDescriptor, decode_network, encode_network
 from skipdet.network import init_weights
@@ -88,6 +89,28 @@ def test_decode_and_nms(seed, priors, obj_thr, nms_thr, tie):
     same_for_every_type(boxes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), f32(0, 1))
+def test_detection_boxes(seed, nms_thr):
+    rng = np.random.default_rng(seed)
+    centers = rng.random((8, 2)).astype(np.float32)
+    extents = (0.05 + 0.5 * rng.random((8, 2))).astype(np.float32)
+    scores = rng.random((8, 2)).astype(np.float32)
+    classes = rng.integers(0, 2, 8)
+
+    def outputs(t):
+        ints = int if t is float else np.int64
+        boxes = [DetectionBox(t(cx), t(cy), t(w), t(h), t(obj), ints(c), t(score))
+                 for (cx, cy), (w, h), (obj, score), c in zip(centers, extents, scores, classes)]
+        assert_python_fields(boxes)
+        kept = nms(boxes, nms_thr)
+        return ([iou(a, b) for a in boxes for b in boxes], kept,
+                evaluate_mean_best_iou([boxes[:4], kept], [boxes[4:6], boxes[6:]]))
+
+    overlaps, _, metric = same_for_every_type(outputs)
+    assert all(type(v) is float for v in overlaps + [metric])
+
+
 def tiny_net(alpha):
     return NetworkDescriptor("types", (3, 16, 16), (
         LayerSpec.conv(3, 4, 3, pad=1, activation="leaky", alpha=alpha),
@@ -157,7 +180,7 @@ def test_fnet_round_trip(alpha):
 
 @pytest.mark.parametrize("t", [np.float32, np.float64])
 def test_numpy_scalar_settings_act_as_their_python_values(t):
-    """Four settings whose numpy type once changed the arithmetic."""
+    """Five settings whose numpy type once changed the arithmetic."""
     # the gate: a float64 p0 compared the float32 map in float64
     m = np.full((1, 4, 4), 0.1, np.float32)
     policy = GatingPolicy.default(3, pixel_threshold=t(0.1), area_threshold=0.0)
@@ -169,6 +192,12 @@ def test_numpy_scalar_settings_act_as_their_python_values(t):
     b = DetectionBox(0.53, 0.5, 0.3, 0.3, 0.8, 0, 1.0)
     bar = t(iou(a, b))
     assert nms([a, b], bar) == nms([a, b], float(bar))
+    # boxes: float32 fields gave a float32 overlap, 0.818182
+    def pair(to):
+        return [DetectionBox(*(to(t(v)) for v in (x, 0.5, 0.3, 0.3, 0.9)), 0, 1.0)
+                for x in (0.5, 0.53)]
+    overlap = iou(*pair(lambda v: v))
+    assert type(overlap) is float and overlap == iou(*pair(float))
     # decode: float32 anchors gave float32 extents
     v = np.zeros((6, 1, 1), np.float32)
     (got,) = decode(ClassProbabilityMap(Tensor(v), 1, 1, 1), [AnchorPrior(t(1), t(1))], 0.0)

@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skipdet.motion import Frame
 from skipdet.ppm import (frame_from_image, list_frame_files, load_frames,
                          read_ppm, save_frames, write_ppm)
 from skipdet.synth import (MotionInterval, SyntheticSceneSpec, frames_from_scene,
                            generate_scene, parse_schedule, random_detection_scenes,
                            write_scene)
+from skipdet.tensor import Tensor
+
+import oracles
 
 
 def spec_with(frames, schedule, **kw):
@@ -191,13 +197,38 @@ class TestPpm:
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_frame_from_image_bits_equal_float32_division(self, channels):
-        # every byte value, against a float32 cast then a float32 division
+        # every byte value, against the checked constructors over a float32
+        # cast then a float32 division
         img = np.random.default_rng(channels).permutation(
             np.arange(256 * channels) % 256).astype(np.uint8).reshape(16, 16, channels)
-        want = img.astype(np.float32).transpose(2, 0, 1) / np.float32(255.0)
-        got = frame_from_image(1, img).pixels.data
-        assert got.flags.c_contiguous
-        assert np.array_equal(got.view(np.uint32), np.ascontiguousarray(want).view(np.uint32))
+        want = Frame(7, Tensor(img.astype(np.float32).transpose(2, 0, 1) / 255))
+        got = frame_from_image(7, img)
+        assert got.index == want.index and got.pixels.data.flags.c_contiguous
+        assert got.pixels.shape == want.pixels.shape == (channels, 16, 16)
+        assert np.array_equal(got.pixels.data.view(np.uint32), want.pixels.data.view(np.uint32))
+
+    @pytest.mark.parametrize("index, image", [
+        (1, np.zeros((2, 2, 3), np.float32)),
+        (1, np.zeros((2, 2, 2), np.uint8)),
+        (1, np.zeros((2, 2), np.uint8)),
+        (1, np.zeros((0, 2, 3), np.uint8)),
+        (-1, np.zeros((2, 2, 3), np.uint8)),
+    ], ids=["float", "two-channel", "2-d", "empty", "negative-index"])
+    def test_frame_from_image_rejects_what_its_contract_excludes(self, index, image):
+        with pytest.raises(ValueError):
+            frame_from_image(index, image)
+
+    def test_listing_orders_as_sorted_paths(self, tmp_path):
+        names = ["b.ppm", "B.ppm", "a10.ppm", "a9.PPM", "c2x3.pgm", "Frame_0004.Pgm",
+                 "..ppm", ".pgm", "notes.txt", "d5.ppm.bak", "e7.ppm."]
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+        (tmp_path / "f12.ppm").mkdir()
+        listed = list_frame_files(tmp_path)
+        assert listed == oracles.path_list_frame_files(tmp_path)
+        assert [p for _, p in listed] == sorted(
+            tmp_path / n for n in names + ["f12.ppm"] if Path(n).suffix.lower() in (".ppm", ".pgm"))
+        assert [i for i, _ in listed] == [1, 2, 4, 10, 9, 6, 3, 12]
 
     def test_save_load_frames_preserve_order_and_index(self, tmp_path):
         rng = np.random.default_rng(2)

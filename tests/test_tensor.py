@@ -218,6 +218,12 @@ class TestKernelsMatchEarlierKernels:
         assert_same_bits(got, oracles.bincount_col2im_batch(
             dcols, c, hw[0], hw[1], k, k, stride, pad))
 
+    def test_pointwise_conv_columns_are_the_input(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        cols, ho, wo = _im2col_batch(x, 1, 1, 1, 0)
+        assert (ho, wo) == (4, 5) and cols.shape == (2, 3, 20)
+        assert np.shares_memory(cols, x)
+
     @pytest.mark.parametrize("batch", [1, 8])
     @pytest.mark.parametrize("hw", [(6, 10), (2, 2), (8, 4)])
     @pytest.mark.parametrize("ties", [False, True])
