@@ -11,6 +11,7 @@ fields aside).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -377,7 +378,14 @@ SUBCOMMANDS = {
 }
 
 
-def run_cli(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    Building it costs several times what parsing does. Each parse fills a
+    fresh namespace, and ``append`` copies its default before appending,
+    so no call sees another's values.
+    """
     parser = argparse.ArgumentParser(
         prog="skipdet",
         description="Motion-gated video object detection toolkit")
@@ -387,7 +395,11 @@ def run_cli(argv=None) -> int:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (wins over --config)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run_cli(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handler, defaults = SUBCOMMANDS[args.command]
     try:
         cfg = _effective_config(defaults, args.config, args.set)

@@ -74,9 +74,10 @@ def frame_from_image(index: int, image: np.ndarray) -> Frame:
     """uint8 [H,W,C] array, C in {1,3}, to a Frame with [C,H,W] pixels in [0,1].
 
     That contract and ``index >= 0`` are checked in O(1); anything else,
-    such as a float image, raises ``ValueError``. The pixels are cast and
-    divided in the frame's own C-order buffer, the one array made per frame,
-    so a run that reads frames as it goes keeps its transient heap under the
+    such as a float image, raises ``ValueError``. The bytes are copied to
+    planar order, then cast and divided in the frame's own C-order buffer,
+    so a frame makes one float array and one byte-sized temporary, and a run
+    that reads frames as it goes keeps its transient heap under the
     allocator's trim point. Bytes / 255 are finite and in [0,1], so neither
     ``Tensor``'s finiteness scan nor ``Frame``'s range scan runs.
     """
@@ -86,8 +87,9 @@ def frame_from_image(index: int, image: np.ndarray) -> Frame:
                          f"{np.asarray(image).dtype} {np.shape(image)}")
     if index < 0:
         raise ValueError(f"frame index must be non-negative, got {index}")
-    pixels = np.empty(image.shape[2:] + image.shape[:2], dtype=np.float32)
-    pixels[...] = image.transpose(2, 0, 1)
+    # A strided cast from interleaved bytes is slower than copying the
+    # bytes to planar order first and casting them contiguously.
+    pixels = np.ascontiguousarray(image.transpose(2, 0, 1)).astype(np.float32)
     pixels /= np.float32(255.0)
     return Frame._trusted(index, Tensor._trusted(pixels))
 

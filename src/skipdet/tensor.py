@@ -19,6 +19,15 @@ operation returns through: a non-finite result raises
 the private ``Tensor._trusted``, for ``ppm.frame_from_image``, whose bytes
 divided by 255 are finite by construction. The raw-array kernels below
 check nothing; their callers validate shapes once, at the boundary.
+
+Each kernel makes only the arrays its arithmetic needs. A convolution's
+columns are one copy of one strided window view of its padded input, and a
+2x2 max pool is two ``np.maximum`` passes, across columns and then across
+rows; ``tests/oracles.py`` also keeps a running-maximum pool, one pass per
+window position, as a reference. No kernel keeps a workspace across calls:
+a forward's transient columns are what lift glibc's dynamic mmap threshold
+above a streamed run's per-frame arrays, and buffers kept between frames
+left those arrays mapped and faulted in again on every frame.
 """
 
 from __future__ import annotations
@@ -123,11 +132,17 @@ def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     if kh == kw == stride == 1 and pad == 0:
         # A 1x1 window's columns are the input itself.
         return x.reshape(b, c, -1), x.shape[2], x.shape[3]
-    win = np.lib.stride_tricks.sliding_window_view(_pad_batch(x, pad), (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    # The C-contiguous copy keeps the matmul below on the BLAS fast path.
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    xp = _pad_batch(x, pad)
+    ho = conv_output_extent(x.shape[2], kh, stride, pad)
+    wo = conv_output_extent(x.shape[3], kw, stride, pad)
+    # One read-only view [B,C,kh,kw,Ho,Wo] from the padded input's own
+    # strides, whatever its layout; its C-contiguous copy is the columns,
+    # and keeps the matmul below on the BLAS fast path.
+    sb, sc, sy, sx = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (b, c, kh, kw, ho, wo), (sb, sc, sy, sx, sy * stride, sx * stride),
+        writeable=False)
+    cols = np.ascontiguousarray(win)
     return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
@@ -172,13 +187,16 @@ _POOL_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _maxpool2_batch(x: np.ndarray) -> np.ndarray:
-    """Batched 2x2 max pooling over even [B,C,H,W] extents."""
-    out = x[:, :, 0::2, 0::2]
-    for dy, dx in _POOL_WINDOW[1:]:
-        # np.maximum returns its second operand on a tie (seen only between
-        # -0.0 and +0.0), so the running maximum goes second.
-        out = np.maximum(x[:, :, dy::2, dx::2], out)
-    return out
+    """Batched 2x2 max pooling over even [B,C,H,W] extents, in two passes.
+
+    The first pass takes the larger of each row's column pair, the second
+    the larger of each pair of those rows, whose inner loops run over
+    contiguous memory. np.maximum returns its second operand on a tie (seen
+    only between -0.0 and +0.0), so the element earlier in ``_POOL_WINDOW``
+    order always goes second, and the first maximum in that order wins.
+    """
+    cols = np.maximum(x[..., 1::2], x[..., 0::2])
+    return np.maximum(cols[:, :, 1::2], cols[:, :, 0::2])
 
 
 def _maxpool2_backward(grad_out: np.ndarray, x: np.ndarray,

@@ -282,6 +282,15 @@ def bincount_col2im_batch(dcols, c, h, w, kh, kw, stride, pad):
     return grad
 
 
+def running_max_maxpool2_batch(x):
+    """One strided pass per window position, the running maximum second so
+    that on a -0.0/+0.0 tie the first maximum in row-major order wins."""
+    out = x[:, :, 0::2, 0::2]
+    for dy, dx in ((0, 1), (1, 0), (1, 1)):
+        out = np.maximum(x[:, :, dy::2, dx::2], out)
+    return out
+
+
 def argmax_maxpool2_batch(x):
     """Returns (out, argmax); the first maximum in row-major order wins."""
     b, c, h, w = x.shape

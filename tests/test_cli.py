@@ -71,6 +71,29 @@ class TestConfigHandling:
         assert rc == 1
         assert "key=value" in capsys.readouterr().err
 
+    def test_parser_is_built_once_and_keeps_no_values(self, capsys):
+        assert cli._parser() is cli._parser()
+        assert cli.run_cli(["profile", "--set", "network=vgg16",
+                            "--set", "resolution=64"]) == 0
+        assert "input=(3, 64, 64)" in capsys.readouterr().out
+        # Neither --set value carries over into the next call.
+        assert cli.run_cli(["profile"]) == 1
+        assert "missing required config keys: network" in capsys.readouterr().err
+        assert cli.run_cli(["profile", "--set", "network=vgg16"]) == 0
+        assert "input=(3, 224, 224)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["train-tiny", "--help"]])
+    def test_help_matches_a_freshly_built_parser(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli._parser.__wrapped__().parse_args(argv)
+        want = capsys.readouterr().out
+        assert want.startswith("usage: skipdet")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.run_cli(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == want
+
     def test_undecodable_config_names_path_and_byte(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"network=\xffvgg16\n")

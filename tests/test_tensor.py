@@ -238,6 +238,35 @@ class TestKernelsMatchEarlierKernels:
         assert_same_bits(_maxpool2_backward(grad_out, x, pooled),
                          oracles.argmax_maxpool2_backward(grad_out, am, x.shape))
 
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_pool_every_tie_window(self, batch):
+        # All 7**4 = 2401 windows over signed zeros, ones and subnormals,
+        # laid out on a 49x49 grid of windows, shuffled per batch item.
+        values = np.float32([0.0, -0.0, 1.0, -1.0, 1e-45, -1e-45, 2.0])
+        windows = np.stack(np.meshgrid(*[np.arange(7)] * 4, indexing="ij"), -1).reshape(-1, 4)
+        rng = np.random.default_rng(batch)
+        order = [np.arange(len(windows))] + [rng.permutation(len(windows))
+                                             for _ in range(batch - 1)]
+        w = values[windows[np.stack(order)]].reshape(batch, 1, 49, 49, 2, 2)
+        x = np.ascontiguousarray(w.transpose(0, 1, 2, 4, 3, 5).reshape(batch, 1, 98, 98))
+        pooled = _maxpool2_batch(x)
+        assert_same_bits(pooled, oracles.running_max_maxpool2_batch(x))
+        assert_same_bits(pooled, oracles.argmax_maxpool2_batch(x)[0])
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_conv_columns_of_a_strided_slice(self, k, pad, stride):
+        # The window view uses the input's own strides, not C-order ones.
+        big = np.random.default_rng(k + 10 * pad + 100 * stride).normal(
+            size=(3, 4, 15, 22)).astype(np.float32)
+        x = big[::2, 1:, 1::2, ::3]
+        assert not x.flags["C_CONTIGUOUS"]
+        cols, ho, wo = _im2col_batch(x, k, k, stride, pad)
+        want_cols, want_ho, want_wo = oracles.gather_im2col_batch(x, k, k, stride, pad)
+        assert (ho, wo) == (want_ho, want_wo)
+        assert_same_bits(cols, want_cols)
+
     def test_pool_constant_windows_route_to_first_position(self):
         x = np.zeros((1, 1, 2, 4), np.float32)
         x[0, 0, :, 2:] = -0.0
