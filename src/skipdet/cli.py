@@ -90,6 +90,13 @@ def _get_count(cfg, key) -> int:
     return value
 
 
+def _get_positive(cfg, key) -> int:
+    value = _get_int(cfg, key)
+    if value < 1:
+        raise ConfigError(f"config key {key}={cfg[key]!r} is not a positive integer")
+    return value
+
+
 def _get_float(cfg, key) -> float:
     try:
         return float(cfg[key])
@@ -173,13 +180,14 @@ def _gate_from_config(cfg, channels: int) -> Optional[GatingPolicy]:
     weights_file = cfg.get("gate.weights_file", "")
     if weights_file:
         gate_net, gate_store = _load_weighted_network(weights_file)
-        conv_layers = gate_net.conv_indices()
-        if len(conv_layers) != 1:
-            raise ConfigError(f"{weights_file}: gate network must have exactly one conv layer")
-        lw = gate_store[conv_layers[0]]
-        if lw.kernel.shape[1] != 2 * channels:
-            raise ConfigError(f"{weights_file}: gate conv takes {lw.kernel.shape[1]} input "
-                              f"channels, but {channels}-channel frames need {2 * channels}")
+        # The gate runs only the kernel and bias, so the file must hold nothing else.
+        layers = [(layer.kind, layer.activation, layer.in_channels, layer.out_channels,
+                   layer.kernel_size, layer.stride, layer.pad) for layer in gate_net.layers]
+        if layers != [("conv", "linear", 2 * channels, 1, 1, 1, 0)]:
+            raise ConfigError(f"{weights_file}: a gate for {channels}-channel frames must be "
+                              f"exactly one linear 1x1 conv from {2 * channels} channels to "
+                              f"one output, stride 1 and no padding")
+        lw = gate_store[0]
         policy = GatingPolicy(kernel=lw.kernel, bias=lw.bias, **settings)
     else:
         policy = GatingPolicy.default(channels, **settings)
@@ -310,9 +318,7 @@ def _cmd_profile(cfg) -> int:
 
 
 def _cmd_anchors(cfg) -> int:
-    grid, k, seed = _get_int(cfg, "grid"), _get_int(cfg, "k"), _get_count(cfg, "seed")
-    if grid < 1:
-        raise ConfigError(f"config key grid={cfg['grid']!r} is not a positive integer")
+    grid, k, seed = _get_positive(cfg, "grid"), _get_int(cfg, "k"), _get_count(cfg, "seed")
     per_frame = detector.parse_detection_file(cfg["truth"])
     sizes = [(box.w * grid, box.h * grid)
              for boxes in per_frame.values() for box in boxes]
@@ -326,6 +332,8 @@ def _cmd_anchors(cfg) -> int:
 
 def _cmd_evolve(cfg) -> int:
     counts = _training_counts(cfg)
+    generations = _get_positive(cfg, "generations")
+    env = evolve.EnvironmentalFactor(_get_float(cfg, "gamma"))
     net, store = _load_weighted_network(cfg["network"])
     anchors, obj_thr, nms_thr = _decode_config(cfg, net, cfg["network"])
     _, (hold_frames, hold_truth), dataset, retrain = _training_data(cfg, net, anchors, counts)
@@ -335,8 +343,7 @@ def _cmd_evolve(cfg) -> int:
                               obj_thr, nms_thr)
 
     lineage = evolve.evolve_generations(
-        net, store, dataset, metric, generations=_get_int(cfg, "generations"),
-        env=evolve.EnvironmentalFactor(_get_float(cfg, "gamma")),
+        net, store, dataset, metric, generations=generations, env=env,
         retrain=retrain, seed=retrain.seed)
     evolve.save_lineage(lineage, cfg["out"])
     for entry in lineage.entries:

@@ -1,8 +1,9 @@
 """Forward inference and stochastic-gradient training for descriptor nets.
 
-Backpropagation covers exactly the layer set used here (conv, pointwise,
-maxpool2, detect-head); there is no general autodiff. Two losses are
-available:
+Each layer is a linear part (conv, 2x2 max pool or none), then its
+activation if any: a conv's ``act`` or a pointwise layer's ``fn``. Training
+walks ``net.layers`` forward keeping one record per layer, then backward
+over the records; there is no general autodiff. Two losses are available:
 
 * ``squared-error``: mean squared difference against a target tensor of the
   output's shape.
@@ -91,9 +92,11 @@ def _weights_map(store: WeightStore) -> dict[int, tuple[np.ndarray, np.ndarray]]
     return {i: (lw.kernel.data, lw.bias.data) for i, lw in store.items()}
 
 
-def _conv_fn(layer: LayerSpec) -> Optional[str]:
-    """The pointwise function of a conv's activation; None for linear."""
-    if layer.activation == "linear":
+def _activation(layer: LayerSpec) -> Optional[str]:
+    """The pointwise function that ends a layer; None if it has none."""
+    if layer.kind == "pointwise":
+        return layer.fn
+    if layer.kind != "conv" or layer.activation == "linear":
         return None
     return "leaky-relu" if layer.activation == "leaky" else layer.activation
 
@@ -102,82 +105,64 @@ def _forward_batch(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
                    caches: Optional[list] = None) -> np.ndarray:
     """The network on a [B,C,H,W] batch; ``caches`` collects what backward needs.
 
-    Without caches (inference) each conv's im2col columns are dropped after
-    its matmul and its activation is written into the conv's own fresh
-    output. The transient heap then stays under the allocator's trim point,
-    so it is kept from one call to the next instead of being returned to
-    the OS and faulted in again (about 500 minor faults per ``tiny``
-    forward). Training keeps columns, pre- and post-activation. ``xb`` is
-    never written.
+    Training appends layer i's record ``(input, cols, pre, post)`` as
+    ``caches[i]``: ``cols`` is a conv's columns, else None, and ``pre`` the
+    linear part's output. Inference drops each conv's columns after its
+    matmul and writes its activation into the conv's own fresh output, so
+    the transient heap stays under the allocator's trim point and is not
+    faulted in again on every call (about 500 minor faults per ``tiny``
+    forward). ``xb`` is never written.
     """
     out = xb
     for i, layer in enumerate(net.layers):
-        if layer.kind == "conv":
-            kernel, bias = weights[i]
-            fn = _conv_fn(layer)
-            if caches is None:
-                out = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)[0]
+        fn = _activation(layer)
+        if caches is None:
+            if layer.kind == "conv":
+                out = _conv2d_batch(out, *weights[i], layer.stride, layer.pad)[0]
                 if fn is not None:
                     _pointwise_raw(out, fn, layer.alpha, in_place=True)
-            else:
-                pre, cols = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)
-                post = pre if fn is None else _pointwise_raw(pre, fn, layer.alpha)
-                caches.append(("conv", i, out.shape, cols, pre, post))
-                out = post
-        elif layer.kind == "maxpool2":
-            pooled = _maxpool2_batch(out)
-            if caches is not None:
-                caches.append(("maxpool2", i, out, pooled))
-            out = pooled
-        elif layer.kind == "pointwise":
-            post = _pointwise_raw(out, layer.fn, layer.alpha)
-            if caches is not None:
-                caches.append(("pointwise", i, out, post))
-            out = post
-        elif caches is not None:  # detect-head
-            caches.append(("detect-head", i))
+            elif layer.kind == "maxpool2":
+                out = _maxpool2_batch(out)
+            elif layer.kind == "pointwise":
+                out = _pointwise_raw(out, fn, layer.alpha)
+            continue
+        x, cols = out, None
+        if layer.kind == "conv":
+            pre, cols = _conv2d_batch(x, *weights[i], layer.stride, layer.pad)
+        else:
+            pre = _maxpool2_batch(x) if layer.kind == "maxpool2" else x
+        out = pre if fn is None else _pointwise_raw(pre, fn, layer.alpha)
+        caches.append((x, cols, pre, out))
     return out
 
 
 def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
                     grad_out: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Gradients of the loss w.r.t. every kernel and bias.
-
-    The input gradient of the earliest layer is never materialized since
-    nothing consumes it.
-    """
+    """Gradients of every kernel and bias from the per-layer records. Each
+    record is dropped once walked, so its arrays are freed before the layers
+    below run; layer 0's input gradient is never made, as nothing reads it."""
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad_out
-    for pos, cache in enumerate(reversed(caches)):
-        is_first = pos == len(caches) - 1
-        kind = cache[0]
-        if kind == "conv":
-            _, i, in_shape, cols, pre, post = cache
-            layer = net.layers[i]
-            fn = _conv_fn(layer)
-            if fn is not None:
-                g = g * _pointwise_grad(pre, post, fn, layer.alpha)
-            b, f = g.shape[0], g.shape[1]
-            g2 = g.reshape(b, f, -1)
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        if i == 0 and layer.kind != "conv":
+            break
+        x, cols, pre, post = caches[i]
+        caches[i] = None
+        fn = _activation(layer)
+        if fn is not None:
+            g = g * _pointwise_grad(pre, post, fn, layer.alpha)
+        if layer.kind == "conv":
+            kernel = weights[i][0]
+            g2 = g.reshape(g.shape[0], g.shape[1], -1)
             dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            db = g2.sum(axis=(0, 2))
-            kernel, _ = weights[i]
-            grads[i] = (dk.reshape(kernel.shape), db)
-            if not is_first:
-                dcols = np.matmul(kernel.reshape(f, -1).T, g2)
-                g = _col2im_batch(dcols, in_shape[1], in_shape[2], in_shape[3],
-                                  layer.kernel_size, layer.kernel_size,
-                                  layer.stride, layer.pad)
-        elif kind == "maxpool2":
-            _, i, x, pooled = cache
-            if not is_first:
-                g = _maxpool2_backward(g, x, pooled)
-        elif kind == "pointwise":
-            _, i, pre, post = cache
-            layer = net.layers[i]
-            if not is_first:
-                g = g * _pointwise_grad(pre, post, layer.fn, layer.alpha)
-        # detect-head: identity
+            grads[i] = (dk.reshape(kernel.shape), g2.sum(axis=(0, 2)))
+            if i > 0:
+                dcols = np.matmul(kernel.reshape(kernel.shape[0], -1).T, g2)
+                g = _col2im_batch(dcols, *x.shape[1:], layer.kernel_size,
+                                  layer.kernel_size, layer.stride, layer.pad)
+        elif layer.kind == "maxpool2":
+            g = _maxpool2_backward(g, x, pre)
     return grads
 
 
@@ -270,8 +255,19 @@ def evaluate_loss(net: NetworkDescriptor, store: WeightStore,
     store.validate_for(net)
     xs, ts = _stack_dataset(net, dataset)
     out = _forward_batch(net, _weights_map(store), xs)
-    value, _ = _loss_fn(net, loss)(out, ts)
-    return value
+    return _loss_fn(net, loss)(out, ts)[0]
+
+
+def _batch_gradients(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
+                     tb: np.ndarray, loss_fn, finite_only: bool = False):
+    """One batch's loss and gradients (None, skipping the backward pass, if
+    ``finite_only`` and the loss is not finite): forward, loss, backward."""
+    caches: list = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad_out = loss_fn(_forward_batch(net, weights, xb, caches), tb)
+        if finite_only and not np.isfinite(value):
+            return value, None
+        return value, _backward_batch(net, weights, caches, grad_out)
 
 
 def loss_gradients(net: NetworkDescriptor, store: WeightStore,
@@ -279,12 +275,7 @@ def loss_gradients(net: NetworkDescriptor, store: WeightStore,
     """Loss and its analytic gradients per conv layer: {index: (dk, db)}."""
     store.validate_for(net)
     xs, ts = _stack_dataset(net, dataset)
-    weights = _weights_map(store)
-    caches: list = []
-    out = _forward_batch(net, weights, xs, caches)
-    value, grad_out = _loss_fn(net, loss)(out, ts)
-    grads = _backward_batch(net, weights, caches, grad_out)
-    return value, grads
+    return _batch_gradients(net, _weights_map(store), xs, ts, _loss_fn(net, loss))
 
 
 def train_sgd(net: NetworkDescriptor, store: WeightStore,
@@ -310,23 +301,16 @@ def train_sgd(net: NetworkDescriptor, store: WeightStore,
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
-            caches: list = []
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = _forward_batch(net, work, xs[chunk], caches)
-                value, grad_out = loss_fn(out, ts[chunk])
+            value, grads = _batch_gradients(net, work, xs[chunk], ts[chunk], loss_fn,
+                                            finite_only=True)
             if not np.isfinite(value):
                 raise TrainingDivergence(epoch, value)
             with np.errstate(over="ignore", invalid="ignore"):
-                grads = _backward_batch(net, work, caches, grad_out)
                 for i, (dk, db) in grads.items():
                     kernel, bias = work[i]
                     kernel -= lr * dk
                     bias -= lr * db
-                    mask = masks.get(i)
-                    if mask is not None:
-                        kernel[mask == 0] = 0.0
-    layers = {}
-    for i, lw in store.items():
-        kernel, bias = work[i]
-        layers[i] = LayerWeights(Tensor(kernel), Tensor(bias), masks.get(i))
-    return WeightStore(layers)
+                    if i in masks:
+                        kernel[masks[i] == 0] = 0.0
+    return WeightStore({i: LayerWeights(Tensor(kernel), Tensor(bias), masks.get(i))
+                        for i, (kernel, bias) in work.items()})

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
@@ -39,7 +39,7 @@ __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 class PipelineState:
     """What the next frame needs: the reference, how old it is, and the
     reference's boxes with the settings that decoded them (anchors and two
-    Python-float thresholds); immutable, updated by replacement."""
+    Python-float thresholds); immutable, one new state per frame."""
 
     reference_frame: Optional[Frame] = None
     reference_map: Optional[ClassProbabilityMap] = None
@@ -80,14 +80,19 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     reference or no policy. States are immutable, so the caller's state
     stays usable after an error.
     """
+    reference, cmap = state.reference_frame, state.reference_map
+    boxes, made_with = state.reference_boxes, state.reference_settings
     gate_s = 0.0
     gap = state.frames_since_inference + 1
-    if state.reference_frame is None or policy is None:
+    if reference is None or policy is None:
         must_infer = True
     else:
         t0 = time.perf_counter()
-        m = motion_map(stack_frames(frame, state.reference_frame), policy)
-        must_infer = decide(m, policy, gap)
+        # The motion map is dropped before inference. Kept alive through the
+        # forward, it left the heap's free top within 24 KB of glibc's trim
+        # threshold in most process layouts, and some trimmed and re-grew
+        # the heap on every run.
+        must_infer = decide(motion_map(stack_frames(frame, reference), policy), policy, gap)
         gate_s = time.perf_counter() - t0
 
     infer_s = 0.0
@@ -95,24 +100,19 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
         t0 = time.perf_counter()
         cmap = map_from_output(net, forward(net, store, frame.pixels))
         infer_s = time.perf_counter() - t0
-        new_state = PipelineState(reference_frame=frame, reference_map=cmap)
-    else:
-        # Built directly: ``replace`` costs more than the rest of this branch.
-        new_state = PipelineState(
-            reference_frame=state.reference_frame, reference_map=state.reference_map,
-            frames_since_inference=gap, reference_boxes=state.reference_boxes,
-            reference_settings=state.reference_settings)
+        reference, gap, made_with = frame, 0, None
 
     t0 = time.perf_counter()
     # Python floats: np.float32(0.4) == 0.4, yet the two bars keep different slots.
     settings = (tuple(anchors), float(obj_threshold), float(nms_threshold))
-    if settings != new_state.reference_settings:
-        boxes = nms(decode(new_state.reference_map, anchors, obj_threshold), nms_threshold)
-        new_state = replace(new_state, reference_boxes=tuple(boxes),
-                            reference_settings=settings)
+    if settings != made_with:
+        boxes = tuple(nms(decode(cmap, anchors, obj_threshold), nms_threshold))
+        made_with = settings
     decode_s = time.perf_counter() - t0
-    return (list(new_state.reference_boxes), must_infer, new_state,
-            FrameTiming(gate_s, infer_s, decode_s))
+    new_state = PipelineState(reference_frame=reference, reference_map=cmap,
+                              frames_since_inference=gap, reference_boxes=boxes,
+                              reference_settings=made_with)
+    return list(boxes), must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Everything here is written the slow, obvious way (plain loops, float64) and
 deliberately shares no code with the package internals, so the two sides
-can check each other. The exception is the last two sections: the
-package's earlier vectorised kernels and its earlier decode, kept as
-bit-exact references for the current ones.
+can check each other. The exception is the last three sections: the
+package's earlier vectorised kernels, its earlier decode and its earlier
+training engine, kept as bit-exact references for the current ones.
 """
 
 from __future__ import annotations
@@ -389,3 +389,85 @@ def loop_decode(cmap, anchors, obj_threshold):
                     class_score=float(softmax[a, cls, i, j]),
                 ))
     return boxes
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier training engine: what backward needs kept as a list
+# of kind-tagged tuples in four shapes, each with its layer index, and a
+# placeholder for the detect head. Kept unchanged as the bit-exact reference
+# for the engine that keeps one (input, cols, pre, post) record per layer.
+# ---------------------------------------------------------------------------
+
+def _tagged_conv_fn(layer):
+    if layer.activation == "linear":
+        return None
+    return "leaky-relu" if layer.activation == "leaky" else layer.activation
+
+
+def tagged_forward_batch(net, weights, xb, caches=None):
+    from skipdet.tensor import _conv2d_batch, _maxpool2_batch, _pointwise_raw
+
+    out = xb
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "conv":
+            kernel, bias = weights[i]
+            fn = _tagged_conv_fn(layer)
+            if caches is None:
+                out = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)[0]
+                if fn is not None:
+                    _pointwise_raw(out, fn, layer.alpha, in_place=True)
+            else:
+                pre, cols = _conv2d_batch(out, kernel, bias, layer.stride, layer.pad)
+                post = pre if fn is None else _pointwise_raw(pre, fn, layer.alpha)
+                caches.append(("conv", i, out.shape, cols, pre, post))
+                out = post
+        elif layer.kind == "maxpool2":
+            pooled = _maxpool2_batch(out)
+            if caches is not None:
+                caches.append(("maxpool2", i, out, pooled))
+            out = pooled
+        elif layer.kind == "pointwise":
+            post = _pointwise_raw(out, layer.fn, layer.alpha)
+            if caches is not None:
+                caches.append(("pointwise", i, out, post))
+            out = post
+        elif caches is not None:  # detect-head
+            caches.append(("detect-head", i))
+    return out
+
+
+def tagged_backward_batch(net, weights, caches, grad_out):
+    from skipdet.tensor import _col2im_batch, _maxpool2_backward, _pointwise_grad
+
+    grads = {}
+    g = grad_out
+    for pos, cache in enumerate(reversed(caches)):
+        is_first = pos == len(caches) - 1
+        kind = cache[0]
+        if kind == "conv":
+            _, i, in_shape, cols, pre, post = cache
+            layer = net.layers[i]
+            fn = _tagged_conv_fn(layer)
+            if fn is not None:
+                g = g * _pointwise_grad(pre, post, fn, layer.alpha)
+            b, f = g.shape[0], g.shape[1]
+            g2 = g.reshape(b, f, -1)
+            dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+            db = g2.sum(axis=(0, 2))
+            kernel, _ = weights[i]
+            grads[i] = (dk.reshape(kernel.shape), db)
+            if not is_first:
+                dcols = np.matmul(kernel.reshape(f, -1).T, g2)
+                g = _col2im_batch(dcols, in_shape[1], in_shape[2], in_shape[3],
+                                  layer.kernel_size, layer.kernel_size,
+                                  layer.stride, layer.pad)
+        elif kind == "maxpool2":
+            _, i, x, pooled = cache
+            if not is_first:
+                g = _maxpool2_backward(g, x, pooled)
+        elif kind == "pointwise":
+            _, i, pre, post = cache
+            layer = net.layers[i]
+            if not is_first:
+                g = g * _pointwise_grad(pre, post, layer.fn, layer.alpha)
+    return grads

@@ -1,20 +1,18 @@
 import math
-import os
-import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import skipdet
+from skipdet import network
 from skipdet.detector import OBJECTNESS_BIAS_INIT
 from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
-from skipdet.network import (TrainConfig, TrainingDivergence, _forward_batch, evaluate_loss,
-                             forward, init_weights, loss_gradients, train_sgd)
+from skipdet.network import (TrainConfig, TrainingDivergence, _backward_batch, _forward_batch,
+                             evaluate_loss, forward, init_weights, loss_gradients, train_sgd)
 from skipdet.tensor import POINTWISE_FNS, ShapeError, Tensor
 
+import faults
 import oracles
 
 
@@ -182,8 +180,101 @@ class TestInferencePath:
         assert snapshot() == before
 
 
+def oracle_nets():
+    """Nets for the tagged-cache oracle: a pointwise or pool first layer,
+    leaky convs with alpha 0, 0.1 and 1.5, every other conv activation,
+    stride 2 at pad 0 and 1, 1x1 convs (whose columns view their input),
+    and a detect head."""
+    return {
+        "pointwise-first": pointwise_first_net(),
+        "pool-first": NetworkDescriptor("poolfirst", (2, 8, 8), (
+            LayerSpec.maxpool2(),
+            LayerSpec.conv(2, 3, 3, stride=2, pad=1, activation="leaky", alpha=1.5),
+            LayerSpec.pointwise("abs"),
+            LayerSpec.conv(3, 2, 1, activation="sigmoid"),
+        )),
+        "activations": NetworkDescriptor("acts", (3, 9, 9), (
+            LayerSpec.conv(3, 4, 3, stride=2, pad=0, activation="leaky", alpha=0.0),
+            LayerSpec.conv(4, 4, 1, activation="leaky", alpha=0.1),
+            LayerSpec.conv(4, 3, 3, pad=1, activation="leaky", alpha=1.5),
+            LayerSpec.conv(3, 3, 1, activation="tanh"),
+            LayerSpec.pointwise("clamp01"),
+            LayerSpec.conv(3, 2, 3, stride=2, pad=1, activation="sigmoid"),
+            LayerSpec.conv(2, 2, 1, activation="linear"),
+        )),
+        "detect-head": gradcheck_net(),
+    }
+
+
+def assert_same_grads(got, want):
+    assert list(got) == list(want)
+    for i in want:
+        for a, b in zip(got[i], want[i]):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestTaggedCacheOracle:
+    """One record per layer gives the same bits as the earlier engine's
+    kind-tagged caches, in outputs, gradients and training."""
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("name", list(oracle_nets()))
+    def test_outputs_and_gradients(self, name, batch):
+        net = oracle_nets()[name]
+        weights = weights_map(init_weights(net, 2), net.conv_indices())
+        rng = np.random.default_rng(batch)
+        xb = rng.normal(size=(batch,) + net.input_shape).astype(np.float32)
+        xb[rng.random(xb.shape) < 0.1] = -0.0
+        grad_out = rng.normal(size=(batch,) + net.output_shape).astype(np.float32)
+        records, tagged = [], []
+        got = _forward_batch(net, weights, xb, records)
+        want = oracles.tagged_forward_batch(net, weights, xb, tagged)
+        assert len(records) == len(net.layers)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(_forward_batch(net, weights, xb).view(np.uint32),
+                              oracles.tagged_forward_batch(net, weights, xb).view(np.uint32))
+        assert_same_grads(_backward_batch(net, weights, records, grad_out),
+                          oracles.tagged_backward_batch(net, weights, tagged, grad_out))
+        assert records[1:] == [None] * (len(records) - 1)  # dropped once walked
+
+    @pytest.mark.parametrize("name", list(oracle_nets()))
+    def test_layer_0_gets_no_col2im(self, name, monkeypatch):
+        net = oracle_nets()[name]
+        weights = weights_map(init_weights(net, 0), net.conv_indices())
+        xb = np.ones((2,) + net.input_shape, np.float32)
+        records = []
+        out = _forward_batch(net, weights, xb, records)
+        want = [records[i][0].shape[1:] for i in reversed(net.conv_indices()) if i]
+        sizes = []
+        real_col2im = network._col2im_batch
+
+        def col2im(dcols, *args):
+            sizes.append(args[:3])
+            return real_col2im(dcols, *args)
+
+        monkeypatch.setattr(network, "_col2im_batch", col2im)
+        _backward_batch(net, weights, records, np.ones_like(out))
+        assert sizes == want
+
+    def test_masked_train_sgd(self, monkeypatch):
+        net = gradcheck_net()
+        rng = np.random.default_rng(6)
+        base = init_weights(net, 3)
+        store = base.with_masks({i: (rng.random(base[i].kernel.shape) < 0.6).astype(np.uint8)
+                                 for i in net.conv_indices()})
+        dataset = [(Tensor(rng.random((2, 8, 8)).astype(np.float32)), detector_target())
+                   for _ in range(6)]
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=4, seed=2,
+                          loss="detector-composite")
+        got = train_sgd(net, store, dataset, cfg)
+        monkeypatch.setattr(network, "_forward_batch", oracles.tagged_forward_batch)
+        monkeypatch.setattr(network, "_backward_batch", oracles.tagged_backward_batch)
+        assert got.equals(train_sgd(net, store, dataset, cfg))
+
+
 FAULTS_PER_FORWARD = textwrap.dedent("""
     import resource
+    import sys
     import numpy as np
     from skipdet.network import forward, init_weights
     from skipdet.tensor import Tensor
@@ -197,24 +288,18 @@ FAULTS_PER_FORWARD = textwrap.dedent("""
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(50):
         forward(net, store, x)
-    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50, file=sys.stderr)
 """)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux's")
 def test_warm_forward_does_not_refault_its_heap():
-    # A fresh process, since this one's heap history can hide the faults.
+    # Fresh processes, since this one's heap history can hide the faults.
     # A forward whose transient peak exceeds the allocator's trim point
     # gives its pages back after every call and faults them in again.
     pytest.importorskip("resource")
-    src = str(Path(skipdet.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])),
-        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_FORWARD], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 20
+    counts = faults.fault_counts(FAULTS_PER_FORWARD, timeout=120)
+    assert max(counts.values()) < 20, counts
 
 
 class TestTrainSgd:
@@ -286,6 +371,25 @@ class TestTrainSgd:
             train_sgd(net, init_weights(net, 0), dataset, cfg)
         assert err.value.epoch >= 0
         assert not np.isfinite(err.value.loss)
+
+    def test_divergence_skips_the_backward_pass(self, monkeypatch):
+        # The diverging batch's gradients would be thrown away unread.
+        calls = []
+        forward_batch, backward_batch = network._forward_batch, network._backward_batch
+        monkeypatch.setattr(network, "_forward_batch",
+                            lambda *a: calls.append("forward") or forward_batch(*a))
+        monkeypatch.setattr(network, "_backward_batch",
+                            lambda *a: calls.append("backward") or backward_batch(*a))
+        net = gradcheck_net()
+        rng = np.random.default_rng(6)
+        dataset = [(Tensor(rng.random((2, 8, 8)).astype(np.float32)), detector_target())
+                   for _ in range(4)]
+        cfg = TrainConfig(learning_rate=1e6, epochs=10, batch_size=4, seed=0,
+                          loss="detector-composite")
+        with pytest.raises(TrainingDivergence):
+            train_sgd(net, init_weights(net, 0), dataset, cfg)
+        assert calls[-1] == "forward"
+        assert calls.count("forward") == calls.count("backward") + 1 > 1
 
     def test_empty_dataset_rejected(self):
         net = gradcheck_net()
