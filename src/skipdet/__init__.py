@@ -14,7 +14,7 @@ from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
                        map_from_output, nms)
 from .evolve import (EnvironmentalFactor, Lineage, SynapticGenome,
                      encode_genome, evolve_generations, synthesize_offspring)
-from .motion import Frame, GatingPolicy, decide, motion_map, stack_frames
+from .motion import Frame, GatingPolicy, decide, motion_map, reference_half, stack_frames
 from .netdef import (FnetFormatError, LayerSpec, LayerWeights, NetworkDescriptor,
                      WeightStore, count_flops, count_params, effective_flops,
                      load_network, save_network)
@@ -33,6 +33,6 @@ __all__ = [
     "decide", "decode", "effective_flops", "encode_genome",
     "evaluate_mean_best_iou", "evolve_generations", "forward", "init_weights",
     "iou", "kmeans_anchors", "load_network", "map_from_output", "maxpool2",
-    "motion_map", "nms", "pointwise", "process_frame", "run", "save_network",
-    "stack_frames", "synthesize_offspring", "tensor", "train_sgd",
+    "motion_map", "nms", "pointwise", "process_frame", "reference_half", "run",
+    "save_network", "stack_frames", "synthesize_offspring", "tensor", "train_sgd",
 ]

@@ -85,17 +85,16 @@ def encode_genome(net: NetworkDescriptor, store: WeightStore) -> SynapticGenome:
 
 
 def _dead_unit_closure(masks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Zero the outgoing synapses of units with no incoming ones, to a fixed point."""
+    """Zero the outgoing synapses of units with no incoming ones, to a fixed point.
+
+    One pass in layer order reaches it: a unit of layer L dies only through
+    the pair (L-1, L), which is visited before (L, L+1) reads L's units.
+    """
     masks = {idx: mask.copy() for idx, mask in masks.items()}
     order = sorted(masks)
-    changed = True
-    while changed:
-        changed = False
-        for prev, nxt in zip(order, order[1:]):
-            dead = masks[prev].reshape(masks[prev].shape[0], -1).sum(axis=1) == 0
-            if dead.any() and masks[nxt][:, dead].any():
-                masks[nxt][:, dead] = 0
-                changed = True
+    for prev, nxt in zip(order, order[1:]):
+        dead = masks[prev].reshape(masks[prev].shape[0], -1).sum(axis=1) == 0
+        masks[nxt][:, dead] = 0
     return masks
 
 

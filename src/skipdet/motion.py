@@ -12,6 +12,13 @@ and policies are validated once, when built, and the only per-frame check
 is one finiteness test of the map, by its maximum after ``abs``.
 ``ppm.frame_from_image`` builds frames without the pixel range scan: bytes
 divided by 255 lie in [0,1].
+
+The reference changes only when inference runs, so the reference's half of
+the products, ``w[C:] * reference`` (:func:`reference_half`), is made once
+per reference and kernel and kept by the pipeline. ``stack_frames`` pairs
+the current frame with it without copying either, and ``motion_map`` adds
+``w[:C] * current`` to it: the same products, added in the same order, as
+the map of the ``[2C,H,W]`` stack, which ``motion_map`` still takes.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
-__all__ = ["Frame", "GatingPolicy", "decide", "motion_map", "stack_frames"]
+__all__ = ["Frame", "GatingPolicy", "decide", "motion_map", "reference_half", "stack_frames"]
 
 
 @dataclass(frozen=True)
@@ -100,39 +107,63 @@ class GatingPolicy:
         return cls(kernel=Tensor(w), bias=Tensor.zeros((1,)), **settings)
 
 
-def stack_frames(current: Frame, reference: Frame) -> np.ndarray:
-    """Concatenate to a [2C,H,W] array: current frame channels first."""
-    if current.pixels.shape != reference.pixels.shape:
+def reference_half(reference: Frame, policy: GatingPolicy) -> np.ndarray:
+    """The gate's products that depend only on the reference: ``w[C:]``
+    times its C channels, a [C,H,W] float32 array."""
+    w = policy.kernel.data[0, :, 0, 0]
+    c = w.shape[0] // 2
+    pixels = reference.pixels.data
+    if pixels.shape[0] != c:
+        raise ShapeError(
+            f"frame shape {pixels.shape} does not match gate kernel input "
+            f"channels {2 * c}")
+    return w[c:, None, None] * pixels
+
+
+def stack_frames(current: Frame, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the current frame's pixels with the reference's half
+    (:func:`reference_half`), current first; neither is copied."""
+    if current.pixels.shape != half.shape:
         raise ShapeError(
             f"frame shape mismatch: current {current.pixels.shape} vs "
-            f"reference {reference.pixels.shape}")
-    return np.concatenate([current.pixels.data, reference.pixels.data], axis=0)
+            f"reference {half.shape}")
+    return current.pixels.data, half
 
 
-def motion_map(stack: np.ndarray, policy: GatingPolicy) -> np.ndarray:
+def motion_map(stack, policy: GatingPolicy) -> np.ndarray:
     """1x1 convolution over the stack, squashed into [0,1] by abs and clamp;
     returns a [1,H,W] float32 array.
 
-    The per-pixel dot product pairs each current channel with its reference
-    channel before accumulating. Under the default antisymmetric weights the
-    paired products are exact IEEE negations, so identical frames yield a
-    map of exact zeros rather than rounding residue. A non-finite raw map
-    (a gate kernel large enough to overflow float32, or a stack holding NaN
-    or an infinity) raises ``ValueError``.
+    ``stack`` is a [2C,H,W] array, current channels first, or the pair
+    :func:`stack_frames` returns. The per-pixel dot product pairs each
+    current channel with its reference channel before accumulating. Under
+    the default antisymmetric weights the paired products are exact IEEE
+    negations, so identical frames yield a map of exact zeros rather than
+    rounding residue. A non-finite raw map (a gate kernel large enough to
+    overflow float32, or a stack holding NaN or an infinity) raises
+    ``ValueError``.
     """
-    if stack.ndim != 3 or stack.shape[0] != policy.kernel.shape[1]:
-        raise ShapeError(
-            f"stack shape {stack.shape} does not match gate kernel input "
-            f"channels {policy.kernel.shape[1]}")
-    c = stack.shape[0] // 2
     w = policy.kernel.data[0, :, 0, 0]
+    c = w.shape[0] // 2
+    if isinstance(stack, tuple):
+        current, half = stack
+        if current.ndim != 3 or current.shape[0] != c or half.shape != current.shape:
+            raise ShapeError(
+                f"stack halves {current.shape} and {half.shape} do not match gate "
+                f"kernel input channels {2 * c}")
+    else:
+        if stack.ndim != 3 or stack.shape[0] != 2 * c:
+            raise ShapeError(
+                f"stack shape {stack.shape} does not match gate kernel input "
+                f"channels {2 * c}")
+        current, half = stack[:c], w[c:, None, None] * stack[c:]
     # The sums, abs and clamp write in place, so a streamed run's per-frame
     # heap stays under the allocator's trim point; one [2C,H,W] array for
     # all the products is faster but re-faulted the heap on about a third
     # of process layouts. Adding the channels into channel 0 one after
     # another is the order of ``sum(axis=0)``: the bits are the same.
-    paired = w[:c, None, None] * stack[:c]
-    paired += w[c:, None, None] * stack[c:]
+    paired = w[:c, None, None] * current
+    paired += half
     raw = paired[:1]
     for ch in range(1, c):
         raw += paired[ch]

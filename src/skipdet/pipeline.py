@@ -1,16 +1,24 @@
 """Per-frame orchestration of gating, deep inference, and reference reuse.
 
 The state machine: the first frame always runs deep inference (there is no
-reference yet). Afterwards each frame is stacked with the reference frame,
-gated by the motion map, and either (a) run through the detector, becoming
-the new reference together with its class probability map and its boxes,
-or (b) skipped, in which case the reference's boxes are returned again.
+reference yet). Afterwards each frame is paired with the reference, gated
+by the motion map, and either (a) run through the detector, becoming the
+new reference together with its class probability map and its boxes, or
+(b) skipped, in which case the reference's boxes are returned again.
 The state keeps the boxes with the anchors and thresholds that made them;
 a skipped frame decoded with other settings re-runs decode+nms on the
 stored reference map and keeps that result instead. Settings count by
 value only: anchors and thresholds are Python floats. Decode and nms are
 deterministic, so a skipped frame's boxes equal a fresh decode of the
 reference map either way.
+
+The state also keeps the reference's half of the gate's products
+(``motion.reference_half``) with the kernel that made it. The half is made
+on the first gated frame after an inference, made again when a call
+passes a policy with another kernel (a ``Tensor`` compares by identity),
+and never made with ``policy=None``. A gated frame therefore multiplies
+only its own channels, and its map has the bits of the ``[2C,H,W]``
+stack's.
 
 ``policy=None`` infers every frame and calls no gate function; it is the
 one detection path, which the CLI's ``detect`` and evaluation metric use.
@@ -26,26 +34,33 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
                        map_from_output, nms)
-from .motion import Frame, GatingPolicy, decide, motion_map, stack_frames
+from .motion import Frame, GatingPolicy, decide, motion_map, reference_half, stack_frames
 from .netdef import NetworkDescriptor, WeightStore
 from .network import forward
+from .tensor import Tensor
 
 __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
 
 @dataclass(frozen=True)
 class PipelineState:
-    """What the next frame needs: the reference, how old it is, and the
+    """What the next frame needs: the reference, how old it is, the
     reference's boxes with the settings that decoded them (anchors and two
-    Python-float thresholds); immutable, one new state per frame."""
+    Python-float thresholds), and the reference's half of the gate's
+    products with the gate kernel that made it; immutable, one new state
+    per frame."""
 
     reference_frame: Optional[Frame] = None
     reference_map: Optional[ClassProbabilityMap] = None
     frames_since_inference: int = 0
     reference_boxes: tuple[DetectionBox, ...] = ()
     reference_settings: Optional[tuple] = None
+    reference_half: Optional[np.ndarray] = None
+    half_kernel: Optional[Tensor] = None
 
     def __post_init__(self) -> None:
         if (self.reference_frame is None) != (self.reference_map is None):
@@ -76,23 +91,26 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     that made them; otherwise it decodes the reference map and stores the
     result. The returned list is the caller's to change. A frame's shape is
     checked once, by the stage that uses it: ``stack_frames`` against the
-    reference, or ``forward`` against the network input when there is no
-    reference or no policy. States are immutable, so the caller's state
-    stays usable after an error.
+    reference's half, or ``forward`` against the network input when there
+    is no reference or no policy. States are immutable, so the caller's
+    state stays usable after an error.
     """
     reference, cmap = state.reference_frame, state.reference_map
     boxes, made_with = state.reference_boxes, state.reference_settings
+    half, half_kernel = state.reference_half, state.half_kernel
     gate_s = 0.0
     gap = state.frames_since_inference + 1
     if reference is None or policy is None:
         must_infer = True
     else:
         t0 = time.perf_counter()
+        if half_kernel is not policy.kernel:
+            half, half_kernel = reference_half(reference, policy), policy.kernel
         # The motion map is dropped before inference. Kept alive through the
         # forward, it left the heap's free top within 24 KB of glibc's trim
         # threshold in most process layouts, and some trimmed and re-grew
         # the heap on every run.
-        must_infer = decide(motion_map(stack_frames(frame, reference), policy), policy, gap)
+        must_infer = decide(motion_map(stack_frames(frame, half), policy), policy, gap)
         gate_s = time.perf_counter() - t0
 
     infer_s = 0.0
@@ -101,6 +119,7 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
         cmap = map_from_output(net, forward(net, store, frame.pixels))
         infer_s = time.perf_counter() - t0
         reference, gap, made_with = frame, 0, None
+        half = half_kernel = None
 
     t0 = time.perf_counter()
     # Python floats: np.float32(0.4) == 0.4, yet the two bars keep different slots.
@@ -111,7 +130,8 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     decode_s = time.perf_counter() - t0
     new_state = PipelineState(reference_frame=reference, reference_map=cmap,
                               frames_since_inference=gap, reference_boxes=boxes,
-                              reference_settings=made_with)
+                              reference_settings=made_with, reference_half=half,
+                              half_kernel=half_kernel)
     return list(boxes), must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
 
 

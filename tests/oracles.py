@@ -2,9 +2,10 @@
 
 Everything here is written the slow, obvious way (plain loops, float64) and
 deliberately shares no code with the package internals, so the two sides
-can check each other. The exception is the last three sections: the
-package's earlier vectorised kernels, its earlier decode and its earlier
-training engine, kept as bit-exact references for the current ones.
+can check each other. The exception is the last four sections: the
+package's earlier vectorised kernels, its earlier decode, its earlier
+training engine and its earlier dead-unit closure, kept as exact
+references for the current ones.
 """
 
 from __future__ import annotations
@@ -471,3 +472,24 @@ def tagged_backward_batch(net, weights, caches, grad_out):
             if not is_first:
                 g = g * _pointwise_grad(pre, post, layer.fn, layer.alpha)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier dead-unit closure: layer-order passes repeated
+# until one changes nothing.
+# ---------------------------------------------------------------------------
+
+def looped_dead_unit_closure(masks):
+    """Zero the outgoing synapses of units with no incoming ones, pass after
+    pass, until a pass changes nothing."""
+    masks = {idx: mask.copy() for idx, mask in masks.items()}
+    order = sorted(masks)
+    changed = True
+    while changed:
+        changed = False
+        for prev, nxt in zip(order, order[1:]):
+            dead = masks[prev].reshape(masks[prev].shape[0], -1).sum(axis=1) == 0
+            if dead.any() and masks[nxt][:, dead].any():
+                masks[nxt][:, dead] = 0
+                changed = True
+    return masks

@@ -198,6 +198,22 @@ class TestNms:
         b = box(0.5, 0.5, 0.2, 0.2, obj=0.8, cls=1)
         assert nms([a, b], 0.5) == [a, b]
 
+    def test_zero_threshold_keeps_disjoint_boxes(self):
+        # iou is 0.0 for disjoint boxes, and only an overlap above the bar suppresses
+        a = box(0.2, 0.2, 0.1, 0.1, obj=0.9)
+        b = box(0.8, 0.8, 0.1, 0.1, obj=0.8)
+        assert iou(a, b) == 0.0
+        assert nms([a, b], 0.0) == [a, b]
+
+    def test_overlap_equal_to_the_threshold_is_kept(self):
+        # x spans [0, 1] and [0.5, 1] over the same rows: intersection 0.25,
+        # union 0.5, an IOU of exactly 0.5
+        a = box(0.5, 0.25, 1.0, 0.5, obj=0.9)
+        b = box(0.75, 0.25, 0.5, 0.5, obj=0.8)
+        assert iou(a, b) == 0.5
+        assert nms([a, b], 0.5) == [a, b]
+        assert nms([a, b], np.nextafter(0.5, 0.0)) == [a]
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(120):

@@ -10,6 +10,8 @@ from skipdet.netdef import (LayerSpec, LayerWeights, NetworkDescriptor,
 from skipdet.network import TrainConfig, init_weights
 from skipdet.tensor import Tensor
 
+import oracles
+
 
 def single_layer_net(synapses_shape=(8, 8, 3, 3)):
     f, c, k, _ = synapses_shape
@@ -133,6 +135,29 @@ class TestDeadUnitClosure:
         for prev, nxt in ((0, 1), (1, 2)):
             dead = closed[prev].reshape(6, -1).sum(axis=1) == 0
             assert not closed[nxt][:, dead].any()
+
+    def test_one_pass_equals_the_looped_closure(self):
+        rng = np.random.default_rng(16)
+        changed = cascaded = 0
+        for _ in range(1200):
+            channels = rng.integers(1, 6, size=int(rng.integers(2, 6)))
+            masks = {}
+            for idx, (c_in, c_out) in enumerate(zip(channels, channels[1:])):
+                k = int(rng.choice([1, 3]))
+                density = rng.uniform(0.02, 0.6)
+                masks[2 * idx] = (rng.random((c_out, c_in, k, k)) < density).astype(np.uint8)
+            got = _dead_unit_closure(masks)
+            want = oracles.looped_dead_unit_closure(masks)
+            assert sorted(got) == sorted(want)
+            for idx in want:
+                assert got[idx].dtype == want[idx].dtype
+                assert np.array_equal(got[idx], want[idx])
+            changed += any(not np.array_equal(got[i], masks[i]) for i in masks)
+            # a unit with live inputs that lost all of them to the closure
+            cascaded += any(np.any(m.reshape(len(m), -1).any(axis=1)
+                                   & ~got[i].reshape(len(m), -1).any(axis=1))
+                            for i, m in masks.items())
+        assert changed >= 300 and cascaded >= 50, (changed, cascaded)
 
 
 def toy_dataset(net, count, seed):

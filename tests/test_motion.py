@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.motion import Frame, GatingPolicy, decide, motion_map, stack_frames
+from skipdet.motion import (Frame, GatingPolicy, decide, motion_map, reference_half,
+                            stack_frames)
 from skipdet.tensor import ShapeError, Tensor
 
 import oracles
@@ -20,6 +21,21 @@ def const_frame(index, value, channels=3, size=4):
 def random_frame(seed, channels=3, size=6):
     rng = np.random.default_rng(seed)
     return frame(0, rng.random((channels, size, size)).astype(np.float32))
+
+
+def stack(cur, ref):
+    """The fresh [2C,H,W] stack, current channels first."""
+    return np.concatenate([cur.pixels.data, ref.pixels.data], axis=0)
+
+
+def pair(cur, ref, policy):
+    """What the pipeline hands ``motion_map``: the current frame paired with
+    the reference's half of the products."""
+    return stack_frames(cur, reference_half(ref, policy))
+
+
+def bits(a):
+    return a.view(np.uint32)
 
 
 class TestFrame:
@@ -39,62 +55,89 @@ class TestFrame:
 class TestStackFrames:
     def test_current_first_reference_second(self):
         cur, ref = const_frame(1, 0.25), const_frame(0, 0.75)
-        stack = stack_frames(cur, ref)
-        assert stack.shape == (6, 4, 4)
-        assert np.all(stack[:3] == np.float32(0.25))
-        assert np.all(stack[3:] == np.float32(0.75))
+        half = reference_half(ref, GatingPolicy.default(3))
+        got = stack_frames(cur, half)
+        assert type(got) is tuple and len(got) == 2
+        assert got[0] is cur.pixels.data and got[1] is half  # no copy
+        assert np.all(got[0] == np.float32(0.25))
+        assert np.all(half == np.float32(-1.0 / 3.0) * np.float32(0.75))
 
     def test_self_stack_mirrors_channels(self):
         f = random_frame(3)
-        stack = stack_frames(f, f)
-        c = f.pixels.shape[0]
-        for ch in range(c):
-            assert np.array_equal(stack[ch], stack[ch + c])
+        policy = GatingPolicy.default(3)
+        cur, half = pair(f, f, policy)
+        w = policy.kernel.data[0, :, 0, 0]
+        assert np.array_equal(bits(half), bits(-(w[:3, None, None] * cur)))
 
     def test_white_current_black_reference(self):
-        stack = stack_frames(const_frame(1, 1.0), const_frame(0, 0.0))
-        assert np.all(stack[:3] == 1.0)
-        assert np.all(stack[3:] == 0.0)
+        cur, half = pair(const_frame(1, 1.0), const_frame(0, 0.0), GatingPolicy.default(3))
+        assert np.all(cur == 1.0)
+        assert np.all(half == 0.0)
 
     def test_shape_mismatch(self):
+        half = reference_half(const_frame(0, 0.5, size=6), GatingPolicy.default(3))
         with pytest.raises(ShapeError, match="mismatch"):
-            stack_frames(const_frame(0, 0.5, size=4), const_frame(0, 0.5, size=6))
+            stack_frames(const_frame(0, 0.5, size=4), half)
+
+    def test_reference_half_checks_the_kernel_channels(self):
+        with pytest.raises(ShapeError, match="gate kernel input channels 6"):
+            reference_half(const_frame(0, 0.5, channels=1), GatingPolicy.default(3))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reference_half_is_the_stack_products(self, seed, channels):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(1, 2 * channels, 1, 1)).astype(np.float32)
+        policy = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)))
+        ref = random_frame(seed, channels=channels)
+        want = w[0, channels:, 0, 0, None, None] * ref.pixels.data
+        assert np.array_equal(bits(reference_half(ref, policy)), bits(want))
 
 
 class TestMotionMap:
     def test_identical_frames_zero_map(self):
         f = random_frame(0)
-        m = motion_map(stack_frames(f, f), GatingPolicy.default(3))
-        assert np.all(m == 0.0)
+        policy = GatingPolicy.default(3)
+        assert np.all(motion_map(pair(f, f, policy), policy) == 0.0)
+        assert np.all(motion_map(stack(f, f), policy) == 0.0)
 
     def test_single_channel_difference(self):
         cur = const_frame(1, 0.8, channels=1)
         ref = const_frame(0, 0.5, channels=1)
-        m = motion_map(stack_frames(cur, ref), GatingPolicy.default(1))
+        policy = GatingPolicy.default(1)
+        m = motion_map(pair(cur, ref, policy), policy)
         expected = np.float32(0.8) - np.float32(0.5)
         assert np.all(m == expected)
 
     def test_full_swing_saturates(self):
-        m = motion_map(stack_frames(const_frame(1, 1.0), const_frame(0, 0.0)),
-                       GatingPolicy.default(3))
+        policy = GatingPolicy.default(3)
+        m = motion_map(pair(const_frame(1, 1.0), const_frame(0, 0.0), policy), policy)
         assert np.all(m == 1.0)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             motion_map(np.zeros((2, 4, 4), np.float32), GatingPolicy.default(3))
 
+    @pytest.mark.parametrize("shapes", [((1, 4, 4), (1, 4, 4)), ((3, 4, 4), (3, 4, 5)),
+                                        ((3, 16), (3, 16))])
+    def test_pair_mismatch(self, shapes):
+        cur, half = (np.zeros(s, np.float32) for s in shapes)
+        with pytest.raises(ShapeError, match="do not match"):
+            motion_map((cur, half), GatingPolicy.default(3))
+
     def test_custom_gate_weights(self):
         w = np.zeros((1, 2, 1, 1), np.float32)
         w[0, 0] = 2.0  # only the current frame, doubled
         policy = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)))
-        m = motion_map(stack_frames(const_frame(1, 0.4, channels=1),
-                                    const_frame(0, 0.9, channels=1)), policy)
+        m = motion_map(pair(const_frame(1, 0.4, channels=1),
+                            const_frame(0, 0.9, channels=1), policy), policy)
         assert np.all(m == np.float32(0.8))
 
     def test_raw_arrays_in_and_out(self):
-        stack = stack_frames(random_frame(1), random_frame(2))
-        m = motion_map(stack, GatingPolicy.default(3))
-        assert type(stack) is np.ndarray and stack.dtype == np.float32
+        policy = GatingPolicy.default(3)
+        cur, half = pair(random_frame(1), random_frame(2), policy)
+        m = motion_map((cur, half), policy)
+        assert type(half) is np.ndarray and half.dtype == np.float32
         assert type(m) is np.ndarray and m.dtype == np.float32 and m.shape == (1, 6, 6)
         assert 0.0 <= m.min() and m.max() <= 1.0
 
@@ -104,28 +147,34 @@ class TestMotionMap:
         c = 1 + 2 * (seed % 2)
         w = rng.normal(size=(1, 2 * c, 1, 1)).astype(np.float32)
         policy = GatingPolicy(kernel=Tensor(w), bias=Tensor(rng.normal(size=1).astype(np.float32)))
-        stack = stack_frames(random_frame(seed, channels=c), random_frame(seed + 9, channels=c))
+        cur, ref = random_frame(seed, channels=c), random_frame(seed + 9, channels=c)
+        full = stack(cur, ref)
         k = w[0, :, 0, 0]
-        paired = k[:c, None, None] * stack[:c] + k[c:, None, None] * stack[c:]
+        paired = k[:c, None, None] * full[:c] + k[c:, None, None] * full[c:]
         want = np.clip(np.abs(paired.sum(axis=0, keepdims=True) + policy.bias.data[0]), 0.0, 1.0)
-        assert np.array_equal(motion_map(stack, policy).view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(bits(motion_map(full, policy)), bits(want))
+        assert np.array_equal(bits(motion_map(pair(cur, ref, policy), policy)), bits(want))
 
     def test_non_finite_raw_map_rejected(self):
         # each product is finite, but their sum overflows float32
         w = np.full((1, 2, 1, 1), np.finfo(np.float32).max, np.float32)
         policy = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)))
-        stack = stack_frames(const_frame(1, 1.0, channels=1), const_frame(0, 1.0, channels=1))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            motion_map(stack, policy)
+        cur, ref = const_frame(1, 1.0, channels=1), const_frame(0, 1.0, channels=1)
+        for given in (stack(cur, ref), pair(cur, ref, policy)):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                motion_map(given, policy)
 
     @pytest.mark.parametrize("where", [0, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_stack_rejected(self, bad, where):
         # a stack passed in directly, not made from checked frames
-        stack = np.full((6, 3, 3), 0.5, np.float32)
-        stack[where, 1, 2] = bad
+        full = np.full((6, 3, 3), 0.5, np.float32)
+        full[where, 1, 2] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            motion_map(stack, GatingPolicy.default(3))
+            motion_map(full, GatingPolicy.default(3))
+        halves = (full[:3], full[3:])  # a pair passed in directly
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            motion_map(halves, GatingPolicy.default(3))
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("seed", range(6))
@@ -135,28 +184,29 @@ class TestMotionMap:
         w[0, rng.integers(2 * channels), 0, 0] = (0.0, -0.0)[seed % 2]
         bias = (rng.normal(size=1) * (seed % 3)).astype(np.float32)
         policy = GatingPolicy(kernel=Tensor(w), bias=Tensor(bias))
-        stack = rng.random((2 * channels, 9, 11)).astype(np.float32)
-        zero = rng.random(stack.shape) < 0.3
-        stack[zero] = np.where(rng.random(zero.sum()) < 0.5, np.float32(0.0), np.float32(-0.0))
-        want = oracles.channel_sum_motion_map(stack, w, bias)
-        got = motion_map(stack, policy)
-        assert got.shape == want.shape == (1, 9, 11)
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        full = rng.random((2 * channels, 9, 11)).astype(np.float32)
+        zero = rng.random(full.shape) < 0.3
+        full[zero] = np.where(rng.random(zero.sum()) < 0.5, np.float32(0.0), np.float32(-0.0))
+        want = oracles.channel_sum_motion_map(full, w, bias)
+        cur, ref = frame(1, full[:channels]), frame(0, full[channels:])
+        for got in (motion_map(full, policy), motion_map(pair(cur, ref, policy), policy)):
+            assert got.shape == want.shape == (1, 9, 11)
+            assert np.array_equal(bits(got), bits(want))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31))
     def test_zero_for_any_self_stack(self, seed):
         f = random_frame(seed)
-        m = motion_map(stack_frames(f, f), GatingPolicy.default(3))
-        assert np.all(m == 0.0)
+        policy = GatingPolicy.default(3)
+        assert np.all(motion_map(pair(f, f, policy), policy) == 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31))
     def test_swap_antisymmetry(self, seed):
         a, b = random_frame(seed), random_frame(seed + 1)
         policy = GatingPolicy.default(3)
-        ab = motion_map(stack_frames(a, b), policy)
-        ba = motion_map(stack_frames(b, a), policy)
+        ab = motion_map(pair(a, b, policy), policy)
+        ba = motion_map(pair(b, a, policy), policy)
         np.testing.assert_array_equal(ab, ba)
 
 

@@ -6,12 +6,14 @@ import pytest
 
 from skipdet import pipeline
 from skipdet.detector import AnchorPrior, decode, format_detection_line, map_from_output, nms
-from skipdet.motion import Frame, GatingPolicy
+from skipdet.motion import Frame, GatingPolicy, decide
 from skipdet.netdef import LayerSpec, NetworkDescriptor
 from skipdet.network import forward, init_weights
 from skipdet.pipeline import PipelineState, process_frame, run
 from skipdet.synth import MotionInterval, SyntheticSceneSpec, frames_from_scene, generate_scene
 from skipdet.tensor import ShapeError, Tensor
+
+import oracles
 
 ANCHORS = [AnchorPrior(0.8, 0.8), AnchorPrior(1.6, 1.6)]
 OBJ_THR, NMS_THR = 0.4, 0.5
@@ -89,7 +91,7 @@ class TestProcessFrame:
         net, store = net_and_store
         f1 = scene_frames(1, seed=1)[0]
         f2 = Frame(2, f1.pixels)
-        for name in ("stack_frames", "motion_map", "decide"):
+        for name in ("reference_half", "stack_frames", "motion_map", "decide"):
             def gate_called(*args, name=name):
                 raise AssertionError(f"{name} called with policy=None")
             monkeypatch.setattr(f"skipdet.pipeline.{name}", gate_called)
@@ -100,6 +102,7 @@ class TestProcessFrame:
         assert did_infer is True
         assert state.reference_frame is f2
         assert state.frames_since_inference == 0
+        assert state.reference_half is None and state.half_kernel is None
         assert timing.gate == 0.0
         assert boxes2 == boxes1
 
@@ -342,6 +345,110 @@ class TestReuse:
                                    obj_thr, NMS_THR)
         assert render(frames, detections) == render(frames, oracle)
         assert obj_thr > 0 or all(detections)
+
+
+class TestReferenceHalf:
+    """The state keeps the reference's half of the gate's products, made once
+    per reference and kernel; every map equals one of a fresh stack."""
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        seen = {"halves": 0, "maps": []}
+
+        def counted_half(*args, fn=pipeline.reference_half):
+            seen["halves"] += 1
+            return fn(*args)
+
+        def recorded_map(*args, fn=pipeline.motion_map):
+            m = fn(*args)
+            seen["maps"].append(m.copy())
+            return m
+        monkeypatch.setattr(pipeline, "reference_half", counted_half)
+        monkeypatch.setattr(pipeline, "motion_map", recorded_map)
+        return seen
+
+    @staticmethod
+    def fresh_map(frame, reference, policy):
+        stack = np.concatenate([frame.pixels.data, reference.pixels.data], axis=0)
+        return oracles.channel_sum_motion_map(stack, policy.kernel.data, policy.bias.data)
+
+    def test_kernel_changes_mid_stream(self, net_and_store, gate):
+        net, store = net_and_store
+        k = np.float32([0.7, 0.2, 0.45])
+        w = np.concatenate([k, -k]).reshape(1, 6, 1, 1)
+        plain = GatingPolicy.default(3)
+        other = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)),
+                             pixel_threshold=0.05, area_threshold=0.01)
+        # the same kernel object with another bias and thresholds: no new half
+        rebiased = GatingPolicy(kernel=plain.kernel, bias=Tensor(np.float32([0.03])),
+                                pixel_threshold=0.2, area_threshold=0.01)
+        spec = SyntheticSceneSpec(
+            frames=30, width=32, height=32, velocities=((3.0, 2.0),),
+            schedule=(MotionInterval(1, 5, True), MotionInterval(6, 14, False),
+                      MotionInterval(15, 19, True), MotionInterval(20, 30, False)),
+            noise=0.0, seed=14)
+        frames = frames_from_scene(generate_scene(spec)[0])
+        policies = [plain] * 8 + [rebiased] * 3 + [other] * 3 + [plain] * 6 + [other] * 10
+        state, made_for, halves, kept, decisions = PipelineState(), None, 0, 0, []
+        for n, (frame, policy) in enumerate(zip(frames, policies)):
+            reference, gap = state.reference_frame, state.frames_since_inference + 1
+            _, did_infer, state, _ = process_frame(
+                state, frame, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+            decisions.append(did_infer)
+            if reference is not None:
+                want = self.fresh_map(frame, reference, policy)
+                assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
+                assert did_infer is decide(want, policy, gap)
+                if made_for is not policy.kernel:
+                    halves, made_for = halves + 1, policy.kernel
+                elif policy is not policies[n - 1]:
+                    kept += 1
+            if did_infer:
+                made_for = None
+        assert len(gate["maps"]) == len(frames) - 1
+        assert gate["halves"] == halves
+        assert 0 < sum(decisions) < len(frames)
+        # in the frozen stretch the kernel changed twice without an inference,
+        # and a new policy object with the same kernel kept the half
+        assert not any(decisions[7:14])
+        assert kept >= 1 and halves >= sum(decisions[:-1]) + 2
+
+    @pytest.mark.parametrize("skipped_first", [False, True])
+    def test_wrong_shape_frame_leaves_the_state_reusable(self, net_and_store, gate,
+                                                         skipped_first):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3)
+        f1, f2 = scene_frames(2, seed=2)
+        _, _, state, _ = process_frame(
+            PipelineState(), f1, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        if skipped_first:
+            _, did_infer, state, _ = process_frame(
+                state, Frame(2, f1.pixels), policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+            assert not did_infer and state.half_kernel is policy.kernel
+        half = state.reference_half
+        with pytest.raises(ShapeError, match="mismatch"):
+            process_frame(state, Frame(3, Tensor.zeros((3, 16, 16))), policy, net, store,
+                          ANCHORS, OBJ_THR, NMS_THR)
+        assert state.reference_half is half
+        _, did_infer, _, _ = process_frame(
+            state, f2, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        want = self.fresh_map(f2, f1, policy)
+        assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
+        assert did_infer is decide(want, policy, state.frames_since_inference + 1)
+        # one half for f1 when none was kept; the kept one is reused otherwise
+        assert gate["halves"] == (1 if skipped_first else 2)
+
+    def test_no_policy_never_builds_the_half(self, net_and_store, gate):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3)
+        f1 = scene_frames(1, seed=1)[0]
+        state = PipelineState()
+        for n, pol in enumerate([policy, policy, None, None, policy], start=1):
+            _, did_infer, state, _ = process_frame(
+                state, Frame(n, f1.pixels), pol, net, store, ANCHORS, OBJ_THR, NMS_THR)
+            assert did_infer is (n <= 1 or pol is None)
+            assert (state.reference_half is None) is did_infer
+        assert gate["halves"] == 2
 
 
 class TestPipelineState:
