@@ -16,8 +16,9 @@ divided by 255 lie in [0,1].
 The reference changes only when inference runs, so the reference's half of
 the products, ``w[C:] * reference`` (:func:`reference_half`), is made once
 per reference and kernel and kept by the pipeline. ``stack_frames`` pairs
-the current frame with it without copying either, and ``motion_map`` adds
-``w[:C] * current`` to it: the same products, added in the same order, as
+the current frame with it without copying either, and ``motion_map``
+checks the pair's shapes and adds ``w[:C] * current`` to the half: the
+same products, added in the same order, as
 the map of the ``[2C,H,W]`` stack, which ``motion_map`` still takes.
 """
 
@@ -109,7 +110,7 @@ class GatingPolicy:
 
 def reference_half(reference: Frame, policy: GatingPolicy) -> np.ndarray:
     """The gate's products that depend only on the reference: ``w[C:]``
-    times its C channels, a [C,H,W] float32 array."""
+    times its C channels, a read-only [C,H,W] float32 array."""
     w = policy.kernel.data[0, :, 0, 0]
     c = w.shape[0] // 2
     pixels = reference.pixels.data
@@ -117,16 +118,15 @@ def reference_half(reference: Frame, policy: GatingPolicy) -> np.ndarray:
         raise ShapeError(
             f"frame shape {pixels.shape} does not match gate kernel input "
             f"channels {2 * c}")
-    return w[c:, None, None] * pixels
+    half = w[c:, None, None] * pixels
+    half.setflags(write=False)
+    return half
 
 
 def stack_frames(current: Frame, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair the current frame's pixels with the reference's half
-    (:func:`reference_half`), current first; neither is copied."""
-    if current.pixels.shape != half.shape:
-        raise ShapeError(
-            f"frame shape mismatch: current {current.pixels.shape} vs "
-            f"reference {half.shape}")
+    (:func:`reference_half`), current first; neither is copied, and
+    :func:`motion_map` checks the shapes."""
     return current.pixels.data, half
 
 
@@ -147,10 +147,13 @@ def motion_map(stack, policy: GatingPolicy) -> np.ndarray:
     c = w.shape[0] // 2
     if isinstance(stack, tuple):
         current, half = stack
-        if current.ndim != 3 or current.shape[0] != c or half.shape != current.shape:
+        if half.shape != current.shape:
             raise ShapeError(
-                f"stack halves {current.shape} and {half.shape} do not match gate "
-                f"kernel input channels {2 * c}")
+                f"frame shape mismatch: current {current.shape} vs reference {half.shape}")
+        if current.ndim != 3 or current.shape[0] != c:
+            raise ShapeError(
+                f"stack halves {current.shape} do not match gate kernel input "
+                f"channels {2 * c}")
     else:
         if stack.ndim != 3 or stack.shape[0] != 2 * c:
             raise ShapeError(

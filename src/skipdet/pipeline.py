@@ -13,10 +13,12 @@ deterministic, so a skipped frame's boxes equal a fresh decode of the
 reference map either way.
 
 The state also keeps the reference's half of the gate's products
-(``motion.reference_half``) with the kernel that made it. The half is made
-on the first gated frame after an inference, made again when a call
-passes a policy with another kernel (a ``Tensor`` compares by identity),
-and never made with ``policy=None``. A gated frame therefore multiplies
+(``motion.reference_half``), keyed on the reference frame (by identity)
+and the bytes of the kernel that made it. The half is made on the first
+gated frame after an inference, made again when the key does not match
+(a call passing a policy with other kernel values, a kernel changed in
+place, or a state given another reference), and never made with
+``policy=None``. The half is read-only. A gated frame therefore multiplies
 only its own channels, and its map has the bits of the ``[2C,H,W]``
 stack's.
 
@@ -41,7 +43,6 @@ from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
 from .motion import Frame, GatingPolicy, decide, motion_map, reference_half, stack_frames
 from .netdef import NetworkDescriptor, WeightStore
 from .network import forward
-from .tensor import Tensor
 
 __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
@@ -51,8 +52,9 @@ class PipelineState:
     """What the next frame needs: the reference, how old it is, the
     reference's boxes with the settings that decoded them (anchors and two
     Python-float thresholds), and the reference's half of the gate's
-    products with the gate kernel that made it; immutable, one new state
-    per frame."""
+    products with its key, ``(reference frame, gate kernel bytes)``;
+    immutable, one new state per frame. A half needs a reference and a key.
+    """
 
     reference_frame: Optional[Frame] = None
     reference_map: Optional[ClassProbabilityMap] = None
@@ -60,11 +62,15 @@ class PipelineState:
     reference_boxes: tuple[DetectionBox, ...] = ()
     reference_settings: Optional[tuple] = None
     reference_half: Optional[np.ndarray] = None
-    half_kernel: Optional[Tensor] = None
+    half_key: Optional[tuple[Frame, bytes]] = None
 
     def __post_init__(self) -> None:
         if (self.reference_frame is None) != (self.reference_map is None):
             raise ValueError("reference frame and reference map must be set together")
+        if (self.reference_half is None) != (self.half_key is None):
+            raise ValueError("reference half and its key must be set together")
+        if self.reference_half is not None and self.reference_frame is None:
+            raise ValueError("a reference half needs a reference frame")
 
 
 @dataclass(frozen=True)
@@ -90,22 +96,23 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     ``decode`` nor ``nms``, when its anchors and thresholds equal the ones
     that made them; otherwise it decodes the reference map and stores the
     result. The returned list is the caller's to change. A frame's shape is
-    checked once, by the stage that uses it: ``stack_frames`` against the
+    checked once, by the stage that uses it: ``motion_map`` against the
     reference's half, or ``forward`` against the network input when there
     is no reference or no policy. States are immutable, so the caller's
     state stays usable after an error.
     """
     reference, cmap = state.reference_frame, state.reference_map
     boxes, made_with = state.reference_boxes, state.reference_settings
-    half, half_kernel = state.reference_half, state.half_kernel
+    half, half_key = state.reference_half, state.half_key
     gate_s = 0.0
     gap = state.frames_since_inference + 1
     if reference is None or policy is None:
         must_infer = True
     else:
         t0 = time.perf_counter()
-        if half_kernel is not policy.kernel:
-            half, half_kernel = reference_half(reference, policy), policy.kernel
+        kernel = policy.kernel.data.tobytes()
+        if half_key is None or half_key[0] is not reference or half_key[1] != kernel:
+            half, half_key = reference_half(reference, policy), (reference, kernel)
         # The motion map is dropped before inference. Kept alive through the
         # forward, it left the heap's free top within 24 KB of glibc's trim
         # threshold in most process layouts, and some trimmed and re-grew
@@ -119,7 +126,7 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
         cmap = map_from_output(net, forward(net, store, frame.pixels))
         infer_s = time.perf_counter() - t0
         reference, gap, made_with = frame, 0, None
-        half = half_kernel = None
+        half = half_key = None
 
     t0 = time.perf_counter()
     # Python floats: np.float32(0.4) == 0.4, yet the two bars keep different slots.
@@ -131,7 +138,7 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     new_state = PipelineState(reference_frame=reference, reference_map=cmap,
                               frames_since_inference=gap, reference_boxes=boxes,
                               reference_settings=made_with, reference_half=half,
-                              half_kernel=half_kernel)
+                              half_key=half_key)
     return list(boxes), must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
 
 

@@ -75,9 +75,16 @@ class TestStackFrames:
         assert np.all(half == 0.0)
 
     def test_shape_mismatch(self):
-        half = reference_half(const_frame(0, 0.5, size=6), GatingPolicy.default(3))
-        with pytest.raises(ShapeError, match="mismatch"):
-            stack_frames(const_frame(0, 0.5, size=4), half)
+        # stack_frames pairs without checking; motion_map checks the pair
+        policy = GatingPolicy.default(3)
+        half = reference_half(const_frame(0, 0.5, size=6), policy)
+        with pytest.raises(ShapeError, match="frame shape mismatch"):
+            motion_map(stack_frames(const_frame(0, 0.5, size=4), half), policy)
+
+    def test_reference_half_is_read_only(self):
+        half = reference_half(const_frame(0, 0.5), GatingPolicy.default(3))
+        with pytest.raises(ValueError, match="read-only"):
+            half += 1.0
 
     def test_reference_half_checks_the_kernel_channels(self):
         with pytest.raises(ShapeError, match="gate kernel input channels 6"):
@@ -118,11 +125,12 @@ class TestMotionMap:
         with pytest.raises(ShapeError):
             motion_map(np.zeros((2, 4, 4), np.float32), GatingPolicy.default(3))
 
-    @pytest.mark.parametrize("shapes", [((1, 4, 4), (1, 4, 4)), ((3, 4, 4), (3, 4, 5)),
-                                        ((3, 16), (3, 16))])
-    def test_pair_mismatch(self, shapes):
+    @pytest.mark.parametrize("shapes, message", [
+        (((1, 4, 4), (1, 4, 4)), "do not match"), (((3, 4, 4), (3, 4, 5)), "mismatch"),
+        (((3, 16), (3, 16)), "do not match")])
+    def test_pair_mismatch(self, shapes, message):
         cur, half = (np.zeros(s, np.float32) for s in shapes)
-        with pytest.raises(ShapeError, match="do not match"):
+        with pytest.raises(ShapeError, match=message):
             motion_map((cur, half), GatingPolicy.default(3))
 
     def test_custom_gate_weights(self):

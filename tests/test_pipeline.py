@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -102,7 +103,7 @@ class TestProcessFrame:
         assert did_infer is True
         assert state.reference_frame is f2
         assert state.frames_since_inference == 0
-        assert state.reference_half is None and state.half_kernel is None
+        assert state.reference_half is None and state.half_key is None
         assert timing.gate == 0.0
         assert boxes2 == boxes1
 
@@ -379,6 +380,8 @@ class TestReferenceHalf:
         plain = GatingPolicy.default(3)
         other = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)),
                              pixel_threshold=0.05, area_threshold=0.01)
+        # another kernel object with the same values: no new half either
+        copied = GatingPolicy(kernel=Tensor(w.copy()), bias=Tensor.zeros((1,)))
         # the same kernel object with another bias and thresholds: no new half
         rebiased = GatingPolicy(kernel=plain.kernel, bias=Tensor(np.float32([0.03])),
                                 pixel_threshold=0.2, area_threshold=0.01)
@@ -388,7 +391,8 @@ class TestReferenceHalf:
                       MotionInterval(15, 19, True), MotionInterval(20, 30, False)),
             noise=0.0, seed=14)
         frames = frames_from_scene(generate_scene(spec)[0])
-        policies = [plain] * 8 + [rebiased] * 3 + [other] * 3 + [plain] * 6 + [other] * 10
+        policies = ([plain] * 8 + [rebiased] * 3 + [other] * 2 + [copied] + [plain] * 6
+                    + [other] * 10)
         state, made_for, halves, kept, decisions = PipelineState(), None, 0, 0, []
         for n, (frame, policy) in enumerate(zip(frames, policies)):
             reference, gap = state.reference_frame, state.frames_since_inference + 1
@@ -399,8 +403,8 @@ class TestReferenceHalf:
                 want = self.fresh_map(frame, reference, policy)
                 assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
                 assert did_infer is decide(want, policy, gap)
-                if made_for is not policy.kernel:
-                    halves, made_for = halves + 1, policy.kernel
+                if made_for != policy.kernel.data.tobytes():
+                    halves, made_for = halves + 1, policy.kernel.data.tobytes()
                 elif policy is not policies[n - 1]:
                     kept += 1
             if did_infer:
@@ -409,9 +413,9 @@ class TestReferenceHalf:
         assert gate["halves"] == halves
         assert 0 < sum(decisions) < len(frames)
         # in the frozen stretch the kernel changed twice without an inference,
-        # and a new policy object with the same kernel kept the half
+        # and new policy objects with the same kernel values kept the half
         assert not any(decisions[7:14])
-        assert kept >= 1 and halves >= sum(decisions[:-1]) + 2
+        assert kept >= 2 and halves >= sum(decisions[:-1]) + 2
 
     @pytest.mark.parametrize("skipped_first", [False, True])
     def test_wrong_shape_frame_leaves_the_state_reusable(self, net_and_store, gate,
@@ -424,7 +428,7 @@ class TestReferenceHalf:
         if skipped_first:
             _, did_infer, state, _ = process_frame(
                 state, Frame(2, f1.pixels), policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-            assert not did_infer and state.half_kernel is policy.kernel
+            assert not did_infer and state.half_key[0] is state.reference_frame
         half = state.reference_half
         with pytest.raises(ShapeError, match="mismatch"):
             process_frame(state, Frame(3, Tensor.zeros((3, 16, 16))), policy, net, store,
@@ -450,11 +454,59 @@ class TestReferenceHalf:
             assert (state.reference_half is None) is did_infer
         assert gate["halves"] == 2
 
+    def test_kernel_changed_in_place(self, net_and_store, gate):
+        net, store = net_and_store
+        w = np.float32([0.5, 0.5, 0.5, -0.5, -0.5, -0.5]).reshape(1, 6, 1, 1)
+        policy = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)))
+        assert policy.kernel.data is w  # the Tensor wraps the caller's array
+        f1, f2, f3 = scene_frames(3, seed=3)
+        _, _, state, _ = process_frame(
+            PipelineState(), f1, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        _, did_infer, state, _ = process_frame(
+            state, Frame(1, f1.pixels), policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        assert not did_infer and gate["halves"] == 1
+        # each call starts from the state whose half was made before the edits
+        for frame, scale in ((f2, 0.25), (f3, 1.0), (f2, 4.0)):
+            w[0, 3:] *= np.float32(scale)
+            process_frame(state, frame, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+            want = self.fresh_map(frame, f1, policy)
+            assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
+        # made again while the values differ from the kept half's; kept once
+        # they are back
+        assert gate["halves"] == 3
+
+    def test_state_given_another_reference(self, net_and_store, gate):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3)
+        f1, f2, f3 = scene_frames(3, seed=4)
+        _, _, state, _ = process_frame(
+            PipelineState(), f1, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        _, _, state, _ = process_frame(
+            state, Frame(1, f1.pixels), policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        assert state.reference_half is not None
+        moved = dataclasses.replace(state, reference_frame=f2,
+                                    reference_map=map_from_output(
+                                        net, forward(net, store, f2.pixels)))
+        _, did_infer, _, _ = process_frame(
+            moved, f3, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        want = self.fresh_map(f3, f2, policy)
+        assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
+        assert did_infer is decide(want, policy, moved.frames_since_inference + 1)
+        assert gate["halves"] == 2
+
 
 class TestPipelineState:
     def test_reference_pair_invariant(self):
         with pytest.raises(ValueError, match="together"):
             PipelineState(reference_frame=scene_frames(1, seed=0)[0])
+
+    def test_half_needs_its_key_and_a_reference(self):
+        f = scene_frames(1, seed=0)[0]
+        half = np.zeros_like(f.pixels.data)
+        with pytest.raises(ValueError, match="key must be set together"):
+            PipelineState(reference_half=half)
+        with pytest.raises(ValueError, match="needs a reference frame"):
+            PipelineState(reference_half=half, half_key=(f, b""))
 
 
 class TestTraceWrapPoints:

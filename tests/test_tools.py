@@ -35,16 +35,28 @@ def write(root, rel, text):
     path.write_text(text)
 
 
+def report_text(doc, **settings):
+    """A report's bytes as the CLI writes them, or with other ``json.dumps``
+    settings."""
+    return json.dumps(doc, **{"indent": 2, "sort_keys": True, **settings}) + "\n"
+
+
 def test_identity_masks_timing_and_nothing_else(tmp_path):
     identity = load_tool("identity")
     here, there = tmp_path / "here", tmp_path / "there"
-    report = {"frames": 3, "decisions": [1, 0, 0], "wall-time": {"gate": 0.001},
+    report = {"frames": 3, "decisions": [1, 0, 0],
+              "wall-time": {"decode": 1e-05, "gate": 0.001, "infer": 2.5},
               "frames-per-second": 100.0}
-    write(here, "run.json", json.dumps(report))
-    write(there, "run.json", json.dumps({**report, "wall-time": {"gate": 0.5},
-                                         "frames-per-second": 7.5}))
-    write(here, "bad.json", json.dumps(report))
-    write(there, "bad.json", json.dumps({**report, "decisions": [1, 1, 0]}))
+    write(here, "run.json", report_text(report))
+    write(there, "run.json", report_text({**report, "wall-time": {
+        "decode": 0.25, "gate": 0.5, "infer": 3}, "frames-per-second": 7.5}))
+    write(here, "bad.json", report_text(report))
+    write(there, "bad.json", report_text({**report, "decisions": [1, 1, 0]}))
+    # JSON that parses to the same document but is not the same bytes
+    write(here, "order.json", report_text(report))
+    write(there, "order.json", report_text(report, sort_keys=False))
+    write(here, "newline.json", report_text(report))
+    write(there, "newline.json", report_text(report)[:-1])
     write(here, "stdout/run.txt", "exit 0\nrun[gated]: 3 frames, 123.4 fps -> a\n")
     write(there, "stdout/run.txt", "exit 0\nrun[gated]: 3 frames, 99.0 fps -> a\n")
     write(here, "det.txt", "1 0.5\n2 0.25\n")
@@ -55,6 +67,8 @@ def test_identity_masks_timing_and_nothing_else(tmp_path):
         ("DIFFERS", "bad.json (first at line 4)"),  # the second decision
         ("DIFFERS", "det.txt (first at line 2)"),
         ("only here", "mine.txt"),
+        ("DIFFERS", "newline.json (first at line 14)"),
+        ("DIFFERS", "order.json (first at line 2)"),
         ("same", "run.json"),
         ("same", "stdout/run.txt"),
         ("only there", "theirs.txt"),

@@ -22,10 +22,10 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
 ``--quick`` keeps a 6-frame clip, the init FNET and ``obj_threshold`` 0.
 
 One verdict per file follows: ``same``, ``DIFFERS`` (with the first
-differing line), ``only here`` or ``only there``. Timing fields are masked
-before comparing: the reports' ``wall-time`` and ``frames-per-second``, and
-the fps that ``run`` prints. The exit status is 0 when every file is the
-same and 1 otherwise.
+differing line), ``only here`` or ``only there``. Files are compared as
+bytes, after the timing values are masked in place: the numbers under the
+reports' ``wall-time`` and ``frames-per-second``, and the fps that ``run``
+prints. The exit status is 0 when every file is the same and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import json
 import os
 import re
 import shutil
@@ -44,8 +43,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TIMING_KEYS = ("wall-time", "frames-per-second")
 FPS = re.compile(rb"[0-9.]+ fps")
+PER_SECOND = re.compile(rb'("frames-per-second": )[-+0-9.eE]+')
+WALL_TIME = re.compile(rb'"wall-time": \{[^{}]*\}')
+WALL_VALUE = re.compile(rb'(": )[-+0-9.eE]+')
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +101,13 @@ def produce(quick: bool) -> None:
 # Comparing two output sets.
 # ---------------------------------------------------------------------------
 
-def _mask_json(doc):
-    if isinstance(doc, dict):
-        return {k: "<timing>" if k in TIMING_KEYS else _mask_json(v) for k, v in doc.items()}
-    if isinstance(doc, list):
-        return [_mask_json(v) for v in doc]
-    return doc
-
-
 def masked(path: Path) -> bytes:
-    """The file's bytes with its timing fields replaced by a placeholder."""
+    """The file's bytes with its timing values replaced by a placeholder;
+    nothing else is changed."""
     data = path.read_bytes()
     if path.suffix == ".json":
-        return json.dumps(_mask_json(json.loads(data)), indent=2, sort_keys=True).encode()
+        data = PER_SECOND.sub(rb"\1<timing>", data)
+        return WALL_TIME.sub(lambda m: WALL_VALUE.sub(rb"\1<timing>", m[0]), data)
     if path.parent.name == "stdout":
         return FPS.sub(b"<timing> fps", data)
     return data
@@ -175,7 +170,6 @@ def main(argv=None) -> int:
     which.add_argument("--tree", type=Path, help="another checkout to compare this tree with")
     which.add_argument("--produce", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--quick", action="store_true", help="a small output set")
-    parser.add_argument("--keep", type=Path, help="keep both output sets under this new directory")
     args = parser.parse_args(argv)
 
     if args.produce:
@@ -187,7 +181,7 @@ def main(argv=None) -> int:
 
     with contextlib.ExitStack() as stack:
         other = args.tree.resolve() if args.tree else stack.enter_context(worktree(args.rev))
-        work = args.keep or Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        work = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         here, there = work / "here", work / "there"
         procs = [start_producer(ROOT, here, args.quick), start_producer(other, there, args.quick)]
         if any(p.wait() for p in procs):
