@@ -18,8 +18,8 @@ the products, ``w[C:] * reference`` (:func:`reference_half`), is made once
 per reference and kernel and kept by the pipeline. ``stack_frames`` pairs
 the current frame with it without copying either, and ``motion_map``
 checks the pair's shapes and adds ``w[:C] * current`` to the half: the
-same products, added in the same order, as
-the map of the ``[2C,H,W]`` stack, which ``motion_map`` still takes.
+same products, added in the same order, as the map of the ``[2C,H,W]``
+stack, which ``motion_map`` still takes.
 """
 
 from __future__ import annotations

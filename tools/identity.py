@@ -136,7 +136,7 @@ def compare(here: Path, there: Path) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Driver.
+# Running both trees and printing the verdicts.
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
