@@ -1,12 +1,12 @@
 """skipdet: motion-gated video object detection with evolutionary network
 compression, self-contained at desk scale.
 
-A per-frame gate stacks the current frame with the last deeply-inferred
-reference frame, turns a 1x1 convolution of the stack into a motion
-probability map, and skips the detector whenever too little has changed,
-reusing the cached detection grid instead. A separate evolution loop
-compresses trained detectors generation by generation via stochastic
-synapse sampling and retraining.
+A per-frame gate pairs the current frame with the last deeply-inferred
+reference frame, whose half of the 1x1 gate convolution is made once per
+reference, into a motion probability map, and skips the detector whenever
+too little has changed, reusing the reference's boxes instead. A separate
+evolution loop compresses trained detectors generation by generation via
+stochastic synapse sampling and retraining.
 """
 
 from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,

@@ -405,7 +405,28 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _pin_heap() -> None:
+    """Fix glibc's mmap and trim thresholds for the process, once.
+
+    By default glibc raises both as large blocks are freed and gives the
+    heap's free top back past the trim threshold, so a command's frames and
+    training steps mapped or faulted in the same memory again on every
+    call. Fixed, freed memory stays in the heap for the next call. Where
+    libc has no ``mallopt`` nothing changes.
+    """
+    import ctypes  # numpy has already loaded it
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_cli(argv=None) -> int:
+    _pin_heap()
     args = _parser().parse_args(argv)
     handler, defaults = SUBCOMMANDS[args.command]
     try:

@@ -18,8 +18,8 @@ the products, ``w[C:] * reference`` (:func:`reference_half`), is made once
 per reference and kernel and kept by the pipeline. ``stack_frames`` pairs
 the current frame with it without copying either, and ``motion_map``
 checks the pair's shapes and adds ``w[:C] * current`` to the half: the
-same products, added in the same order, as the map of the ``[2C,H,W]``
-stack, which ``motion_map`` still takes.
+same products, added in the same order, as a 1x1 convolution of the
+``[2C,H,W]`` stack of the two frames.
 """
 
 from __future__ import annotations
@@ -130,38 +130,31 @@ def stack_frames(current: Frame, half: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return current.pixels.data, half
 
 
-def motion_map(stack, policy: GatingPolicy) -> np.ndarray:
+def motion_map(stack: tuple[np.ndarray, np.ndarray], policy: GatingPolicy) -> np.ndarray:
     """1x1 convolution over the stack, squashed into [0,1] by abs and clamp;
     returns a [1,H,W] float32 array.
 
-    ``stack`` is a [2C,H,W] array, current channels first, or the pair
-    :func:`stack_frames` returns. The per-pixel dot product pairs each
-    current channel with its reference channel before accumulating. Under
+    ``stack`` is the pair :func:`stack_frames` returns: the current frame's
+    [C,H,W] pixels and the reference's half. The per-pixel dot product pairs
+    each current channel with its reference channel before accumulating. Under
     the default antisymmetric weights the paired products are exact IEEE
     negations, so identical frames yield a map of exact zeros rather than
     rounding residue. A non-finite raw map (a gate kernel large enough to
-    overflow float32, or a stack holding NaN or an infinity) raises
+    overflow float32, or a pair holding NaN or an infinity) raises
     ``ValueError``.
     """
     w = policy.kernel.data[0, :, 0, 0]
     c = w.shape[0] // 2
-    if isinstance(stack, tuple):
-        current, half = stack
-        if half.shape != current.shape:
-            raise ShapeError(
-                f"frame shape mismatch: current {current.shape} vs reference {half.shape}")
-        if current.ndim != 3 or current.shape[0] != c:
-            raise ShapeError(
-                f"stack halves {current.shape} do not match gate kernel input "
-                f"channels {2 * c}")
-    else:
-        if stack.ndim != 3 or stack.shape[0] != 2 * c:
-            raise ShapeError(
-                f"stack shape {stack.shape} does not match gate kernel input "
-                f"channels {2 * c}")
-        current, half = stack[:c], w[c:, None, None] * stack[c:]
+    current, half = stack
+    if half.shape != current.shape:
+        raise ShapeError(
+            f"frame shape mismatch: current {current.shape} vs reference {half.shape}")
+    if current.ndim != 3 or current.shape[0] != c:
+        raise ShapeError(
+            f"stack halves {current.shape} do not match gate kernel input "
+            f"channels {2 * c}")
     # The sums, abs and clamp write in place, so a streamed run's per-frame
-    # heap stays under the allocator's trim point; one [2C,H,W] array for
+    # heap stays under glibc's default trim point; one [2C,H,W] array for
     # all the products is faster but re-faulted the heap on about a third
     # of process layouts. Adding the channels into channel 0 one after
     # another is the order of ``sum(axis=0)``: the bits are the same.

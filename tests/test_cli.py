@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 import weakref
 from pathlib import Path
 
@@ -643,3 +644,50 @@ def test_warm_run_does_not_refault_the_clip():
     pytest.importorskip("resource")
     counts = faults.fault_counts(FAULTS_PER_RUN_FRAME, timeout=300)
     assert max(counts.values()) < 2, counts
+
+
+# 16 frames at the default batch of 8: two SGD steps per call.
+FAULTS_PER_TRAINING_STEP = textwrap.dedent("""
+    import resource
+    import sys
+    import tempfile
+    from pathlib import Path
+    from skipdet import cli
+
+    workdir = tempfile.TemporaryDirectory()  # removed when the process exits
+    argv = ["train-tiny", "--set", f"out={Path(workdir.name) / 'tiny.fnet'}",
+            "--set", "frames=16", "--set", "holdout=0", "--set", "epochs=1"]
+    assert cli.run_cli(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        assert cli.run_cli(argv) == 0
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (3 * 2),
+          file=sys.stderr)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux's")
+def test_warm_training_does_not_refault_its_heap():
+    # A step's columns and layer records are freed at its end; a heap that
+    # trims or maps them anew faults them in again on every step.
+    pytest.importorskip("resource")
+    counts = faults.fault_counts(FAULTS_PER_TRAINING_STEP, timeout=300)
+    assert max(counts.values()) < 100, counts
+
+
+def test_runs_where_libc_has_no_mallopt(monkeypatch):
+    import ctypes
+
+    opened = []
+
+    def libc_without_mallopt(name, *args, **kwargs):
+        opened.append(name)
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(ctypes, "CDLL", libc_without_mallopt)
+    cli._pin_heap.cache_clear()
+    try:
+        assert cli.run_cli(["profile", "--set", "network=tiny"]) == 0
+    finally:
+        cli._pin_heap.cache_clear()
+    assert opened == [None]

@@ -106,7 +106,6 @@ class TestMotionMap:
         f = random_frame(0)
         policy = GatingPolicy.default(3)
         assert np.all(motion_map(pair(f, f, policy), policy) == 0.0)
-        assert np.all(motion_map(stack(f, f), policy) == 0.0)
 
     def test_single_channel_difference(self):
         cur = const_frame(1, 0.8, channels=1)
@@ -122,8 +121,10 @@ class TestMotionMap:
         assert np.all(m == 1.0)
 
     def test_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            motion_map(np.zeros((2, 4, 4), np.float32), GatingPolicy.default(3))
+        one = GatingPolicy.default(1)
+        grey = pair(const_frame(1, 0.5, channels=1), const_frame(0, 0.5, channels=1), one)
+        with pytest.raises(ShapeError, match="gate kernel input channels 6"):
+            motion_map(grey, GatingPolicy.default(3))
 
     @pytest.mark.parametrize("shapes, message", [
         (((1, 4, 4), (1, 4, 4)), "do not match"), (((3, 4, 4), (3, 4, 5)), "mismatch"),
@@ -160,7 +161,6 @@ class TestMotionMap:
         k = w[0, :, 0, 0]
         paired = k[:c, None, None] * full[:c] + k[c:, None, None] * full[c:]
         want = np.clip(np.abs(paired.sum(axis=0, keepdims=True) + policy.bias.data[0]), 0.0, 1.0)
-        assert np.array_equal(bits(motion_map(full, policy)), bits(want))
         assert np.array_equal(bits(motion_map(pair(cur, ref, policy), policy)), bits(want))
 
     def test_non_finite_raw_map_rejected(self):
@@ -168,19 +168,16 @@ class TestMotionMap:
         w = np.full((1, 2, 1, 1), np.finfo(np.float32).max, np.float32)
         policy = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)))
         cur, ref = const_frame(1, 1.0, channels=1), const_frame(0, 1.0, channels=1)
-        for given in (stack(cur, ref), pair(cur, ref, policy)):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-                motion_map(given, policy)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            motion_map(pair(cur, ref, policy), policy)
 
     @pytest.mark.parametrize("where", [0, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_stack_rejected(self, bad, where):
-        # a stack passed in directly, not made from checked frames
+        # a pair passed in directly, not made from checked frames
         full = np.full((6, 3, 3), 0.5, np.float32)
         full[where, 1, 2] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            motion_map(full, GatingPolicy.default(3))
-        halves = (full[:3], full[3:])  # a pair passed in directly
+        halves = (full[:3], full[3:])
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             motion_map(halves, GatingPolicy.default(3))
 
@@ -197,9 +194,9 @@ class TestMotionMap:
         full[zero] = np.where(rng.random(zero.sum()) < 0.5, np.float32(0.0), np.float32(-0.0))
         want = oracles.channel_sum_motion_map(full, w, bias)
         cur, ref = frame(1, full[:channels]), frame(0, full[channels:])
-        for got in (motion_map(full, policy), motion_map(pair(cur, ref, policy), policy)):
-            assert got.shape == want.shape == (1, 9, 11)
-            assert np.array_equal(bits(got), bits(want))
+        got = motion_map(pair(cur, ref, policy), policy)
+        assert got.shape == want.shape == (1, 9, 11)
+        assert np.array_equal(bits(got), bits(want))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31))

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -73,17 +71,3 @@ def test_identity_masks_timing_and_nothing_else(tmp_path):
         ("same", "stdout/run.txt"),
         ("only there", "theirs.txt"),
     ]
-
-
-def test_heap_margin_reads_the_run_guards_script():
-    from test_cli import FAULTS_PER_RUN_FRAME
-    assert load_tool("heap_margin").guard_script() == FAULTS_PER_RUN_FRAME
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the probe wraps glibc's free")
-def test_heap_margin_one_layout():
-    proc = subprocess.run([sys.executable, str(TOOLS / "heap_margin.py"), "--layouts", "1"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    last = proc.stdout.splitlines()[-1]
-    assert last.startswith(("largest free heap top", "heap_margin: skipped")), last
