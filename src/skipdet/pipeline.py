@@ -22,8 +22,23 @@ place, or a state given another reference), and never made with
 only its own channels, and its map has the bits of the ``[2C,H,W]``
 stack's.
 
-``policy=None`` infers every frame and calls no gate function; it is the
-one detection path, which the CLI's ``detect`` and evaluation metric use.
+A gated inferred frame also reuses the reference's activations. The
+state keeps the reference's forward record (``network.forward``'s
+``record``: its input and every layer's output, read-only), keyed on the
+reference frame, ``net`` and ``store``, all by identity. The next inferred
+frame passes it as ``reference`` when the key matches, and the forward
+recomputes only the conv row bands its changed rows reach, with the bits
+of a full forward. Rows count as unchanged only when their bits are equal:
+noise-free content and the static regions of decoded compressed video
+gain, while a noisy frame changes every row and pays a full forward plus
+one compare (about 10 us for ``tiny``). A record is made on every gated
+inferred frame and holds about 0.7 MB for ``tiny``, growing with the
+network's activations.
+
+``policy=None`` infers every frame in full, calls no gate function and
+keeps no record; it is the one detection path, which the CLI's ``detect``
+and evaluation metric use, and the per-frame baseline that gating is
+measured against.
 
 Processing is strictly sequential per video; independent videos can run
 concurrently with separate states.
@@ -51,9 +66,11 @@ __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 class PipelineState:
     """What the next frame needs: the reference, how old it is, the
     reference's boxes with the settings that decoded them (anchors and two
-    Python-float thresholds), and the reference's half of the gate's
-    products with its key, ``(reference frame, gate kernel bytes)``;
-    immutable, one new state per frame. A half needs a reference and a key.
+    Python-float thresholds), the reference's half of the gate's products
+    with its key, ``(reference frame, gate kernel bytes)``, and the
+    reference's forward record with its key, ``(reference frame, net,
+    store)``; immutable, one new state per frame. A half or a record needs
+    a reference and a key.
     """
 
     reference_frame: Optional[Frame] = None
@@ -63,6 +80,8 @@ class PipelineState:
     reference_settings: Optional[tuple] = None
     reference_half: Optional[np.ndarray] = None
     half_key: Optional[tuple[Frame, bytes]] = None
+    reference_record: Optional[tuple[np.ndarray, ...]] = None
+    record_key: Optional[tuple[Frame, NetworkDescriptor, WeightStore]] = None
 
     def __post_init__(self) -> None:
         if (self.reference_frame is None) != (self.reference_map is None):
@@ -71,6 +90,10 @@ class PipelineState:
             raise ValueError("reference half and its key must be set together")
         if self.reference_half is not None and self.reference_frame is None:
             raise ValueError("a reference half needs a reference frame")
+        if (self.reference_record is None) != (self.record_key is None):
+            raise ValueError("reference record and its key must be set together")
+        if self.reference_record is not None and self.reference_frame is None:
+            raise ValueError("a reference record needs a reference frame")
 
 
 @dataclass(frozen=True)
@@ -95,7 +118,10 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     returns a new list of the reference's stored boxes, calling neither
     ``decode`` nor ``nms``, when its anchors and thresholds equal the ones
     that made them; otherwise it decodes the reference map and stores the
-    result. The returned list is the caller's to change. A frame's shape is
+    result. A gated inferred frame records its forward and reuses the
+    state's record when its key is the reference, ``net`` and ``store``;
+    otherwise it infers in full. The returned list is the caller's to
+    change. A frame's shape is
     checked once, by the stage that uses it: ``motion_map`` against the
     reference's half, or ``forward`` against the network input when there
     is no reference or no policy. States are immutable, so the caller's
@@ -104,6 +130,7 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     reference, cmap = state.reference_frame, state.reference_map
     boxes, made_with = state.reference_boxes, state.reference_settings
     half, half_key = state.reference_half, state.half_key
+    record, record_key = state.reference_record, state.record_key
     gate_s = 0.0
     gap = state.frames_since_inference + 1
     if reference is None or policy is None:
@@ -123,7 +150,17 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     infer_s = 0.0
     if must_infer:
         t0 = time.perf_counter()
-        cmap = map_from_output(net, forward(net, store, frame.pixels))
+        if policy is None:
+            out = forward(net, store, frame.pixels)
+            record = record_key = None
+        else:
+            if record_key is None or any(
+                    a is not b for a, b in zip(record_key, (reference, net, store))):
+                record = None
+            made: list = []
+            out = forward(net, store, frame.pixels, record=made, reference=record)
+            record, record_key = tuple(made), (frame, net, store)
+        cmap = map_from_output(net, out)
         infer_s = time.perf_counter() - t0
         reference, gap, made_with = frame, 0, None
         half = half_key = None
@@ -138,7 +175,8 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     new_state = PipelineState(reference_frame=reference, reference_map=cmap,
                               frames_since_inference=gap, reference_boxes=boxes,
                               reference_settings=made_with, reference_half=half,
-                              half_key=half_key)
+                              half_key=half_key, reference_record=record,
+                              record_key=record_key)
     return list(boxes), must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
 
 

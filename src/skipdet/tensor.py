@@ -21,9 +21,12 @@ divided by 255 are finite by construction. The raw-array kernels below
 check nothing; their callers validate shapes once, at the boundary.
 
 Each kernel makes only the arrays its arithmetic needs. A convolution's
-columns are one copy of one strided window view of its padded input, and a
-2x2 max pool is two ``np.maximum`` passes, across columns and then across
-rows; ``tests/oracles.py`` also keeps a running-maximum pool, one pass per
+columns are one copy of one strided window view of its padded input, and
+its product runs in fixed bands of output rows, the fewest holding at least
+``BAND_OUTPUTS`` (256) outputs, one BLAS call each: a band's bits depend
+only on its own columns, so ``_conv2d_rows`` can recompute any run of
+bands alone with the bits of the whole conv. A 2x2 max pool is two
+``np.maximum`` passes, across columns and then across rows; ``tests/oracles.py`` also keeps a running-maximum pool, one pass per
 window position, as a reference. No kernel keeps a workspace across calls:
 a forward's transient columns are what lift glibc's dynamic mmap threshold
 above a streamed run's per-frame arrays, and buffers kept between frames
@@ -135,33 +138,89 @@ def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     xp = _pad_batch(x, pad)
     ho = conv_output_extent(x.shape[2], kh, stride, pad)
     wo = conv_output_extent(x.shape[3], kw, stride, pad)
-    # One read-only view [B,C,kh,kw,Ho,Wo] from the padded input's own
-    # strides, whatever its layout; its C-contiguous copy is the columns,
-    # and keeps the matmul below on the BLAS fast path.
+    # One view [B,C,kh,kw,Ho,Wo] over the padded input's buffer, made by the
+    # plain constructor in a seventh of ``as_strided``'s time; it needs one
+    # C-contiguous buffer, which every caller in the package passes. The
+    # view's C-contiguous copy is the columns, and keeps the matmul on the
+    # BLAS fast path.
+    if not xp.flags.c_contiguous:
+        xp = np.ascontiguousarray(xp)
     sb, sc, sy, sx = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (b, c, kh, kw, ho, wo), (sb, sc, sy, sx, sy * stride, sx * stride),
-        writeable=False)
+    win = np.ndarray((b, c, kh, kw, ho, wo), np.float32, xp, 0,
+                     (sb, sc, sy, sx, sy * stride, sx * stride))
     cols = np.ascontiguousarray(win)
     return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
+
+
+# The fewest outputs one matmul of a convolution computes; see _conv2d_batch.
+BAND_OUTPUTS = 256
+
+
+def band_rows(wo: int) -> int:
+    """Output rows in each matmul band of a convolution ``wo`` outputs wide."""
+    return -(-BAND_OUTPUTS // wo)
+
+
+def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
+                    out: np.ndarray, wo: int) -> None:
+    """``kernel @ cols + bias`` into ``out`` ([B,F,N]), one matmul per band
+    of ``band_rows(wo)`` output rows counted from the start of ``out``.
+
+    The whole bands go to one ``np.matmul`` over a [B, bands, ...] view,
+    which makes the same BLAS call per band as a loop would, for half the
+    time of a loop or of one call over all the columns at ``tiny``'s first
+    conv. Splitting the last axis of ``cols`` and ``out``, whose elements
+    are adjacent, always gives views.
+    """
+    b, f, n = out.shape
+    step = band_rows(wo) * wo
+    whole = n - n % step
+    if whole:
+        np.matmul(kernel, cols[..., :whole].reshape(b, -1, whole // step, step).swapaxes(1, 2),
+                  out=out[..., :whole].reshape(b, f, whole // step, step).swapaxes(1, 2))
+    if whole < n:
+        np.matmul(kernel, cols[..., whole:], out=out[..., whole:])
+    out += bias[None, :, None]
 
 
 def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                   stride: int, pad: int):
     """Batched cross-correlation on raw arrays; returns (out, cols).
 
-    ``x`` is [B,C,H,W], the result [B,F,Ho,Wo]. ``cols`` is returned so the
-    training engine can reuse it for the kernel gradient. For a 1x1 kernel
-    at stride 1 without padding ``cols`` is a view of ``x``, so a cached
-    ``cols`` stays valid only while nothing writes ``x``; the training
-    engine never writes a layer's input.
+    ``x`` is [B,C,H,W], the result [B,F,Ho,Wo]. The product runs in fixed
+    bands of output rows, one matmul each (``_banded_product``), so a
+    band's bits depend only on its own columns: ``_conv2d_rows`` recomputes
+    any run of whole bands alone with the same bits. The bits can differ
+    in the last place from one matmul over all the columns, as BLAS blocks
+    a longer product differently.
+
+    ``cols`` is returned so the training engine can reuse it for the kernel
+    gradient. For a 1x1 kernel at stride 1 without padding ``cols`` is a
+    view of ``x``, so a cached ``cols`` stays valid only while nothing
+    writes ``x``; the training engine never writes a layer's input.
     """
     b = x.shape[0]
     f, _, kh, kw = kernel.shape
     cols, ho, wo = _im2col_batch(x, kh, kw, stride, pad)
-    out = np.matmul(kernel.reshape(f, -1), cols)
-    out += bias[None, :, None]
+    out = np.empty((b, f, ho * wo), np.float32)
+    _banded_product(kernel.reshape(f, -1), cols, bias, out, wo)
     return out.reshape(b, f, ho, wo), cols
+
+
+def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                 stride: int, pad: int, out: np.ndarray, r0: int, r1: int) -> None:
+    """Output rows [r0, r1) of ``_conv2d_batch(x, ...)`` into ``out``
+    ([B,F,Ho,Wo], C-contiguous), with its bits when ``r0`` is a band edge
+    and ``r1`` a band edge or Ho. Only the input rows they see are read."""
+    b, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh
+    lo, hi = max(top, 0), min(bottom, h)
+    rows = np.zeros((b, c, bottom - top, w + 2 * pad), np.float32)
+    rows[:, :, lo - top:hi - top, pad:pad + w] = x[:, :, lo:hi]
+    cols, _, wo = _im2col_batch(rows, kh, kw, stride, 0)
+    _banded_product(kernel.reshape(f, -1), cols, bias,
+                    out.reshape(b, f, -1)[..., r0 * wo:r1 * wo], wo)
 
 
 def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,

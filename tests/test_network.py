@@ -5,12 +5,12 @@ import textwrap
 import numpy as np
 import pytest
 
-from skipdet import network
+from skipdet import network, zoo
 from skipdet.detector import OBJECTNESS_BIAS_INIT
 from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
 from skipdet.network import (TrainConfig, TrainingDivergence, _backward_batch, _forward_batch,
                              evaluate_loss, forward, init_weights, loss_gradients, train_sgd)
-from skipdet.tensor import POINTWISE_FNS, ShapeError, Tensor
+from skipdet.tensor import POINTWISE_FNS, ShapeError, Tensor, band_rows
 
 import faults
 import oracles
@@ -516,3 +516,124 @@ class TestGradients:
         fd = oracles.fd_loss_gradients(net, weights_map(store, net.conv_indices()),
                                        [(x.data, t.data)], "squared-error", step=1e-3)
         assert oracles.max_relative_error(analytic, fd) < 1e-2
+
+
+def banded_nets():
+    """Nets whose convs span several matmul bands: kernels 1, 2, 3 and 5,
+    stride 2, pad 0 to 2, odd extents, pools and pointwise layers, and a
+    stride-2 1x1 conv that sees only every other row."""
+    return {
+        "kernels": NetworkDescriptor("kernels", (2, 41, 19), (
+            LayerSpec.conv(2, 3, 5, pad=2, activation="leaky", alpha=0.1),
+            LayerSpec.conv(3, 4, 2, activation="tanh"),
+            LayerSpec.maxpool2(),
+            LayerSpec.pointwise("sigmoid"),
+            LayerSpec.conv(4, 3, 3, stride=2, pad=1, activation="sigmoid"),
+            LayerSpec.conv(3, 2, 1, activation="linear"),
+        )),
+        "strided": NetworkDescriptor("strided", (3, 130, 9), (
+            LayerSpec.pointwise("abs"),
+            LayerSpec.conv(3, 4, 3, stride=2, pad=2, activation="leaky", alpha=1.5),
+            LayerSpec.conv(4, 3, 1, stride=2, pad=1, activation="leaky", alpha=0.0),
+            LayerSpec.conv(3, 2, 3, stride=2, pad=0, activation="linear"),
+        )),
+        "odd": NetworkDescriptor("odd", (1, 45, 23), (
+            LayerSpec.conv(1, 2, 3, pad=1, activation="leaky", alpha=0.1),
+            LayerSpec.pointwise("clamp01"),
+            LayerSpec.conv(2, 3, 5, activation="tanh"),
+            LayerSpec.conv(3, 2, 2, stride=2, pad=1, activation="leaky", alpha=0.1),
+        )),
+    }
+
+
+REUSE_NETS = {"tiny": zoo.load_bundled("tiny"), **oracle_nets(), **banded_nets()}
+
+
+def first_band_edge(net):
+    """An input row seen by both sides of the first conv's first band edge
+    (row 0 when its output is one band)."""
+    conv = next(layer for layer in net.layers if layer.kind == "conv")
+    rows = band_rows(net.layer_shapes()[net.layers.index(conv)][2])
+    return min(max(rows * conv.stride - conv.pad, 0), net.input_shape[1] - 1)
+
+
+class TestReferenceReuse:
+    """``forward(..., reference=r)`` has the bits of a full forward, and so
+    has every array it records, whichever input rows changed."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(np.asarray(a).view(np.uint32),
+                                                     np.asarray(b).view(np.uint32))
+
+    def check(self, net, store, before, after):
+        reference, got, want = [], [], []
+        forward(net, store, Tensor(before), record=reference)
+        kept = [r.tobytes() for r in reference]
+        out = forward(net, store, Tensor(after), record=got, reference=reference)
+        full = forward(net, store, Tensor(after), record=want)
+        assert self.same_bits(out.data, full.data)
+        assert len(got) == len(net.layers) + 1
+        assert all(self.same_bits(g, w) for g, w in zip(got, want))
+        assert all(not r.flags.writeable for r in got)
+        assert [r.tobytes() for r in reference] == kept
+        return out, reference
+
+    @pytest.mark.parametrize("change", ["none", "all", "first", "last", "middle", "band-edge"])
+    @pytest.mark.parametrize("name", list(REUSE_NETS))
+    def test_changed_rows(self, name, change):
+        net = REUSE_NETS[name]
+        store = init_weights(net, 5)
+        rng = np.random.default_rng(len(name))
+        before = rng.normal(size=net.input_shape).astype(np.float32)
+        after = before.copy()
+        h = net.input_shape[1]
+        rows = {"none": [], "all": range(h), "first": [0], "last": [h - 1],
+                "middle": [h // 2], "band-edge": [first_band_edge(net)]}[change]
+        for row in rows:
+            after[:, row, int(rng.integers(net.input_shape[2]))] += np.float32(0.5)
+        out, reference = self.check(net, store, before, after)
+        if change == "none":
+            assert np.shares_memory(out.data, reference[-1])
+
+    @pytest.mark.parametrize("name", ["pointwise-first", "tiny"])
+    def test_a_signed_zero_counts_as_changed(self, name):
+        net = REUSE_NETS[name]
+        store = init_weights(net, 1)
+        before = np.random.default_rng(2).random(net.input_shape, dtype=np.float32)
+        before[0, 3, 4] = 0.0
+        after = before.copy()
+        after[0, 3, 4] = -0.0
+        assert network._changed_rows(after[None], before[None]) == [(3, 4)]
+        self.check(net, store, before, after)
+
+    def test_rows_seen(self):
+        conv = LayerSpec.conv(1, 1, 3, pad=1)
+        # bands of 3 rows at width 96: rows 49-51 see row 50
+        assert network._rows_seen(conv, [(50, 51)], (1, 1, 96, 96)) == [(48, 54)]
+        assert network._rows_seen(conv, [(0, 1), (5, 6)], (1, 1, 96, 96)) == [(0, 9)]
+        assert network._rows_seen(conv, [(95, 96)], (1, 1, 96, 96)) == [(93, 96)]
+        assert network._rows_seen(LayerSpec.maxpool2(), [(3, 4), (5, 9)], (1, 1, 6, 6)) == [
+            (1, 5)]
+        # output row r of a 1x1 conv at stride 2, pad 1 sees input row 2r - 1 only
+        skip = LayerSpec.conv(1, 1, 1, stride=2, pad=1)
+        assert network._rows_seen(skip, [(4, 5)], (1, 1, 5, 5)) == []
+        assert network._rows_seen(skip, [(5, 6)], (1, 1, 5, 5)) == [(0, 5)]
+        assert network._rows_seen(LayerSpec.pointwise("abs"), [(2, 3)], (1, 1, 4, 4)) == [
+            (2, 3)]
+
+    def test_reference_of_another_network_is_rejected(self):
+        net, other = REUSE_NETS["tiny"], mini_tiny()
+        record = []
+        forward(other, init_weights(other, 0), Tensor.zeros(other.input_shape), record=record)
+        with pytest.raises(ShapeError, match="reference record"):
+            forward(net, init_weights(net, 0), Tensor.zeros(net.input_shape), reference=record)
+
+
+def mini_tiny():
+    """``tiny``'s input and layer count with other layer shapes."""
+    tiny = zoo.load_bundled("tiny")
+    layers = list(tiny.layers)
+    layers[0] = LayerSpec.conv(3, 4, 3, pad=1, activation="leaky", alpha=0.1)
+    layers[2] = LayerSpec.conv(4, 16, 3, pad=1, activation="leaky", alpha=0.1)
+    return NetworkDescriptor("mini-tiny", tiny.input_shape, tuple(layers))

@@ -220,7 +220,7 @@ class TestRun:
         net, store = net_and_store
         frames = scene_frames(3, seed=9)
 
-        def failing_forward(net, store, x):
+        def failing_forward(net, store, x, **record):
             raise error("forward produced non-finite values")
 
         monkeypatch.setattr("skipdet.pipeline.forward", failing_forward)
@@ -495,6 +495,70 @@ class TestReferenceHalf:
         assert gate["halves"] == 2
 
 
+class TestReferenceRecord:
+    """A gated inferred frame records its forward, and the next one reuses
+    that record when it comes from the same reference, network and store."""
+
+    @pytest.fixture
+    def references(self, monkeypatch):
+        seen = []
+
+        def spy(net, store, x, **record):
+            seen.append(record.get("reference", "no keywords"))
+            return forward(net, store, x, **record)
+
+        monkeypatch.setattr(pipeline, "forward", spy)
+        return seen
+
+    @staticmethod
+    def assert_fresh(state, net, store, frame):
+        want = forward(net, store, frame.pixels).data
+        assert np.array_equal(state.reference_map.values.data.view(np.uint32),
+                              want.view(np.uint32))
+
+    def test_moving_stream_reuses_each_record(self, net_and_store, references):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3)
+        state, records = PipelineState(), []
+        for frame in scene_frames(5, seed=6):
+            _, did_infer, state, _ = process_frame(
+                state, frame, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+            assert did_infer and state.record_key == (frame, net, store)
+            assert all(not r.flags.writeable for r in state.reference_record)
+            self.assert_fresh(state, net, store, frame)
+            records.append(state.reference_record)
+        assert references[0] is None
+        assert all(got is want for got, want in zip(references[1:], records))
+
+    def test_no_policy_never_records(self, net_and_store, references):
+        net, store = net_and_store
+        state = PipelineState()
+        for frame in scene_frames(3, seed=6):
+            _, _, state, _ = process_frame(state, frame, None, net, store, ANCHORS,
+                                           OBJ_THR, NMS_THR)
+            assert state.reference_record is None and state.record_key is None
+        assert references == ["no keywords"] * 3
+
+    @pytest.mark.parametrize("other", ["store", "network", "reference"])
+    def test_a_record_made_otherwise_is_not_reused(self, net_and_store, references, other):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3)
+        f1, f2, f3 = scene_frames(3, seed=7)
+        _, _, state, _ = process_frame(
+            PipelineState(), f1, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        if other == "store":
+            store = init_weights(net, seed=22)
+        elif other == "network":
+            net = mini_net()  # equal in value, but another object
+        else:
+            state = dataclasses.replace(state, reference_frame=f2)
+        _, did_infer, state, _ = process_frame(
+            state, f3, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+        assert did_infer and references == [None, None]
+        assert state.record_key == (f3, net, store)
+        self.assert_fresh(state, net, store, f3)
+
+
 class TestPipelineState:
     def test_reference_pair_invariant(self):
         with pytest.raises(ValueError, match="together"):
@@ -507,6 +571,18 @@ class TestPipelineState:
             PipelineState(reference_half=half)
         with pytest.raises(ValueError, match="needs a reference frame"):
             PipelineState(reference_half=half, half_key=(f, b""))
+
+    def test_record_needs_its_key_and_a_reference(self, net_and_store):
+        net, store = net_and_store
+        f = scene_frames(1, seed=0)[0]
+        record = []
+        forward(net, store, f.pixels, record=record)
+        with pytest.raises(ValueError, match="record and its key must be set together"):
+            PipelineState(reference_record=tuple(record))
+        with pytest.raises(ValueError, match="record and its key must be set together"):
+            PipelineState(record_key=(f, net, store))
+        with pytest.raises(ValueError, match="record needs a reference frame"):
+            PipelineState(reference_record=tuple(record), record_key=(f, net, store))
 
 
 class TestTraceWrapPoints:

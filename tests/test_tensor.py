@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _col2im_batch, _conv2d_batch,
-                            _im2col_batch, _maxpool2_backward, _maxpool2_batch,
-                            _pointwise_grad, _pointwise_raw, _sigmoid, conv2d, maxpool2,
-                            pointwise, tensor)
+from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _banded_product, _col2im_batch,
+                            _conv2d_batch, _conv2d_rows, _im2col_batch, _maxpool2_backward,
+                            _maxpool2_batch, _pointwise_grad, _pointwise_raw, _sigmoid,
+                            band_rows, conv2d, maxpool2, pointwise, tensor)
 
 import oracles
 
@@ -354,3 +354,49 @@ class TestSigmoidMatchesEarlierKernel:
         assert_same_bits(got[:2], np.float32([0.5, 0.5]))
         assert (got[x > 88] == 1).all() and (got[x <= -69.1] == 0).all()
         assert 0 < got[x == -69.0][0] < 1e-29
+
+
+class TestBands:
+    """A conv's product runs in fixed bands of output rows, so that a run of
+    bands recomputed alone has the bits of the whole call."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_band_alone_equals_the_banded_call(self, seed):
+        # The BLAS fact the reuse rests on: a band's bits depend on its own
+        # columns and shape only, not on where its buffers sit or their
+        # leading dimension. (One call over all the columns may differ.)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            f, k = int(rng.integers(1, 65)), int(rng.integers(1, 200))
+            ho, wo = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+            kernel = rng.normal(size=(f, k)).astype(np.float32)
+            cols = rng.normal(size=(1, k, ho * wo)).astype(np.float32)
+            out = np.empty((1, f, ho * wo), np.float32)
+            _banded_product(kernel, cols, np.zeros(f, np.float32), out, wo)
+            rows = band_rows(wo)
+            r0 = rows * int(rng.integers(-(-ho // rows)))
+            c0, c1 = r0 * wo, min(r0 + rows, ho) * wo
+            lead = c1 - c0 + int(rng.integers(1, 9))
+            fresh = np.empty(k * lead + 1, np.float32)[1:].reshape(k, lead)[:, :c1 - c0]
+            fresh[...] = cols[0, :, c0:c1]
+            got = np.empty(f * lead + 1, np.float32)[1:].reshape(f, lead)[:, :c1 - c0]
+            np.matmul(kernel, fresh, out=got)
+            assert_same_bits(got, out[0, :, c0:c1])
+
+    @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 1), (2, 1, 0), (3, 1, 1),
+                                              (3, 2, 2), (5, 1, 2), (5, 2, 0)])
+    def test_rows_equal_the_whole_conv(self, k, stride, pad):
+        rng = np.random.default_rng(k * 10 + stride + pad)
+        x = rng.normal(size=(1, 3, 121, 17)).astype(np.float32)
+        kernel = rng.normal(size=(4, 3, k, k)).astype(np.float32)
+        bias = rng.normal(size=4).astype(np.float32)
+        whole, _ = _conv2d_batch(x, kernel, bias, stride, pad)
+        ho, wo = whole.shape[2:]
+        rows = band_rows(wo)
+        assert -(-ho // rows) > 1  # several bands
+        for r0 in range(0, ho, rows):
+            for r1 in {min(r0 + rows, ho), ho}:
+                out = np.full_like(whole, np.nan)
+                _conv2d_rows(x, kernel, bias, stride, pad, out, r0, r1)
+                assert_same_bits(out[:, :, r0:r1], whole[:, :, r0:r1])
+                assert np.isnan(out[:, :, :r0]).all() and np.isnan(out[:, :, r1:]).all()

@@ -23,7 +23,8 @@ def test_identity_tree_against_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     verdicts = proc.stdout.splitlines()[:-1]
     assert len(verdicts) >= 15 and all(line.startswith("same ") for line in verdicts)
-    assert {"detect-init-0.txt", "forward-init.txt", "run-gated-init-0.json"} <= {
+    assert {"detect-init-0.txt", "forward-init.txt", "gated-map-init.txt",
+            "run-gated-init-0.json"} <= {
         line.split()[-1] for line in verdicts}
 
 
@@ -71,3 +72,55 @@ def test_identity_masks_timing_and_nothing_else(tmp_path):
         ("same", "stdout/run.txt"),
         ("only there", "theirs.txt"),
     ]
+
+
+def canned_run(seed, p50, rss, correct=True):
+    """A benchmark run's printed output, cut to the lines the pairing reads."""
+    env = {"python": "3.11", "numpy": "2.0", "blas_threads": "1", "seed": seed,
+           "workload": "motion-gated", "run_seconds": 30, "trace": 0}
+    doc = {"correct": correct, "attempted": 100, "failed": 0 if correct else 1,
+           "metrics": {"frame_p50_ms": {"value": p50, "unit": "ms"},
+                       "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return f"reference {{}}\nenv {json.dumps(env)}\nmetric frame_p50_ms = {p50} ms\n{json.dumps(doc)}\n"
+
+
+def test_pairs_summarise_canned_runs():
+    pairs = load_tool("pairs")
+    benchmark = {"end_to_end": [{"name": "frame_p50_ms", "better": "lower", "bound": 0.2},
+                                {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    parent_p50 = [0.80, 0.78, 0.79, 0.81, 0.77, 0.80, 0.79, 0.82, 0.78, 0.80]
+    change_p50 = [0.60, 0.62, 0.61, 0.59, 0.80, 0.60, 0.61, 0.62, 0.60, 0.58]
+    runs, env = [], None
+    for i, (p, c) in enumerate(zip(parent_p50, change_p50)):
+        parent, env = pairs.parse_run(canned_run(100 + i, p, 52.0))
+        change, _ = pairs.parse_run(canned_run(100 + i, c, 52.0 + 6 * (i == 3)))
+        runs.append({"seed": 100 + i, "order": ("parent first", "change first")[i % 2],
+                     "parent": parent, "change": change})
+    assert env == {"python": "3.11", "numpy": "2.0", "blas_threads": "1", "run_seconds": 30,
+                   "trace": 0}
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 30, 0,
+                          ("motion-gated", "frame_p50_ms"), env)
+    workload = doc["final"]["workloads"]["motion-gated"]
+    assert workload["seeds"] == list(range(100, 110)) and workload["all_correct"]
+    assert workload["attempted_ops"] == {"parent": 1000, "change": 1000}
+    p50 = workload["metrics"]["frame_p50_ms"]
+    assert p50["parent"]["median"] == 0.795 and p50["change"]["median"] == 0.605
+    assert p50["parent"]["q1"] == 0.7825 and p50["parent"]["q3"] == 0.8  # as np.percentile
+    assert p50["change_wins"] == 9  # the tie at 0.80 counts for neither side
+    assert p50["within_bound"] and p50["relative_worsening"] == round(0.605 / 0.795 - 1, 4)
+    claim = doc["claim"]
+    assert claim["met"] and claim["median_gap"] == 0.19 and claim["pairs"] == 10
+    assert claim["parent_quartile_distance"] == 0.0175
+    rss = workload["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 0 and rss["within_bound"] and doc["no_regression"]["held"]
+
+    runs[0]["change"]["correct"] = False
+    runs[0]["change"]["metrics"]["peak_rss_mb"]["value"] = 99.0
+    for pair in runs[1:6]:
+        pair["change"]["metrics"]["peak_rss_mb"]["value"] = 60.0
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 30, 0,
+                          ("motion-gated", "peak_rss_mb"))
+    workload = doc["final"]["workloads"]["motion-gated"]
+    assert not workload["all_correct"]
+    assert not workload["metrics"]["peak_rss_mb"]["within_bound"]
+    assert not doc["no_regression"]["held"] and not doc["claim"]["met"]

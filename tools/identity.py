@@ -17,6 +17,11 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   lineage at gamma 0.74 from that FNET, both scored at ``obj_threshold``
   0.1 (at 0.4 this brief training finds no box, and both scores read 0);
 - a SHA-256 digest of each frame's ``network.forward`` output per FNET;
+- per FNET, each frame's inference bit and a SHA-256 digest of its raw map
+  from a gated ``pipeline.process_frame`` stream (the CLI's default gate),
+  whose inferred frames reuse the reference's activations; the forward
+  digests cover only full forwards, and detection files print rounded
+  values;
 - each command's exit code and printed output.
 
 ``--quick`` keeps a 6-frame clip, the init FNET and ``obj_threshold`` 0.
@@ -57,7 +62,8 @@ def produce(quick: bool) -> None:
     """Write the output set into the working directory, with relative paths,
     so that the echoed configs are the same in both trees."""
     import numpy as np
-    from skipdet import cli, netdef, network, ppm, zoo
+    from skipdet import cli, detector, netdef, network, pipeline, ppm, zoo
+    from skipdet.motion import GatingPolicy
 
     Path("stdout").mkdir()
 
@@ -92,6 +98,15 @@ def produce(quick: bool) -> None:
             for frame in ppm.load_frames("clip"):
                 out = np.ascontiguousarray(network.forward(net, store, frame.pixels).data)
                 digests.write(f"{frame.index} {hashlib.sha256(out).hexdigest()}\n")
+        state, policy = pipeline.PipelineState(), GatingPolicy.default(net.input_shape[0])
+        anchors = [detector.AnchorPrior(0.9, 0.9), detector.AnchorPrior(1.8, 1.8)]
+        with Path(f"gated-map-{tag}.txt").open("w") as digests:
+            for frame in ppm.load_frames("clip"):
+                _, inferred, state, _ = pipeline.process_frame(
+                    state, frame, policy, net, store, anchors, 0.4, 0.5)
+                out = np.ascontiguousarray(state.reference_map.values.data)
+                digests.write(f"{frame.index} {int(inferred)} "
+                              f"{hashlib.sha256(out).hexdigest()}\n")
     if not quick:
         call("evolve", "evolve", network="trained.fnet", out="lineage", gamma=0.74,
              generations=1, frames=48, holdout=24, epochs=3, obj_threshold=0.1)
