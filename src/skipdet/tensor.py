@@ -139,10 +139,10 @@ def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     ho = conv_output_extent(x.shape[2], kh, stride, pad)
     wo = conv_output_extent(x.shape[3], kw, stride, pad)
     # One view [B,C,kh,kw,Ho,Wo] over the padded input's buffer, made by the
-    # plain constructor in a seventh of ``as_strided``'s time; it needs one
-    # C-contiguous buffer, which every caller in the package passes. The
-    # view's C-contiguous copy is the columns, and keeps the matmul on the
-    # BLAS fast path.
+    # plain constructor in a seventh of ``as_strided``'s time. It needs one
+    # C-contiguous buffer, so another layout is copied first (no caller in
+    # the package passes one). The view's C-contiguous copy is the columns,
+    # and keeps the matmul on the BLAS fast path.
     if not xp.flags.c_contiguous:
         xp = np.ascontiguousarray(xp)
     sb, sc, sy, sx = xp.strides
