@@ -39,7 +39,6 @@ from .tensor import (
     _maxpool2_batch,
     _pointwise_grad,
     _pointwise_raw,
-    band_rows,
 )
 
 __all__ = [
@@ -181,18 +180,18 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
 
 def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
     """The runs ``[a, b)`` of a layer's output rows that can see an input
-    row in ``runs``, merged: a conv's window rows widened to its matmul
-    bands, a pool's halved, any other layer's kept."""
+    row in ``runs``, merged: a conv's window rows, a pool's halved, any
+    other layer's kept. A conv also rewrites the rest of the matmul bands
+    these touch (``_conv2d_rows``), with the bits they already had."""
     if layer.kind == "maxpool2":
         seen = [(a // 2, (b + 1) // 2) for a, b in runs]
     elif layer.kind == "conv":
-        s, p, k = layer.stride, layer.pad, layer.kernel_size
-        ho, band = out_shape[2], band_rows(out_shape[3])
+        s, p, k, ho = layer.stride, layer.pad, layer.kernel_size, out_shape[2]
         seen = []
         for a, b in runs:
             lo, hi = max(-(-(a + p - k + 1) // s), 0), min((b - 1 + p) // s + 1, ho)
             if lo < hi:
-                seen.append((lo // band * band, min(-(-hi // band) * band, ho)))
+                seen.append((lo, hi))
     else:
         return runs
     merged: list = []
@@ -205,18 +204,21 @@ def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
 
 
 def _layer_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
-                out: np.ndarray, r0: int, r1: int) -> None:
-    """Rows [r0, r1) of layer i's output, activation included, into ``out``,
-    with the bits ``_forward_batch`` gives them."""
+                out: np.ndarray, runs: list) -> None:
+    """The rows in ``runs`` of layer i's output, activation included, into
+    ``out``, with the bits ``_forward_batch`` gives them; a conv writes
+    the whole matmul bands they touch."""
     fn = _activation(layer)
     if layer.kind == "conv":
-        _conv2d_rows(x, *weights[i], layer.stride, layer.pad, out, r0, r1)
-        if fn is not None:
-            _pointwise_raw(out[:, :, r0:r1], fn, layer.alpha, in_place=True)
-    elif layer.kind == "maxpool2":
-        out[:, :, r0:r1] = _maxpool2_batch(x[:, :, 2 * r0:2 * r1])
-    elif layer.kind == "pointwise":
-        out[:, :, r0:r1] = _pointwise_raw(x[:, :, r0:r1], fn, layer.alpha)
+        for r0, r1 in _conv2d_rows(x, *weights[i], layer.stride, layer.pad, out, runs):
+            if fn is not None:
+                _pointwise_raw(out[:, :, r0:r1], fn, layer.alpha, in_place=True)
+        return
+    for r0, r1 in runs:
+        if layer.kind == "maxpool2":
+            out[:, :, r0:r1] = _maxpool2_batch(x[:, :, 2 * r0:2 * r1])
+        elif layer.kind == "pointwise":
+            out[:, :, r0:r1] = _pointwise_raw(x[:, :, r0:r1], fn, layer.alpha)
 
 
 def _changed_rows(x: np.ndarray, was: np.ndarray) -> list:
@@ -252,8 +254,7 @@ def _reusing_forward(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
                 out = _infer_layer(layer, weights, i, out)
             else:
                 x, out = out, was.copy()
-                for r0, r1 in runs:
-                    _layer_rows(layer, weights, i, x, out, r0, r1)
+                _layer_rows(layer, weights, i, x, out, runs)
         out.flags.writeable = False
         record.append(out)
     return out
@@ -276,15 +277,16 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
     [1,C,H,W] arrays; the returned tensor views the last. Passing an
     earlier call's record as ``reference`` reuses it: a layer copies every
     output row that cannot see an input row whose bits differ from the
-    recorded input's, and recomputes only the rest (a conv's window rows
-    widened to its matmul bands, halved by a pool, kept by a pointwise
-    layer), so the output has the bits of a full forward. With no changed
+    recorded input's, and recomputes only the rest (a conv's window rows,
+    halved by a pool, kept by a pointwise layer; a conv writes the whole
+    matmul bands those rows touch, and the band's other rows keep their
+    bits), so the output has the bits of a full forward. With no changed
     row it returns the recorded output. Rows count as unchanged only when
-    their bits are equal, which holds for noise-free content and for the
-    static regions of decoded compressed video; a noisy frame changes every
-    row and pays a full forward plus one compare. The reference must come
-    from the same ``net`` and ``store``; only its shapes are checked. A
-    ``tiny`` record holds about 0.7 MB besides its input.
+    their bits are equal, as in the noise-free clips the benchmark streams.
+    Noise in every row makes every layer recompute in full after the
+    compare; what that costs has not been measured. The reference must
+    come from the same ``net`` and ``store``; only its shapes are checked.
+    A ``tiny`` record holds about 0.7 MB besides its input.
     """
     store.validate_for(net)
     if x.shape != net.input_shape:

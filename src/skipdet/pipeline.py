@@ -27,13 +27,14 @@ state keeps the reference's forward record (``network.forward``'s
 ``record``: its input and every layer's output, read-only), keyed on the
 reference frame, ``net`` and ``store``, all by identity. The next inferred
 frame passes it as ``reference`` when the key matches, and the forward
-recomputes only the conv row bands its changed rows reach, with the bits
-of a full forward. Rows count as unchanged only when their bits are equal:
-noise-free content and the static regions of decoded compressed video
-gain, while a noisy frame changes every row and pays a full forward plus
-one compare (about 10 us for ``tiny``). A record is made on every gated
-inferred frame and holds about 0.7 MB for ``tiny``, growing with the
-network's activations.
+recomputes only the rows its changed rows reach (whole matmul bands at a
+conv), with the bits of a full forward. Rows count as unchanged only when
+their bits are equal, as in the noise-free clips the benchmark streams.
+A frame with noise in every row recomputes every layer after the compare
+and keeps all its activations for the record; what that costs end to end
+has not been measured, as no benchmark workload streams such frames. A
+record is made on every gated inferred frame and holds about 0.7 MB for
+``tiny``, growing with the network's activations.
 
 ``policy=None`` infers every frame in full, calls no gate function and
 keeps no record; it is the one detection path, which the CLI's ``detect``

@@ -24,8 +24,8 @@ Each kernel makes only the arrays its arithmetic needs. A convolution's
 columns are one copy of one strided window view of its padded input, and
 its product runs in fixed bands of output rows, the fewest holding at least
 ``BAND_OUTPUTS`` (256) outputs, one BLAS call each: a band's bits depend
-only on its own columns, so ``_conv2d_rows`` can recompute any run of
-bands alone with the bits of the whole conv. A 2x2 max pool is two
+only on its own columns, so ``_conv2d_rows`` can recompute any rows,
+widened to their bands, alone with the bits of the whole conv. A 2x2 max pool is two
 ``np.maximum`` passes, across columns and then across rows; ``tests/oracles.py`` also keeps a running-maximum pool, one pass per
 window position, as a reference. No kernel keeps a workspace across calls:
 a forward's transient columns are what lift glibc's dynamic mmap threshold
@@ -161,26 +161,34 @@ def band_rows(wo: int) -> int:
     return -(-BAND_OUTPUTS // wo)
 
 
-def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
-                    out: np.ndarray, wo: int) -> None:
-    """``kernel @ cols + bias`` into ``out`` ([B,F,N]), one matmul per band
-    of ``band_rows(wo)`` output rows counted from the start of ``out``.
+def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray, wo: int,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``kernel @ cols + bias`` ([B,F,N]) into ``out``, or a new array when
+    it is None, one matmul per band of ``band_rows(wo)`` output rows counted
+    from the start of ``out``; returns the result.
 
-    The whole bands go to one ``np.matmul`` over a [B, bands, ...] view,
-    which makes the same BLAS call per band as a loop would, for half the
-    time of a loop or of one call over all the columns at ``tiny``'s first
-    conv. Splitting the last axis of ``cols`` and ``out``, whose elements
-    are adjacent, always gives views.
+    A product of one band or less is one plain ``np.matmul``. Otherwise the
+    whole bands go to one ``np.matmul`` over a [B, bands, ...] view, which
+    makes the same BLAS call per band as a loop would, for half the time of
+    a loop or of one call over all the columns at ``tiny``'s first conv.
+    Splitting the last axis of ``cols`` and ``out``, whose elements are
+    adjacent, always gives views.
     """
-    b, f, n = out.shape
+    b, n = cols.shape[0], cols.shape[-1]
+    f = kernel.shape[0]
     step = band_rows(wo) * wo
-    whole = n - n % step
-    if whole:
+    if n <= step:
+        out = np.matmul(kernel, cols, out=out)
+    else:
+        if out is None:
+            out = np.empty((b, f, n), np.float32)
+        whole = n - n % step
         np.matmul(kernel, cols[..., :whole].reshape(b, -1, whole // step, step).swapaxes(1, 2),
                   out=out[..., :whole].reshape(b, f, whole // step, step).swapaxes(1, 2))
-    if whole < n:
-        np.matmul(kernel, cols[..., whole:], out=out[..., whole:])
+        if whole < n:
+            np.matmul(kernel, cols[..., whole:], out=out[..., whole:])
     out += bias[None, :, None]
+    return out
 
 
 def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
@@ -190,7 +198,7 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     ``x`` is [B,C,H,W], the result [B,F,Ho,Wo]. The product runs in fixed
     bands of output rows, one matmul each (``_banded_product``), so a
     band's bits depend only on its own columns: ``_conv2d_rows`` recomputes
-    any run of whole bands alone with the same bits. The bits can differ
+    whole bands alone with the same bits. The bits can differ
     in the last place from one matmul over all the columns, as BLAS blocks
     a longer product differently.
 
@@ -202,25 +210,44 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     b = x.shape[0]
     f, _, kh, kw = kernel.shape
     cols, ho, wo = _im2col_batch(x, kh, kw, stride, pad)
-    out = np.empty((b, f, ho * wo), np.float32)
-    _banded_product(kernel.reshape(f, -1), cols, bias, out, wo)
+    out = _banded_product(kernel.reshape(f, -1), cols, bias, wo)
     return out.reshape(b, f, ho, wo), cols
 
 
 def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                 stride: int, pad: int, out: np.ndarray, r0: int, r1: int) -> None:
-    """Output rows [r0, r1) of ``_conv2d_batch(x, ...)`` into ``out``
-    ([B,F,Ho,Wo], C-contiguous), with its bits when ``r0`` is a band edge
-    and ``r1`` a band edge or Ho. Only the input rows they see are read."""
+                 stride: int, pad: int, out: np.ndarray, runs: Sequence) -> list:
+    """The output rows in ``runs`` (ascending ``[r0, r1)`` pairs) of
+    ``_conv2d_batch(x, ...)`` into ``out`` ([B,F,Ho,Wo], C-contiguous), with
+    its bits; returns the runs written.
+
+    Each run is widened to the edges of the matmul bands it touches, and
+    runs that then meet are merged, so every band is one matmul of the
+    whole conv's shape. A row written only because it shares a band with
+    a run gets the bits the whole conv gives it, so where ``out`` already
+    held them, as a copy of an earlier call whose inputs there were the
+    same, it does not change. Only the input rows the written runs see are
+    read.
+    """
     b, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
-    top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh
-    lo, hi = max(top, 0), min(bottom, h)
-    rows = np.zeros((b, c, bottom - top, w + 2 * pad), np.float32)
-    rows[:, :, lo - top:hi - top, pad:pad + w] = x[:, :, lo:hi]
-    cols, _, wo = _im2col_batch(rows, kh, kw, stride, 0)
-    _banded_product(kernel.reshape(f, -1), cols, bias,
-                    out.reshape(b, f, -1)[..., r0 * wo:r1 * wo], wo)
+    ho, wo = out.shape[2:]
+    band = band_rows(wo)
+    written: list = []
+    for a, z in runs:
+        r0, r1 = a // band * band, min(-(-z // band) * band, ho)
+        if written and r0 <= written[-1][1]:
+            written[-1] = (written[-1][0], max(r1, written[-1][1]))
+        else:
+            written.append((r0, r1))
+    for r0, r1 in written:
+        top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh
+        lo, hi = max(top, 0), min(bottom, h)
+        rows = np.zeros((b, c, bottom - top, w + 2 * pad), np.float32)
+        rows[:, :, lo - top:hi - top, pad:pad + w] = x[:, :, lo:hi]
+        cols, _, _ = _im2col_batch(rows, kh, kw, stride, 0)
+        _banded_product(kernel.reshape(f, -1), cols, bias, wo,
+                        out.reshape(b, f, -1)[..., r0 * wo:r1 * wo])
+    return written
 
 
 def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,

@@ -609,16 +609,17 @@ class TestReferenceReuse:
 
     def test_rows_seen(self):
         conv = LayerSpec.conv(1, 1, 3, pad=1)
-        # bands of 3 rows at width 96: rows 49-51 see row 50
-        assert network._rows_seen(conv, [(50, 51)], (1, 1, 96, 96)) == [(48, 54)]
-        assert network._rows_seen(conv, [(0, 1), (5, 6)], (1, 1, 96, 96)) == [(0, 9)]
-        assert network._rows_seen(conv, [(95, 96)], (1, 1, 96, 96)) == [(93, 96)]
+        # rows 49-51 see row 50; the matmul bands they share are not counted
+        assert network._rows_seen(conv, [(50, 51)], (1, 1, 96, 96)) == [(49, 52)]
+        assert network._rows_seen(conv, [(0, 1), (5, 6)], (1, 1, 96, 96)) == [(0, 2), (4, 7)]
+        assert network._rows_seen(conv, [(0, 1), (3, 4)], (1, 1, 96, 96)) == [(0, 5)]
+        assert network._rows_seen(conv, [(95, 96)], (1, 1, 96, 96)) == [(94, 96)]
         assert network._rows_seen(LayerSpec.maxpool2(), [(3, 4), (5, 9)], (1, 1, 6, 6)) == [
             (1, 5)]
         # output row r of a 1x1 conv at stride 2, pad 1 sees input row 2r - 1 only
         skip = LayerSpec.conv(1, 1, 1, stride=2, pad=1)
         assert network._rows_seen(skip, [(4, 5)], (1, 1, 5, 5)) == []
-        assert network._rows_seen(skip, [(5, 6)], (1, 1, 5, 5)) == [(0, 5)]
+        assert network._rows_seen(skip, [(5, 6)], (1, 1, 5, 5)) == [(3, 4)]
         assert network._rows_seen(LayerSpec.pointwise("abs"), [(2, 3)], (1, 1, 4, 4)) == [
             (2, 3)]
 

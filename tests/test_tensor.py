@@ -372,7 +372,7 @@ class TestBands:
             kernel = rng.normal(size=(f, k)).astype(np.float32)
             cols = rng.normal(size=(1, k, ho * wo)).astype(np.float32)
             out = np.empty((1, f, ho * wo), np.float32)
-            _banded_product(kernel, cols, np.zeros(f, np.float32), out, wo)
+            _banded_product(kernel, cols, np.zeros(f, np.float32), wo, out)
             rows = band_rows(wo)
             r0 = rows * int(rng.integers(-(-ho // rows)))
             c0, c1 = r0 * wo, min(r0 + rows, ho) * wo
@@ -387,16 +387,28 @@ class TestBands:
                                               (3, 2, 2), (5, 1, 2), (5, 2, 0)])
     def test_rows_equal_the_whole_conv(self, k, stride, pad):
         rng = np.random.default_rng(k * 10 + stride + pad)
-        x = rng.normal(size=(1, 3, 121, 17)).astype(np.float32)
+        x = rng.normal(size=(1, 3, 181, 17)).astype(np.float32)
         kernel = rng.normal(size=(4, 3, k, k)).astype(np.float32)
         bias = rng.normal(size=4).astype(np.float32)
         whole, _ = _conv2d_batch(x, kernel, bias, stride, pad)
         ho, wo = whole.shape[2:]
         rows = band_rows(wo)
-        assert -(-ho // rows) > 1  # several bands
-        for r0 in range(0, ho, rows):
-            for r1 in {min(r0 + rows, ho), ho}:
-                out = np.full_like(whole, np.nan)
-                _conv2d_rows(x, kernel, bias, stride, pad, out, r0, r1)
+        assert -(-ho // rows) > 2  # several bands
+        cases = [([(r0, min(r0 + rows, ho))], [(r0, min(r0 + rows, ho))])
+                 for r0 in range(0, ho, rows)]
+        # runs inside bands are widened to the band edges, and runs whose
+        # bands meet are written as one
+        cases += [([(1, 2)], [(0, rows)]),
+                  ([(ho - 1, ho)], [((ho - 1) // rows * rows, ho)]),
+                  ([(0, 1), (rows - 1, rows + 1)], [(0, 2 * rows)]),
+                  ([(0, 1), (rows, rows + 1)], [(0, 2 * rows)]),
+                  ([(0, 1), (2 * rows, 2 * rows + 1)], [(0, rows), (2 * rows, min(3 * rows, ho))]),
+                  ([(0, ho)], [(0, ho)])]
+        for runs, written in cases:
+            out = np.full_like(whole, np.nan)
+            assert _conv2d_rows(x, kernel, bias, stride, pad, out, runs) == written
+            done = np.zeros(ho, bool)
+            for r0, r1 in written:
                 assert_same_bits(out[:, :, r0:r1], whole[:, :, r0:r1])
-                assert np.isnan(out[:, :, :r0]).all() and np.isnan(out[:, :, r1:]).all()
+                done[r0:r1] = True
+            assert np.isnan(out[:, :, ~done]).all()

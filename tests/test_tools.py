@@ -86,7 +86,8 @@ def canned_run(seed, p50, rss, correct=True):
 
 def test_pairs_summarise_canned_runs():
     pairs = load_tool("pairs")
-    benchmark = {"end_to_end": [{"name": "frame_p50_ms", "better": "lower", "bound": 0.2},
+    benchmark = {"run_seconds": 30,
+                 "end_to_end": [{"name": "frame_p50_ms", "better": "lower", "bound": 0.2},
                                 {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
     parent_p50 = [0.80, 0.78, 0.79, 0.81, 0.77, 0.80, 0.79, 0.82, 0.78, 0.80]
     change_p50 = [0.60, 0.62, 0.61, 0.59, 0.80, 0.60, 0.61, 0.62, 0.60, 0.58]
@@ -98,8 +99,9 @@ def test_pairs_summarise_canned_runs():
                      "parent": parent, "change": change})
     assert env == {"python": "3.11", "numpy": "2.0", "blas_threads": "1", "run_seconds": 30,
                    "trace": 0}
-    doc = pairs.summarise({"motion-gated": runs}, benchmark, 30, 0,
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 0,
                           ("motion-gated", "frame_p50_ms"), env)
+    assert "--seconds 30 " in doc["command"]
     workload = doc["final"]["workloads"]["motion-gated"]
     assert workload["seeds"] == list(range(100, 110)) and workload["all_correct"]
     assert workload["attempted_ops"] == {"parent": 1000, "change": 1000}
@@ -107,20 +109,49 @@ def test_pairs_summarise_canned_runs():
     assert p50["parent"]["median"] == 0.795 and p50["change"]["median"] == 0.605
     assert p50["parent"]["q1"] == 0.7825 and p50["parent"]["q3"] == 0.8  # as np.percentile
     assert p50["change_wins"] == 9  # the tie at 0.80 counts for neither side
-    assert p50["within_bound"] and p50["relative_worsening"] == round(0.605 / 0.795 - 1, 4)
+    assert p50["verdict"] == "within bound"
+    assert p50["relative_worsening"] == round(0.605 / 0.795 - 1, 4)
     claim = doc["claim"]
     assert claim["met"] and claim["median_gap"] == 0.19 and claim["pairs"] == 10
     assert claim["parent_quartile_distance"] == 0.0175
     rss = workload["metrics"]["peak_rss_mb"]
-    assert rss["change_wins"] == 0 and rss["within_bound"] and doc["no_regression"]["held"]
+    assert rss["change_wins"] == 0 and rss["verdict"] == "within bound"
+    assert doc["no_regression"]["held"]
 
+    # A gain does not count on a workload with an incorrect run, nor where
+    # the change fails more operations than the parent.
     runs[0]["change"]["correct"] = False
-    runs[0]["change"]["metrics"]["peak_rss_mb"]["value"] = 99.0
-    for pair in runs[1:6]:
-        pair["change"]["metrics"]["peak_rss_mb"]["value"] = 60.0
-    doc = pairs.summarise({"motion-gated": runs}, benchmark, 30, 0,
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 0,
+                          ("motion-gated", "frame_p50_ms"))
+    assert not doc["final"]["workloads"]["motion-gated"]["all_correct"]
+    assert not doc["claim"]["met"]
+    runs[0]["change"]["correct"] = True
+    runs[0]["change"]["failed"] = 1
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 0,
+                          ("motion-gated", "frame_p50_ms"))
+    assert not doc["claim"]["met"] and not doc["no_regression"]["held"]
+    runs[0]["change"]["failed"] = 0
+
+    # A parent spread wider than the bound leaves a metric unresolved unless
+    # every change run beats every parent run.
+    for i, pair in enumerate(runs):
+        pair["parent"]["metrics"]["peak_rss_mb"]["value"] = 52.0 + 20 * (i % 2)
+        pair["change"]["metrics"]["peak_rss_mb"]["value"] = 52.0
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 0)
+    rss = doc["final"]["workloads"]["motion-gated"]["metrics"]["peak_rss_mb"]
+    assert rss["parent_spread"] > 0.1 and rss["relative_worsening"] < 0
+    assert rss["verdict"] == "unresolved" and not doc["no_regression"]["held"]
+    for pair in runs:
+        pair["change"]["metrics"]["peak_rss_mb"]["value"] = 51.0
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 0)
+    rss = doc["final"]["workloads"]["motion-gated"]["metrics"]["peak_rss_mb"]
+    assert rss["verdict"] == "within bound" and doc["no_regression"]["held"]
+
+    # A median worse than the bound allows is beyond it.
+    for pair in runs[:6]:
+        pair["change"]["metrics"]["peak_rss_mb"]["value"] = 99.0
+    doc = pairs.summarise({"motion-gated": runs}, benchmark, 0,
                           ("motion-gated", "peak_rss_mb"))
-    workload = doc["final"]["workloads"]["motion-gated"]
-    assert not workload["all_correct"]
-    assert not workload["metrics"]["peak_rss_mb"]["within_bound"]
+    rss = doc["final"]["workloads"]["motion-gated"]["metrics"]["peak_rss_mb"]
+    assert rss["verdict"] == "beyond bound"
     assert not doc["no_regression"]["held"] and not doc["claim"]["met"]

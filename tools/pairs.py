@@ -2,23 +2,24 @@
 """Alternate the benchmark between this tree and a git revision, in pairs.
 
     python3 tools/pairs.py REV --runs motion-gated:1800-1809 [--runs static-gated:1810-1819]
-                           [--seconds 30] [--trace 0] [--claim motion-gated:frame_p50_ms]
+                           [--trace 0] [--claim motion-gated:frame_p50_ms]
                            [--what TEXT] [--out BENCH_<n>.json]
 
 Both sides run from fresh copies in a temporary directory: REV from
 ``git archive``, this tree from its working files (uncommitted changes
 included, ``.git`` and bytecode caches left out). For each workload and each
 seed in its range, ``python3 perfbench/run.py --workload W --seed N
---seconds S --trace T`` runs once per side, REV first on even pair indices
-and this tree first on odd ones, with ``PYTHONDONTWRITEBYTECODE=1`` and the
-copies' caches removed before and after every run.
+--seconds S --trace T`` runs once per side, with S the ``run_seconds`` of
+``BENCHMARK.json``, REV first on even pair indices and this tree first on
+odd ones, with ``PYTHONDONTWRITEBYTECODE=1`` and the copies' caches
+removed before and after every run.
 
 The result is the skeleton that the ``BENCH_<n>.json`` files share: per
 workload the seeds, order, correctness and operation counts, and per metric
 each side's runs, quartiles and median, the pairs this tree wins (ties
-count for neither side), its relative worsening against the bound
-``BENCHMARK.json`` gives, and the parent's quartile spread; then the claim
-verdict, if one is named, and the ``env`` line the runs print. It is
+count for neither side), its relative worsening, the parent's quartile
+spread and the verdict against the bound ``BENCHMARK.json`` gives; then the
+claim verdict, if one is named, and the ``env`` line the runs print. It is
 printed, or written to ``--out``; the prose beyond ``--what`` is left to
 the author.
 """
@@ -36,12 +37,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CLAIM_RULE = ("change wins at least 9 of 10 pairs and the medians differ by more than "
-              "the parent's quartile distance")
-WORSENING_RULE = ("on each workload, every end-to-end metric's change median is no worse "
-                  "than the parent's by more than its BENCHMARK.json bound; "
-                  "relative_worsening is (change - parent) / parent for lower-is-better "
-                  "metrics and (parent - change) / parent otherwise")
+CLAIM_RULE = ("on a workload whose runs were all correct and where the change failed "
+              "no larger share of operations than the parent, the change wins at least "
+              "9 of 10 pairs and the medians differ by more than the parent's quartile "
+              "distance")
+WORSENING_RULE = ("on each workload, the change fails no larger share of operations than "
+                  "the parent, and every end-to-end metric is 'within bound': its change "
+                  "median is no worse than the parent's by more than its BENCHMARK.json "
+                  "bound ('beyond bound' otherwise), and the parent's relative quartile "
+                  "spread is within that bound too, unless every change run beats every "
+                  "parent run ('unresolved' otherwise); relative_worsening is "
+                  "(change - parent) / parent for lower-is-better metrics and "
+                  "(parent - change) / parent otherwise")
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +79,19 @@ def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
 
 
+def bound_verdict(parent: list[float], change: list[float], worse: float, spread: float,
+                  bound: float, direction: str) -> str:
+    """'beyond bound' when the change's median is worse than the bound
+    allows; 'unresolved' when the parent's runs spread wider than the bound
+    and the change does not beat every one of them with every run;
+    'within bound' otherwise."""
+    if worse > bound:
+        return "beyond bound"
+    if spread > bound and not all(better(c, p, direction) for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summarise_workload(pairs: list[dict], declared: dict) -> dict:
     """One workload's pairs, each ``{"seed", "order", "parent", "change"}``
     with the two runs' final JSON documents, against the declared metrics
@@ -89,20 +109,29 @@ def summarise_workload(pairs: list[dict], declared: dict) -> dict:
         parent, change = spread(values["parent"]), spread(values["change"])
         p, c = parent["median"], change["median"]
         worse = (c - p) / p if spec["better"] == "lower" else (p - c) / p
+        relative_spread = (parent["q3"] - parent["q1"]) / p
         entry = {"better": spec["better"], "bound": spec["bound"],
                  "parent": parent, "change": change,
                  "change_wins": sum(better(c, p, spec["better"])
                                     for p, c in zip(values["parent"], values["change"])),
                  "relative_worsening": round(worse, 4),
-                 "parent_spread": round((parent["q3"] - parent["q1"]) / p, 4)}
+                 "parent_spread": round(relative_spread, 4)}
         if spec["bound"] is not None:
-            entry["within_bound"] = worse <= spec["bound"]
+            entry["verdict"] = bound_verdict(values["parent"], values["change"], worse,
+                                             relative_spread, spec["bound"], spec["better"])
         out["metrics"][name] = entry
     return out
 
 
+def fails_no_more(workload: dict) -> bool:
+    """The change failed no larger share of its operations than the parent."""
+    failed, attempted = workload["failed_ops"], workload["attempted_ops"]
+    return failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
+
+
 def claim_verdict(workloads: dict, workload: str, metric: str) -> dict:
-    entry = workloads[workload]["metrics"][metric]
+    summary = workloads[workload]
+    entry = summary["metrics"][metric]
     p, c = entry["parent"]["median"], entry["change"]["median"]
     pairs = len(entry["parent"]["runs"])
     gap = p - c if entry["better"] == "lower" else c - p
@@ -111,7 +140,8 @@ def claim_verdict(workloads: dict, workload: str, metric: str) -> dict:
             "parent_median": p, "change_median": c, "change_wins": entry["change_wins"],
             "pairs": pairs, "median_gap": round(gap, 6),
             "parent_quartile_distance": round(distance, 6),
-            "met": entry["change_wins"] * 10 >= 9 * pairs and gap > distance}
+            "met": (summary["all_correct"] and fails_no_more(summary)
+                    and entry["change_wins"] * 10 >= 9 * pairs and gap > distance)}
 
 
 def declared_metrics(benchmark: dict, trace: int) -> dict:
@@ -123,17 +153,19 @@ def declared_metrics(benchmark: dict, trace: int) -> dict:
             for m in benchmark["end_to_end"]}
 
 
-def summarise(runs: dict, benchmark: dict, seconds: int, trace: int,
+def summarise(runs: dict, benchmark: dict, trace: int,
               claim: tuple[str, str] | None = None, env: dict | None = None) -> dict:
     """The BENCH skeleton from ``{workload: [pair, ...]}``."""
     declared = declared_metrics(benchmark, trace)
     workloads = {w: summarise_workload(pairs, declared) for w, pairs in runs.items()}
-    held = all(m.get("within_bound", True)
-               for w in workloads.values() for m in w["metrics"].values())
+    held = all(fails_no_more(w) and all(m.get("verdict", "within bound") == "within bound"
+                                        for m in w["metrics"].values())
+               for w in workloads.values())
     seeds = "; ".join(f"{w}: seeds {p[0]['seed']}-{p[-1]['seed']}" for w, p in runs.items())
     return {
         "what": "",
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} "
+        "command": "python3 perfbench/run.py --workload W --seed N "
+                   f"--seconds {benchmark['run_seconds']} "
                    f"--trace {trace}",
         "pairing": "pairs alternate which side runs first (parent first on even pair "
                    "indices); each side runs from its own fresh copy, with "
@@ -193,7 +225,6 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to pair this tree with (the parent)")
     parser.add_argument("--runs", action="append", required=True, metavar="WORKLOAD:SEEDS",
                         help="a workload and its seed range, such as motion-gated:1800-1809")
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
                         help="the metric a gain is claimed for, and its workload")
@@ -202,6 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     plan = [(w, seed_range(s)) for w, s in (r.split(":", 1) for r in args.runs)]
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     runs: dict[str, list[dict]] = {}
     env: dict = {}
@@ -212,14 +244,13 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "order": f"{order[0]} first"}
                 for side in order:
-                    pair[side], env = run_once(trees[side], workload, seed, args.seconds,
-                                               args.trace)
+                    pair[side], env = run_once(trees[side], workload, seed,
+                                               benchmark["run_seconds"], args.trace)
                 runs.setdefault(workload, []).append(pair)
                 print(f"{workload} seed {seed}: {pair['order']}, correct "
                       f"{pair['parent']['correct']}/{pair['change']['correct']}",
                       file=sys.stderr)
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    doc = summarise(runs, benchmark, args.seconds, args.trace, claim, env)
+    doc = summarise(runs, benchmark, args.trace, claim, env)
     doc["what"] = args.what
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
