@@ -156,25 +156,25 @@ class NetworkDescriptor:
     """Named, ordered layer list with a declared input shape.
 
     Construction validates that the input shape propagates through every
-    layer without contradiction. An empty layer list is permitted so that
-    counting functions have a well-defined zero case.
+    layer without contradiction, and keeps the shapes it proves. An empty
+    layer list is permitted so that counting functions have a well-defined
+    zero case.
     """
 
     name: str
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
+    _shapes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or any(ch in self.name for ch in "\n\r="):
             raise ValueError(f"descriptor name must be non-empty without '=' or newlines: {self.name!r}")
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        self.layer_shapes()
+        object.__setattr__(self, "_shapes", tuple(self._propagate_from(self.input_shape)))
 
-    def layer_shapes(self, input_shape: Optional[tuple] = None) -> list[tuple[int, int, int]]:
-        """Output shape after each layer, from ``input_shape`` (by default the
-        declared one), validating compatibility."""
-        shape = tuple(int(d) for d in (self.input_shape if input_shape is None else input_shape))
+    def _propagate_from(self, input_shape: tuple) -> list[tuple[int, int, int]]:
+        shape = tuple(int(d) for d in input_shape)
         if len(shape) != 3 or min(shape) < 1:
             raise ShapeError(f"input shape must be 3 positive extents, got {shape}")
         shapes = []
@@ -183,10 +183,17 @@ class NetworkDescriptor:
             shapes.append(shape)
         return shapes
 
+    def layer_shapes(self, input_shape: Optional[tuple] = None) -> list[tuple[int, int, int]]:
+        """Output shape after each layer, from ``input_shape``, validating
+        compatibility; by default a copy of the shapes proved at
+        construction for the declared input."""
+        if input_shape is None:
+            return list(self._shapes)
+        return self._propagate_from(input_shape)
+
     @property
     def output_shape(self) -> tuple[int, int, int]:
-        shapes = self.layer_shapes()
-        return shapes[-1] if shapes else self.input_shape
+        return self._shapes[-1] if self._shapes else self.input_shape
 
     def conv_indices(self) -> list[int]:
         return [i for i, layer in enumerate(self.layers) if layer.kind == "conv"]

@@ -34,7 +34,8 @@ from .tensor import (
     Tensor,
     _col2im_batch,
     _conv2d_batch,
-    _conv2d_rows,
+    _conv2d_bands,
+    _conv2d_row_blocks,
     _maxpool2_backward,
     _maxpool2_batch,
     _pointwise_grad,
@@ -178,47 +179,68 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
     return grads
 
 
-def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
-    """The runs ``[a, b)`` of a layer's output rows that can see an input
-    row in ``runs``, merged: a conv's window rows, a pool's halved, any
-    other layer's kept. A conv also rewrites the rest of the matmul bands
-    these touch (``_conv2d_rows``), with the bits they already had."""
-    if layer.kind == "maxpool2":
-        seen = [(a // 2, (b + 1) // 2) for a, b in runs]
-    elif layer.kind == "conv":
-        s, p, k, ho = layer.stride, layer.pad, layer.kernel_size, out_shape[2]
-        seen = []
-        for a, b in runs:
-            lo, hi = max(-(-(a + p - k + 1) // s), 0), min((b - 1 + p) // s + 1, ho)
-            if lo < hi:
-                seen.append((lo, hi))
-    else:
-        return runs
+def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple, pools: int = 0) -> list:
+    """The runs ``[a, b)`` of a conv's output rows whose windows see a row
+    in ``runs``, merged. ``runs`` may count rows before the ``pools`` 2x2
+    max pools that precede the conv, each of which halves a run; a
+    pointwise layer keeps its runs. The conv also recomputes the rest of
+    the matmul bands these rows touch (``_conv2d_bands``), with the
+    bits they already had."""
+    s, p, k, ho = layer.stride, layer.pad, layer.kernel_size, out_shape[2]
     merged: list = []
-    for a, b in seen:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
+    for a, b in runs:
+        a, b = a >> pools, ((b - 1) >> pools) + 1
+        lo, hi = max(-(-(a + p - k + 1) // s), 0), min((b - 1 + p) // s + 1, ho)
+        if lo >= hi:
+            continue
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
         else:
-            merged.append((a, b))
+            merged.append((lo, hi))
     return merged
 
 
-def _layer_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
-                out: np.ndarray, runs: list) -> None:
-    """The rows in ``runs`` of layer i's output, activation included, into
-    ``out``, with the bits ``_forward_batch`` gives them; a conv writes
-    the whole matmul bands they touch."""
+def _conv_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
+               was: np.ndarray, bands: list) -> np.ndarray:
+    """Conv layer i's output, activation included, with the bits
+    ``_forward_batch`` gives it: the rows in ``bands`` (matmul bands, as
+    ``_conv2d_bands`` gives them) are computed and activated as fresh
+    blocks, and the other rows are copied from ``was``, the reference's
+    output."""
     fn = _activation(layer)
-    if layer.kind == "conv":
-        for r0, r1 in _conv2d_rows(x, *weights[i], layer.stride, layer.pad, out, runs):
-            if fn is not None:
-                _pointwise_raw(out[:, :, r0:r1], fn, layer.alpha, in_place=True)
-        return
-    for r0, r1 in runs:
-        if layer.kind == "maxpool2":
-            out[:, :, r0:r1] = _maxpool2_batch(x[:, :, 2 * r0:2 * r1])
-        elif layer.kind == "pointwise":
-            out[:, :, r0:r1] = _pointwise_raw(x[:, :, r0:r1], fn, layer.alpha)
+    out = np.empty_like(was)
+    done = 0
+    for r0, r1, block in _conv2d_row_blocks(x, *weights[i], layer.stride, layer.pad, bands):
+        if fn is not None:
+            _pointwise_raw(block, fn, layer.alpha, in_place=True)
+        out[:, :, done:r0] = was[:, :, done:r0]
+        out[:, :, r0:r1] = block
+        done = r1
+    out[:, :, done:] = was[:, :, done:]
+    return out
+
+
+def _reuse_plan(net: NetworkDescriptor, runs: list, reference: Sequence) -> list:
+    """Per layer, what a reusing forward computes, given the ``runs`` of
+    input rows that changed: ``[]`` where no changed row reaches the layer,
+    whose output is then the reference's; None where it runs its plain
+    kernel, as a pool, a pointwise layer, the head and a conv whose bands
+    cover its map do; else the matmul bands a conv computes. The changed
+    rows are carried to the next conv, which halves them once per pool
+    between (``_rows_seen``)."""
+    plan, pools = [], 0
+    for layer, was in zip(net.layers, reference[1:]):
+        if runs and layer.kind == "conv":
+            runs, pools = _rows_seen(layer, runs, was.shape, pools), 0
+        if not runs:
+            plan.append([])
+        elif layer.kind == "conv":
+            bands = _conv2d_bands(runs, was.shape[2], was.shape[3])
+            plan.append(None if bands == [(0, was.shape[2])] else bands)
+        else:
+            plan.append(None)
+            pools += layer.kind == "maxpool2"
+    return plan
 
 
 def _changed_rows(x: np.ndarray, was: np.ndarray) -> list:
@@ -236,25 +258,25 @@ def _reusing_forward(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
                      record: list, reference: Optional[Sequence]) -> np.ndarray:
     """Inference that appends its input and each layer's output to
     ``record``, all read-only. With a ``reference`` record, each layer
-    copies the reference's output and recomputes only the rows that can
-    see a changed input row; a layer with none left is the reference's."""
-    runs = None if reference is None else _changed_rows(xb, reference[0])
+    does what ``_reuse_plan`` gives it: a layer no changed input row
+    reaches is the reference's output, one that must compute its whole map
+    runs its plain kernel, which gives the bits of recomputing its changed
+    rows without a copy of the reference, and a conv computes only its
+    planned bands (``_conv_rows``)."""
+    if reference is None:
+        plan = [None] * len(net.layers)
+    else:
+        plan = _reuse_plan(net, _changed_rows(xb, reference[0]), reference)
     out = xb.view()
     out.flags.writeable = False
     record.append(out)
-    for i, layer in enumerate(net.layers):
-        if runs is None:
+    for i, (layer, bands) in enumerate(zip(net.layers, plan)):
+        if bands is None:
             out = _infer_layer(layer, weights, i, out)
+        elif not bands:
+            out = reference[i + 1]
         else:
-            was = reference[i + 1]
-            runs = _rows_seen(layer, runs, was.shape)
-            if not runs:
-                out = was
-            elif runs == [(0, was.shape[2])] or layer.kind == "detect-head":
-                out = _infer_layer(layer, weights, i, out)
-            else:
-                x, out = out, was.copy()
-                _layer_rows(layer, weights, i, x, out, runs)
+            out = _conv_rows(layer, weights, i, out, reference[i + 1], bands)
         out.flags.writeable = False
         record.append(out)
     return out
@@ -275,18 +297,23 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
 
     ``record``, a list, gets the input and each layer's output as read-only
     [1,C,H,W] arrays; the returned tensor views the last. Passing an
-    earlier call's record as ``reference`` reuses it: a layer copies every
-    output row that cannot see an input row whose bits differ from the
-    recorded input's, and recomputes only the rest (a conv's window rows,
-    halved by a pool, kept by a pointwise layer; a conv writes the whole
-    matmul bands those rows touch, and the band's other rows keep their
-    bits), so the output has the bits of a full forward. With no changed
-    row it returns the recorded output. Rows count as unchanged only when
-    their bits are equal, as in the noise-free clips the benchmark streams.
-    Noise in every row makes every layer recompute in full after the
-    compare; what that costs has not been measured. The reference must
-    come from the same ``net`` and ``store``; only its shapes are checked.
-    A ``tiny`` record holds about 0.7 MB besides its input.
+    earlier call's record as ``reference`` reuses it. A layer that no input
+    row whose bits differ from the recorded input's can reach returns the
+    recorded output. A conv computes only the matmul bands holding the
+    rows such an input row reaches (its window rows, halved by each pool
+    on the way, kept by a pointwise layer) and copies its other rows from
+    the record; a band's other rows keep their bits. A conv whose bands
+    cover its map, and every pool and pointwise layer, runs its plain
+    kernel. The output has the bits of a full forward, and with no changed
+    row it is the recorded output. Rows count as unchanged only when their
+    bits are equal, as in the noise-free clips the benchmark streams. With
+    noise in every row every layer runs its plain kernel after the compare:
+    over the 36 reused forwards of a noisy clip (``synth noise=0.015``) a
+    reused forward took 12-15% longer than one without ``record`` or
+    ``reference`` (three in-process A/B runs on one pinned CPU; 711 against
+    616 us in one). The reference must come
+    from the same ``net`` and ``store``; only its shapes are checked. A
+    ``tiny`` record holds about 0.7 MB besides its input.
     """
     store.validate_for(net)
     if x.shape != net.input_shape:
@@ -296,8 +323,8 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
         return Tensor(_forward_batch(net, weights, x.data[None])[0])
     if reference is not None:
         shapes = [(1,) + s for s in [net.input_shape] + net.layer_shapes()]
-        if [np.shape(r) for r in reference] != shapes:
-            raise ShapeError(f"reference record of shapes {[np.shape(r) for r in reference]} "
+        if [r.shape for r in reference] != shapes:
+            raise ShapeError(f"reference record of shapes {[r.shape for r in reference]} "
                              f"does not match the network's {shapes}")
     out = _reusing_forward(net, weights, x.data[None], [] if record is None else record,
                            reference)

@@ -30,11 +30,13 @@ frame passes it as ``reference`` when the key matches, and the forward
 recomputes only the rows its changed rows reach (whole matmul bands at a
 conv), with the bits of a full forward. Rows count as unchanged only when
 their bits are equal, as in the noise-free clips the benchmark streams.
-A frame with noise in every row recomputes every layer after the compare
-and keeps all its activations for the record; what that costs end to end
-has not been measured, as no benchmark workload streams such frames. A
-record is made on every gated inferred frame and holds about 0.7 MB for
-``tiny``, growing with the network's activations.
+A frame with noise in every row runs every layer's plain kernel after the
+compare and keeps all its activations for the record: on a noisy clip
+(``synth noise=0.015``) its forward took 12-15% longer than a
+``policy=None`` one (three in-process A/B runs on one pinned CPU). No
+benchmark workload streams such frames. A record is made on every gated
+inferred frame and holds about 0.7 MB for ``tiny``, growing with the
+network's activations.
 
 ``policy=None`` infers every frame in full, calls no gate function and
 keeps no record; it is the one detection path, which the CLI's ``detect``

@@ -22,19 +22,28 @@ check nothing; their callers validate shapes once, at the boundary.
 
 Each kernel makes only the arrays its arithmetic needs. A convolution's
 columns are one copy of one strided window view of its padded input, and
-its product runs in fixed bands of output rows, the fewest holding at least
-``BAND_OUTPUTS`` (256) outputs, one BLAS call each: a band's bits depend
-only on its own columns, so ``_conv2d_rows`` can recompute any rows,
-widened to their bands, alone with the bits of the whole conv. A 2x2 max pool is two
-``np.maximum`` passes, across columns and then across rows; ``tests/oracles.py`` also keeps a running-maximum pool, one pass per
-window position, as a reference. No kernel keeps a workspace across calls:
-a forward's transient columns are what lift glibc's dynamic mmap threshold
-above a streamed run's per-frame arrays, and buffers kept between frames
-left those arrays mapped and faulted in again on every frame.
+its product runs in fixed bands of output rows, one BLAS call each: a
+band's bits depend only on its own columns, so ``_conv2d_row_blocks`` can
+recompute any run of bands alone with the bits of the whole conv. A band
+is the fewest rows, at least ``BAND_ROWS`` (3), that hold a multiple of
+``BAND_ALIGN`` (16) outputs (``band_rows``). Both bounds were measured on
+OpenBLAS 0.3.31 on an AVX-512 core: there a product's columns in whole
+groups of 16 have the same bits whatever the call's column count, while
+a last partial group's can differ, so bands of whole groups give every
+column the bits a larger band gives it; and bands of one row made the
+product of ``tiny``'s 48-wide conv 1.3 times as slow as bands of three.
+A 2x2 max pool is two ``np.maximum`` passes, across columns and then
+across rows; ``tests/oracles.py`` also keeps a running-maximum pool, one
+pass per window position, as a reference. No kernel keeps a workspace
+across calls: a forward's transient columns are what lift glibc's dynamic
+mmap threshold above a streamed run's per-frame arrays, and buffers kept
+between frames left those arrays mapped and faulted in again on every
+frame.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -152,36 +161,40 @@ def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
-# The fewest outputs one matmul of a convolution computes; see _conv2d_batch.
-BAND_OUTPUTS = 256
+# A convolution's matmul bands hold at least BAND_ROWS output rows and a
+# multiple of BAND_ALIGN outputs; see band_rows.
+BAND_ROWS = 3
+BAND_ALIGN = 16
 
 
 def band_rows(wo: int) -> int:
-    """Output rows in each matmul band of a convolution ``wo`` outputs wide."""
-    return -(-BAND_OUTPUTS // wo)
+    """Output rows in each matmul band of a convolution ``wo`` outputs wide:
+    the fewest, at least ``BAND_ROWS``, that hold a multiple of
+    ``BAND_ALIGN`` outputs (``tiny``: 3, 3, 4 and 4 rows, 8 for the 6x6
+    1x1 conv, so one band there)."""
+    step = BAND_ALIGN // math.gcd(wo, BAND_ALIGN)
+    return -(-BAND_ROWS // step) * step
 
 
-def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray, wo: int,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``kernel @ cols + bias`` ([B,F,N]) into ``out``, or a new array when
-    it is None, one matmul per band of ``band_rows(wo)`` output rows counted
-    from the start of ``out``; returns the result.
+def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
+                    wo: int) -> np.ndarray:
+    """``kernel @ cols + bias`` ([B,F,N]) as a new array, one matmul per band
+    of ``band_rows(wo)`` output rows counted from the first column.
 
     A product of one band or less is one plain ``np.matmul``. Otherwise the
     whole bands go to one ``np.matmul`` over a [B, bands, ...] view, which
     makes the same BLAS call per band as a loop would, for half the time of
     a loop or of one call over all the columns at ``tiny``'s first conv.
-    Splitting the last axis of ``cols`` and ``out``, whose elements are
+    Splitting the last axis of ``cols`` and the result, whose elements are
     adjacent, always gives views.
     """
     b, n = cols.shape[0], cols.shape[-1]
     f = kernel.shape[0]
     step = band_rows(wo) * wo
     if n <= step:
-        out = np.matmul(kernel, cols, out=out)
+        out = np.matmul(kernel, cols)
     else:
-        if out is None:
-            out = np.empty((b, f, n), np.float32)
+        out = np.empty((b, f, n), np.float32)
         whole = n - n % step
         np.matmul(kernel, cols[..., :whole].reshape(b, -1, whole // step, step).swapaxes(1, 2),
                   out=out[..., :whole].reshape(b, f, whole // step, step).swapaxes(1, 2))
@@ -197,8 +210,8 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
 
     ``x`` is [B,C,H,W], the result [B,F,Ho,Wo]. The product runs in fixed
     bands of output rows, one matmul each (``_banded_product``), so a
-    band's bits depend only on its own columns: ``_conv2d_rows`` recomputes
-    whole bands alone with the same bits. The bits can differ
+    band's bits depend only on its own columns: ``_conv2d_row_blocks``
+    recomputes whole bands alone with the same bits. The bits can differ
     in the last place from one matmul over all the columns, as BLAS blocks
     a longer product differently.
 
@@ -214,40 +227,46 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return out.reshape(b, f, ho, wo), cols
 
 
-def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                 stride: int, pad: int, out: np.ndarray, runs: Sequence) -> list:
-    """The output rows in ``runs`` (ascending ``[r0, r1)`` pairs) of
-    ``_conv2d_batch(x, ...)`` into ``out`` ([B,F,Ho,Wo], C-contiguous), with
-    its bits; returns the runs written.
+def _conv2d_bands(runs: Sequence, ho: int, wo: int) -> list:
+    """The output rows in ``runs`` (ascending ``[r0, r1)`` pairs) of a
+    convolution ``ho`` by ``wo`` outputs, each widened to the edges of the
+    matmul bands it touches, with runs that then meet merged: the rows
+    ``_conv2d_row_blocks`` computes for them."""
+    band = band_rows(wo)
+    bands: list = []
+    for a, z in runs:
+        r0, r1 = a // band * band, min(-(-z // band) * band, ho)
+        if bands and r0 <= bands[-1][1]:
+            bands[-1] = (bands[-1][0], max(r1, bands[-1][1]))
+        else:
+            bands.append((r0, r1))
+    return bands
 
-    Each run is widened to the edges of the matmul bands it touches, and
-    runs that then meet are merged, so every band is one matmul of the
-    whole conv's shape. A row written only because it shares a band with
-    a run gets the bits the whole conv gives it, so where ``out`` already
-    held them, as a copy of an earlier call whose inputs there were the
-    same, it does not change. Only the input rows the written runs see are
-    read.
+
+def _conv2d_row_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                       stride: int, pad: int, bands: Sequence) -> list:
+    """The output rows in ``bands`` (``_conv2d_bands``'s runs) of
+    ``_conv2d_batch(x, ...)``, with its bits, as ``(r0, r1, block)``
+    triples: each block a fresh C-contiguous [B,F,r1-r0,Wo] array.
+
+    Each run starts at a band edge and ends at one or at the last row, so
+    every band is one matmul of the whole conv's shape, and a row in a
+    block only because it shares a band with a changed one has the bits
+    the whole conv gives it. Only the input rows the blocks see are read.
     """
     b, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
-    ho, wo = out.shape[2:]
-    band = band_rows(wo)
-    written: list = []
-    for a, z in runs:
-        r0, r1 = a // band * band, min(-(-z // band) * band, ho)
-        if written and r0 <= written[-1][1]:
-            written[-1] = (written[-1][0], max(r1, written[-1][1]))
-        else:
-            written.append((r0, r1))
-    for r0, r1 in written:
+    wo = conv_output_extent(w, kw, stride, pad)
+    blocks = []
+    for r0, r1 in bands:
         top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh
         lo, hi = max(top, 0), min(bottom, h)
         rows = np.zeros((b, c, bottom - top, w + 2 * pad), np.float32)
         rows[:, :, lo - top:hi - top, pad:pad + w] = x[:, :, lo:hi]
         cols, _, _ = _im2col_batch(rows, kh, kw, stride, 0)
-        _banded_product(kernel.reshape(f, -1), cols, bias, wo,
-                        out.reshape(b, f, -1)[..., r0 * wo:r1 * wo])
-    return written
+        block = _banded_product(kernel.reshape(f, -1), cols, bias, wo)
+        blocks.append((r0, r1, block.reshape(b, f, r1 - r0, wo)))
+    return blocks
 
 
 def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,

@@ -4,6 +4,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipdet import network, zoo
 from skipdet.detector import OBJECTNESS_BIAS_INIT
@@ -547,6 +549,7 @@ def banded_nets():
 
 
 REUSE_NETS = {"tiny": zoo.load_bundled("tiny"), **oracle_nets(), **banded_nets()}
+TINY_STORE = init_weights(REUSE_NETS["tiny"], 5)
 
 
 def first_band_edge(net):
@@ -596,6 +599,23 @@ class TestReferenceReuse:
         if change == "none":
             assert np.shares_memory(out.data, reference[-1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(rects=st.lists(st.tuples(st.integers(0, 95), st.integers(0, 95),
+                                    st.integers(1, 96), st.integers(1, 96)),
+                          min_size=1, max_size=2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_changed_rectangles_on_tiny(self, rects, seed):
+        # One or two rectangles of new pixels, anywhere and of any size,
+        # clipped to the frame.
+        net = REUSE_NETS["tiny"]
+        rng = np.random.default_rng(seed)
+        before = rng.random(net.input_shape, dtype=np.float32)
+        after = before.copy()
+        for top, left, height, width in rects:
+            patch = after[:, top:top + height, left:left + width]
+            patch[...] = rng.random(patch.shape, dtype=np.float32)
+        self.check(net, TINY_STORE, before, after)
+
     @pytest.mark.parametrize("name", ["pointwise-first", "tiny"])
     def test_a_signed_zero_counts_as_changed(self, name):
         net = REUSE_NETS[name]
@@ -614,14 +634,31 @@ class TestReferenceReuse:
         assert network._rows_seen(conv, [(0, 1), (5, 6)], (1, 1, 96, 96)) == [(0, 2), (4, 7)]
         assert network._rows_seen(conv, [(0, 1), (3, 4)], (1, 1, 96, 96)) == [(0, 5)]
         assert network._rows_seen(conv, [(95, 96)], (1, 1, 96, 96)) == [(94, 96)]
-        assert network._rows_seen(LayerSpec.maxpool2(), [(3, 4), (5, 9)], (1, 1, 6, 6)) == [
-            (1, 5)]
+        # a pool before the conv halves each run, and halved runs that meet merge
+        point = LayerSpec.conv(1, 1, 1)
+        assert network._rows_seen(point, [(3, 4), (5, 9)], (1, 1, 6, 6), pools=1) == [(1, 5)]
+        assert network._rows_seen(point, [(3, 4), (6, 10)], (1, 1, 3, 3), pools=2) == [(0, 3)]
+        assert network._rows_seen(conv, [(8, 9)], (1, 1, 12, 12), pools=3) == [(0, 3)]
         # output row r of a 1x1 conv at stride 2, pad 1 sees input row 2r - 1 only
         skip = LayerSpec.conv(1, 1, 1, stride=2, pad=1)
         assert network._rows_seen(skip, [(4, 5)], (1, 1, 5, 5)) == []
         assert network._rows_seen(skip, [(5, 6)], (1, 1, 5, 5)) == [(3, 4)]
-        assert network._rows_seen(LayerSpec.pointwise("abs"), [(2, 3)], (1, 1, 4, 4)) == [
-            (2, 3)]
+        assert network._rows_seen(skip, [(10, 12)], (1, 1, 5, 5), pools=1) == [(3, 4)]
+
+    def test_plan_runs_whole_maps_on_the_plain_kernel(self):
+        # tiny with input rows 10-19 changed: each conv computes the bands
+        # its window rows touch, except the 6x6 1x1 conv, whose one band
+        # is its map; pools and the head always run their plain kernel.
+        net = REUSE_NETS["tiny"]
+        reference = []
+        forward(net, TINY_STORE, Tensor.zeros(net.input_shape), record=reference)
+        assert network._reuse_plan(net, [(10, 20)], reference) == [
+            [(9, 21)], None, [(3, 12)], None, [(0, 8)], None, [(0, 8)], None, None, None]
+        # rows 40-49 reach rows 3-8 of the 12x12 conv, whose 4-row bands
+        # then cover it
+        assert network._reuse_plan(net, [(40, 50)], reference)[4:7] == [[(8, 16)], None, None]
+        assert network._reuse_plan(net, [], reference) == [[]] * 10
+        assert network._reuse_plan(net, [(0, 96)], reference) == [None] * 10
 
     def test_reference_of_another_network_is_rejected(self):
         net, other = REUSE_NETS["tiny"], mini_tiny()

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _banded_product, _col2im_batch,
-                            _conv2d_batch, _conv2d_rows, _im2col_batch, _maxpool2_backward,
-                            _maxpool2_batch, _pointwise_grad, _pointwise_raw, _sigmoid,
-                            band_rows, conv2d, maxpool2, pointwise, tensor)
+                            _conv2d_bands, _conv2d_batch, _conv2d_row_blocks, _im2col_batch,
+                            _maxpool2_backward, _maxpool2_batch, _pointwise_grad,
+                            _pointwise_raw, _sigmoid, band_rows, conv2d, maxpool2, pointwise,
+                            tensor)
 
 import oracles
 
@@ -356,6 +357,14 @@ class TestSigmoidMatchesEarlierKernel:
         assert 0 < got[x == -69.0][0] < 1e-29
 
 
+def tiny_conv_shapes():
+    """(filters, column length, Ho, Wo) of each of ``tiny``'s convs."""
+    from skipdet import zoo
+    net = zoo.load_bundled("tiny")
+    return [(layer.out_channels, layer.in_channels * layer.kernel_size ** 2) + shape[1:]
+            for layer, shape in zip(net.layers, net.layer_shapes()) if layer.kind == "conv"]
+
+
 class TestBands:
     """A conv's product runs in fixed bands of output rows, so that a run of
     bands recomputed alone has the bits of the whole call."""
@@ -365,23 +374,34 @@ class TestBands:
         # The BLAS fact the reuse rests on: a band's bits depend on its own
         # columns and shape only, not on where its buffers sit or their
         # leading dimension. (One call over all the columns may differ.)
+        # One band of each random shape, and every band of tiny's convs.
         rng = np.random.default_rng(seed)
-        for _ in range(50):
-            f, k = int(rng.integers(1, 65)), int(rng.integers(1, 200))
-            ho, wo = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+        shapes = [(int(rng.integers(1, 65)), int(rng.integers(1, 200)),
+                   int(rng.integers(1, 40)), int(rng.integers(1, 70))) for _ in range(50)]
+        for n, (f, k, ho, wo) in enumerate(shapes + tiny_conv_shapes()):
             kernel = rng.normal(size=(f, k)).astype(np.float32)
             cols = rng.normal(size=(1, k, ho * wo)).astype(np.float32)
-            out = np.empty((1, f, ho * wo), np.float32)
-            _banded_product(kernel, cols, np.zeros(f, np.float32), wo, out)
+            out = _banded_product(kernel, cols, np.zeros(f, np.float32), wo)
             rows = band_rows(wo)
-            r0 = rows * int(rng.integers(-(-ho // rows)))
-            c0, c1 = r0 * wo, min(r0 + rows, ho) * wo
-            lead = c1 - c0 + int(rng.integers(1, 9))
-            fresh = np.empty(k * lead + 1, np.float32)[1:].reshape(k, lead)[:, :c1 - c0]
-            fresh[...] = cols[0, :, c0:c1]
-            got = np.empty(f * lead + 1, np.float32)[1:].reshape(f, lead)[:, :c1 - c0]
-            np.matmul(kernel, fresh, out=got)
-            assert_same_bits(got, out[0, :, c0:c1])
+            starts = range(0, ho, rows) if n >= len(shapes) else [
+                rows * int(rng.integers(-(-ho // rows)))]
+            for r0 in starts:
+                c0, c1 = r0 * wo, min(r0 + rows, ho) * wo
+                lead = c1 - c0 + int(rng.integers(1, 9))
+                fresh = np.empty(k * lead + 1, np.float32)[1:].reshape(k, lead)[:, :c1 - c0]
+                fresh[...] = cols[0, :, c0:c1]
+                got = np.empty(f * lead + 1, np.float32)[1:].reshape(f, lead)[:, :c1 - c0]
+                np.matmul(kernel, fresh, out=got)
+                assert_same_bits(got, out[0, :, c0:c1])
+
+    def test_band_rule(self):
+        # The fewest rows, at least 3, holding whole groups of 16 outputs:
+        # tiny's widths 96, 48, 24, 12 and 6 get 3, 3, 4, 4 and 8 rows.
+        assert [band_rows(wo) for wo in (96, 48, 24, 12, 6)] == [3, 3, 4, 4, 8]
+        for wo in range(1, 200):
+            rows = band_rows(wo)
+            assert rows >= 3 and rows * wo % 16 == 0
+            assert all(r < 3 or r * wo % 16 for r in range(1, rows))
 
     @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 1), (2, 1, 0), (3, 1, 1),
                                               (3, 2, 2), (5, 1, 2), (5, 2, 0)])
@@ -405,10 +425,19 @@ class TestBands:
                   ([(0, 1), (2 * rows, 2 * rows + 1)], [(0, rows), (2 * rows, min(3 * rows, ho))]),
                   ([(0, ho)], [(0, ho)])]
         for runs, written in cases:
-            out = np.full_like(whole, np.nan)
-            assert _conv2d_rows(x, kernel, bias, stride, pad, out, runs) == written
-            done = np.zeros(ho, bool)
+            # input rows no block sees are NaN, so reading one would show
+            seen = np.zeros(x.shape[2], bool)
             for r0, r1 in written:
-                assert_same_bits(out[:, :, r0:r1], whole[:, :, r0:r1])
+                seen[max(r0 * stride - pad, 0):max((r1 - 1) * stride - pad + k, 0)] = True
+            masked = np.where(seen[:, None], x, np.float32(np.nan))
+            assert _conv2d_bands(runs, ho, wo) == written
+            blocks = _conv2d_row_blocks(masked, kernel, bias, stride, pad, written)
+            assert [(r0, r1) for r0, r1, _ in blocks] == written
+            out = np.full_like(whole, np.nan)
+            done = np.zeros(ho, bool)
+            for r0, r1, block in blocks:
+                assert block.flags.c_contiguous and block.shape == (1, 4, r1 - r0, wo)
+                assert_same_bits(block, whole[:, :, r0:r1])
+                out[:, :, r0:r1] = block
                 done[r0:r1] = True
             assert np.isnan(out[:, :, ~done]).all()

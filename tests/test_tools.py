@@ -24,7 +24,7 @@ def test_identity_tree_against_itself():
     verdicts = proc.stdout.splitlines()[:-1]
     assert len(verdicts) >= 15 and all(line.startswith("same ") for line in verdicts)
     assert {"detect-init-0.txt", "forward-init.txt", "gated-map-init.txt",
-            "run-gated-init-0.json"} <= {
+            "gated-noisy-map-init.txt", "run-gated-init-0.json"} <= {
         line.split()[-1] for line in verdicts}
 
 

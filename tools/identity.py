@@ -21,10 +21,11 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   from a gated ``pipeline.process_frame`` stream (the CLI's default gate),
   whose inferred frames reuse the reference's activations; the forward
   digests cover only full forwards, and detection files print rounded
-  values;
+  values. One stream runs over the c01 clip and one over the same scene
+  made with ``noise=0.015``, where every row of an inferred frame changes;
 - each command's exit code and printed output.
 
-``--quick`` keeps a 6-frame clip, the init FNET and ``obj_threshold`` 0.
+``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.
 
 One verdict per file follows: ``same``, ``DIFFERS`` (with the first
 differing line), ``only here`` or ``only there``. Files are compared as
@@ -79,6 +80,8 @@ def produce(quick: bool) -> None:
 
     frames, schedule = (6, "1-3:moving,4-6:frozen") if quick else (60, "1-37:moving,38-60:frozen")
     call("synth", "synth", out="clip", frames=frames, velocity="3,2", schedule=schedule, seed=11)
+    call("synth-noisy", "synth", out="noisy-clip", frames=frames, velocity="3,2",
+         schedule=schedule, seed=11, noise=0.015)
     tiny = zoo.load_bundled("tiny")
     netdef.save_network("init.fnet", tiny, network.init_weights(tiny, 0))
     fnets = {"init": "init.fnet"}
@@ -98,15 +101,16 @@ def produce(quick: bool) -> None:
             for frame in ppm.load_frames("clip"):
                 out = np.ascontiguousarray(network.forward(net, store, frame.pixels).data)
                 digests.write(f"{frame.index} {hashlib.sha256(out).hexdigest()}\n")
-        state, policy = pipeline.PipelineState(), GatingPolicy.default(net.input_shape[0])
         anchors = [detector.AnchorPrior(0.9, 0.9), detector.AnchorPrior(1.8, 1.8)]
-        with Path(f"gated-map-{tag}.txt").open("w") as digests:
-            for frame in ppm.load_frames("clip"):
-                _, inferred, state, _ = pipeline.process_frame(
-                    state, frame, policy, net, store, anchors, 0.4, 0.5)
-                out = np.ascontiguousarray(state.reference_map.values.data)
-                digests.write(f"{frame.index} {int(inferred)} "
-                              f"{hashlib.sha256(out).hexdigest()}\n")
+        for clip, name in (("clip", "gated-map"), ("noisy-clip", "gated-noisy-map")):
+            state, policy = pipeline.PipelineState(), GatingPolicy.default(net.input_shape[0])
+            with Path(f"{name}-{tag}.txt").open("w") as digests:
+                for frame in ppm.load_frames(clip):
+                    _, inferred, state, _ = pipeline.process_frame(
+                        state, frame, policy, net, store, anchors, 0.4, 0.5)
+                    out = np.ascontiguousarray(state.reference_map.values.data)
+                    digests.write(f"{frame.index} {int(inferred)} "
+                                  f"{hashlib.sha256(out).hexdigest()}\n")
     if not quick:
         call("evolve", "evolve", network="trained.fnet", out="lineage", gamma=0.74,
              generations=1, frames=48, holdout=24, epochs=3, obj_threshold=0.1)
