@@ -2,11 +2,10 @@
 
 Each layer is a linear part (conv, 2x2 max pool or none), then its
 activation if any: a conv's ``act`` or a pointwise layer's ``fn``.
-Inference can record every layer's output and, given an earlier record,
-recompute only the rows a changed input row reaches (see :func:`forward`),
-with the bits of a full forward. Training
-walks ``net.layers`` forward keeping one record per layer, then backward
-over the records; there is no general autodiff. Two losses are available:
+Inference runs one loop, which can record every layer's output and reuse
+an earlier record; :func:`forward` states the reuse rule. Training walks
+``net.layers`` forward keeping one record per layer, then backward over
+the records; there is no general autodiff. Two losses are available:
 
 * ``squared-error``: mean squared difference against a target tensor of the
   output's shape.
@@ -122,22 +121,13 @@ def _infer_layer(layer: LayerSpec, weights: dict, i: int, x: np.ndarray) -> np.n
 
 
 def _forward_batch(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
-                   caches: Optional[list] = None) -> np.ndarray:
-    """The network on a [B,C,H,W] batch; ``caches`` collects what backward needs.
-
-    Training appends layer i's record ``(input, cols, pre, post)`` as
-    ``caches[i]``: ``cols`` is a conv's columns, else None, and ``pre`` the
-    linear part's output. Inference drops each conv's columns after its
-    matmul and writes its activation into the conv's own fresh output, so
-    the transient heap stays under the allocator's trim point and is not
-    faulted in again on every call (about 500 minor faults per ``tiny``
-    forward). ``xb`` is never written.
-    """
+                   caches: list) -> np.ndarray:
+    """The training forward on a [B,C,H,W] batch: appends layer i's record
+    ``(input, cols, pre, post)`` as ``caches[i]`` for backward, where
+    ``cols`` is a conv's columns, else None, and ``pre`` the linear part's
+    output. ``xb`` is never written."""
     out = xb
     for i, layer in enumerate(net.layers):
-        if caches is None:
-            out = _infer_layer(layer, weights, i, out)
-            continue
         fn = _activation(layer)
         x, cols = out, None
         if layer.kind == "conv":
@@ -202,8 +192,8 @@ def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple, pools: int = 0) -
 
 def _conv_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
                was: np.ndarray, bands: list) -> np.ndarray:
-    """Conv layer i's output, activation included, with the bits
-    ``_forward_batch`` gives it: the rows in ``bands`` (matmul bands, as
+    """Conv layer i's output, activation included, with the bits a full
+    forward gives it: the rows in ``bands`` (matmul bands, as
     ``_conv2d_bands`` gives them) are computed and activated as fresh
     blocks, and the other rows are copied from ``was``, the reference's
     output."""
@@ -254,22 +244,24 @@ def _changed_rows(x: np.ndarray, was: np.ndarray) -> list:
     return list(zip(edges[0::2], edges[1::2]))
 
 
-def _reusing_forward(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
-                     record: list, reference: Optional[Sequence]) -> np.ndarray:
-    """Inference that appends its input and each layer's output to
-    ``record``, all read-only. With a ``reference`` record, each layer
-    does what ``_reuse_plan`` gives it: a layer no changed input row
-    reaches is the reference's output, one that must compute its whole map
-    runs its plain kernel, which gives the bits of recomputing its changed
-    rows without a copy of the reference, and a conv computes only its
-    planned bands (``_conv_rows``)."""
+def _infer(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
+           record: Optional[list] = None,
+           reference: Optional[Sequence] = None) -> np.ndarray:
+    """The network on a [B,C,H,W] batch, for inference: see :func:`forward`
+    for ``record`` and ``reference``. Each conv's columns are dropped after
+    its matmul and its activation is written into its own fresh output, so
+    the transient heap stays under the allocator's trim point and is not
+    faulted in again on every call (about 500 minor faults per ``tiny``
+    forward). ``xb`` is never written."""
     if reference is None:
         plan = [None] * len(net.layers)
     else:
         plan = _reuse_plan(net, _changed_rows(xb, reference[0]), reference)
-    out = xb.view()
-    out.flags.writeable = False
-    record.append(out)
+    out = xb
+    if record is not None:
+        out = xb.view()
+        out.flags.writeable = False
+        record.append(out)
     for i, (layer, bands) in enumerate(zip(net.layers, plan)):
         if bands is None:
             out = _infer_layer(layer, weights, i, out)
@@ -277,8 +269,9 @@ def _reusing_forward(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
             out = reference[i + 1]
         else:
             out = _conv_rows(layer, weights, i, out, reference[i + 1], bands)
-        out.flags.writeable = False
-        record.append(out)
+        if record is not None:
+            out.flags.writeable = False
+            record.append(out)
     return out
 
 
@@ -297,38 +290,41 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
 
     ``record``, a list, gets the input and each layer's output as read-only
     [1,C,H,W] arrays; the returned tensor views the last. Passing an
-    earlier call's record as ``reference`` reuses it. A layer that no input
-    row whose bits differ from the recorded input's can reach returns the
-    recorded output. A conv computes only the matmul bands holding the
-    rows such an input row reaches (its window rows, halved by each pool
-    on the way, kept by a pointwise layer) and copies its other rows from
-    the record; a band's other rows keep their bits. A conv whose bands
-    cover its map, and every pool and pointwise layer, runs its plain
-    kernel. The output has the bits of a full forward, and with no changed
-    row it is the recorded output. Rows count as unchanged only when their
-    bits are equal, as in the noise-free clips the benchmark streams. With
-    noise in every row every layer runs its plain kernel after the compare:
-    over the 36 reused forwards of a noisy clip (``synth noise=0.015``) a
-    reused forward took 12-15% longer than one without ``record`` or
-    ``reference`` (three in-process A/B runs on one pinned CPU; 711 against
-    616 us in one). The reference must come
-    from the same ``net`` and ``store``; only its shapes are checked. A
-    ``tiny`` record holds about 0.7 MB besides its input.
+    earlier call's record as ``reference`` reuses it. This is the one
+    statement of the reuse rule:
+
+    * The input is compared with the record's own input, ``reference[0]``,
+      bit for bit, so -0.0 and +0.0 differ; a row is unchanged only when
+      all its bits are equal, as in the noise-free clips the benchmark
+      streams.
+    * A layer that no changed input row reaches returns the recorded
+      output. A conv computes the rows a changed row reaches (its window
+      rows, halved by each pool on the way, kept by a pointwise layer),
+      widened to whole matmul bands, and copies its other rows from the
+      record; a band's other rows keep their bits. A conv whose bands
+      cover its map, and every pool, pointwise layer and head, runs its
+      plain kernel.
+    * The output has the bits of a full forward, and with no changed row it
+      is the recorded output. Any record made with the same ``net`` and
+      ``store`` will do, whichever input it was made from; only its shapes
+      are checked.
+    * With noise in every row every layer runs its plain kernel after the
+      compare: over the 36 reused forwards of a noisy clip (``synth
+      noise=0.015``) a reused forward took 12-15% longer than one without
+      ``record`` or ``reference`` (three in-process A/B runs on one pinned
+      CPU; 711 against 616 us in one).
+
+    A ``tiny`` record holds about 0.7 MB besides its input.
     """
     store.validate_for(net)
     if x.shape != net.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match network input {net.input_shape}")
-    weights = _weights_map(store)
-    if record is None and reference is None:
-        return Tensor(_forward_batch(net, weights, x.data[None])[0])
     if reference is not None:
         shapes = [(1,) + s for s in [net.input_shape] + net.layer_shapes()]
         if [r.shape for r in reference] != shapes:
             raise ShapeError(f"reference record of shapes {[r.shape for r in reference]} "
                              f"does not match the network's {shapes}")
-    out = _reusing_forward(net, weights, x.data[None], [] if record is None else record,
-                           reference)
-    return Tensor(out[0])
+    return Tensor(_infer(net, _weights_map(store), x.data[None], record, reference)[0])
 
 
 def init_weights(net: NetworkDescriptor, seed: int = 0) -> WeightStore:
@@ -401,7 +397,7 @@ def evaluate_loss(net: NetworkDescriptor, store: WeightStore,
     """Mean loss of the network over a dataset, without touching weights."""
     store.validate_for(net)
     xs, ts = _stack_dataset(net, dataset)
-    out = _forward_batch(net, _weights_map(store), xs)
+    out = _infer(net, _weights_map(store), xs)
     return _loss_fn(net, loss)(out, ts)[0]
 
 

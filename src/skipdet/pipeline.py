@@ -5,38 +5,27 @@ reference yet). Afterwards each frame is paired with the reference, gated
 by the motion map, and either (a) run through the detector, becoming the
 new reference together with its class probability map and its boxes, or
 (b) skipped, in which case the reference's boxes are returned again.
-The state keeps the boxes with the anchors and thresholds that made them;
-a skipped frame decoded with other settings re-runs decode+nms on the
-stored reference map and keeps that result instead. Settings count by
-value only: anchors and thresholds are Python floats. Decode and nms are
-deterministic, so a skipped frame's boxes equal a fresh decode of the
-reference map either way.
+The state keeps three values made from the reference, each with the key
+it was made under (see :class:`PipelineState`), and uses one only when its
+key matches the call:
 
-The state also keeps the reference's half of the gate's products
-(``motion.reference_half``), keyed on the reference frame (by identity)
-and the bytes of the kernel that made it. The half is made on the first
-gated frame after an inference, made again when the key does not match
-(a call passing a policy with other kernel values, a kernel changed in
-place, or a state given another reference), and never made with
-``policy=None``. The half is read-only. A gated frame therefore multiplies
-only its own channels, and its map has the bits of the ``[2C,H,W]``
-stack's.
-
-A gated inferred frame also reuses the reference's activations. The
-state keeps the reference's forward record (``network.forward``'s
-``record``: its input and every layer's output, read-only), keyed on the
-reference frame, ``net`` and ``store``, all by identity. The next inferred
-frame passes it as ``reference`` when the key matches, and the forward
-recomputes only the rows its changed rows reach (whole matmul bands at a
-conv), with the bits of a full forward. Rows count as unchanged only when
-their bits are equal, as in the noise-free clips the benchmark streams.
-A frame with noise in every row runs every layer's plain kernel after the
-compare and keeps all its activations for the record: on a noisy clip
-(``synth noise=0.015``) its forward took 12-15% longer than a
-``policy=None`` one (three in-process A/B runs on one pinned CPU). No
-benchmark workload streams such frames. A record is made on every gated
-inferred frame and holds about 0.7 MB for ``tiny``, growing with the
-network's activations.
+- the reference's boxes, keyed on the anchors and thresholds that decoded
+  them. A skipped frame decoded with other settings re-runs decode+nms on
+  the stored reference map and keeps that result instead. Settings count
+  by value only: anchors and thresholds are Python floats. Decode and nms
+  are deterministic, so a skipped frame's boxes equal a fresh decode of
+  the reference map either way.
+- the reference's half of the gate's products (``motion.reference_half``),
+  keyed on the reference frame (by identity) and the bytes of the gate
+  kernel. It is made on the first gated frame after an inference, made
+  again when the key does not match (another kernel's values, a kernel
+  changed in place, or a state given another reference), and never made
+  with ``policy=None``. A gated frame therefore multiplies only its own
+  channels, and its map has the bits of the ``[2C,H,W]`` stack's.
+- the reference's forward record, keyed on ``net`` and ``store`` by
+  identity. A gated inferred frame passes it to ``network.forward`` as
+  ``reference``, which states the reuse rule, and records its own forward
+  for the next one. A ``tiny`` record holds about 0.7 MB.
 
 ``policy=None`` infers every frame in full, calls no gate function and
 keeps no record; it is the one detection path, which the CLI's ``detect``
@@ -54,8 +43,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
                        map_from_output, nms)
 from .motion import Frame, GatingPolicy, decide, motion_map, reference_half, stack_frames
@@ -67,36 +54,30 @@ __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
 @dataclass(frozen=True)
 class PipelineState:
-    """What the next frame needs: the reference, how old it is, the
-    reference's boxes with the settings that decoded them (anchors and two
-    Python-float thresholds), the reference's half of the gate's products
-    with its key, ``(reference frame, gate kernel bytes)``, and the
-    reference's forward record with its key, ``(reference frame, net,
-    store)``; immutable, one new state per frame. A half or a record needs
-    a reference and a key.
+    """What the next frame needs: the reference and its map, how old it is,
+    and three values made from the reference, each in a tuple with the key
+    it was made under and used only when that key matches the call:
+
+    * ``reference_boxes``, ``(settings, boxes)``: the settings are the
+      anchors and the two thresholds as Python floats;
+    * ``reference_half``, ``(reference frame, gate kernel bytes, half)``:
+      the reference's read-only half of the gate's products;
+    * ``reference_record``, ``(net, store, arrays)``: the reference's
+      forward record (``network.forward``'s ``record``).
+
+    Immutable; one new state per frame.
     """
 
     reference_frame: Optional[Frame] = None
     reference_map: Optional[ClassProbabilityMap] = None
     frames_since_inference: int = 0
-    reference_boxes: tuple[DetectionBox, ...] = ()
-    reference_settings: Optional[tuple] = None
-    reference_half: Optional[np.ndarray] = None
-    half_key: Optional[tuple[Frame, bytes]] = None
-    reference_record: Optional[tuple[np.ndarray, ...]] = None
-    record_key: Optional[tuple[Frame, NetworkDescriptor, WeightStore]] = None
+    reference_boxes: Optional[tuple] = None
+    reference_half: Optional[tuple] = None
+    reference_record: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if (self.reference_frame is None) != (self.reference_map is None):
             raise ValueError("reference frame and reference map must be set together")
-        if (self.reference_half is None) != (self.half_key is None):
-            raise ValueError("reference half and its key must be set together")
-        if self.reference_half is not None and self.reference_frame is None:
-            raise ValueError("a reference half needs a reference frame")
-        if (self.reference_record is None) != (self.record_key is None):
-            raise ValueError("reference record and its key must be set together")
-        if self.reference_record is not None and self.reference_frame is None:
-            raise ValueError("a reference record needs a reference frame")
 
 
 @dataclass(frozen=True)
@@ -122,18 +103,15 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     ``decode`` nor ``nms``, when its anchors and thresholds equal the ones
     that made them; otherwise it decodes the reference map and stores the
     result. A gated inferred frame records its forward and reuses the
-    state's record when its key is the reference, ``net`` and ``store``;
-    otherwise it infers in full. The returned list is the caller's to
-    change. A frame's shape is
+    state's record when it was made with this ``net`` and ``store``. The
+    returned list is the caller's to change. A frame's shape is
     checked once, by the stage that uses it: ``motion_map`` against the
     reference's half, or ``forward`` against the network input when there
     is no reference or no policy. States are immutable, so the caller's
     state stays usable after an error.
     """
     reference, cmap = state.reference_frame, state.reference_map
-    boxes, made_with = state.reference_boxes, state.reference_settings
-    half, half_key = state.reference_half, state.half_key
-    record, record_key = state.reference_record, state.record_key
+    boxes, half, record = state.reference_boxes, state.reference_half, state.reference_record
     gate_s = 0.0
     gap = state.frames_since_inference + 1
     if reference is None or policy is None:
@@ -141,46 +119,38 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     else:
         t0 = time.perf_counter()
         kernel = policy.kernel.data.tobytes()
-        if half_key is None or half_key[0] is not reference or half_key[1] != kernel:
-            half, half_key = reference_half(reference, policy), (reference, kernel)
+        if half is None or half[0] is not reference or half[1] != kernel:
+            half = (reference, kernel, reference_half(reference, policy))
         # The motion map is dropped before inference. Kept alive through the
         # forward, it left the heap's free top within 24 KB of glibc's trim
         # threshold in most process layouts, and some trimmed and re-grew
         # the heap on every run.
-        must_infer = decide(motion_map(stack_frames(frame, half), policy), policy, gap)
+        must_infer = decide(motion_map(stack_frames(frame, half[2]), policy), policy, gap)
         gate_s = time.perf_counter() - t0
 
     infer_s = 0.0
     if must_infer:
         t0 = time.perf_counter()
         if policy is None:
-            out = forward(net, store, frame.pixels)
-            record = record_key = None
+            out, record = forward(net, store, frame.pixels), None
         else:
-            if record_key is None or any(
-                    a is not b for a, b in zip(record_key, (reference, net, store))):
-                record = None
+            kept = record is not None and record[0] is net and record[1] is store
             made: list = []
-            out = forward(net, store, frame.pixels, record=made, reference=record)
-            record, record_key = tuple(made), (frame, net, store)
+            out = forward(net, store, frame.pixels, record=made,
+                          reference=record[2] if kept else None)
+            record = (net, store, tuple(made))
         cmap = map_from_output(net, out)
         infer_s = time.perf_counter() - t0
-        reference, gap, made_with = frame, 0, None
-        half = half_key = None
+        reference, gap, boxes, half = frame, 0, None, None
 
     t0 = time.perf_counter()
     # Python floats: np.float32(0.4) == 0.4, yet the two bars keep different slots.
     settings = (tuple(anchors), float(obj_threshold), float(nms_threshold))
-    if settings != made_with:
-        boxes = tuple(nms(decode(cmap, anchors, obj_threshold), nms_threshold))
-        made_with = settings
+    if boxes is None or boxes[0] != settings:
+        boxes = (settings, tuple(nms(decode(cmap, anchors, obj_threshold), nms_threshold)))
     decode_s = time.perf_counter() - t0
-    new_state = PipelineState(reference_frame=reference, reference_map=cmap,
-                              frames_since_inference=gap, reference_boxes=boxes,
-                              reference_settings=made_with, reference_half=half,
-                              half_key=half_key, reference_record=record,
-                              record_key=record_key)
-    return list(boxes), must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
+    new_state = PipelineState(reference, cmap, gap, boxes, half, record)
+    return list(boxes[1]), must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
 
 
 @dataclass

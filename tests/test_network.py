@@ -11,7 +11,8 @@ from skipdet import network, zoo
 from skipdet.detector import OBJECTNESS_BIAS_INIT
 from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
 from skipdet.network import (TrainConfig, TrainingDivergence, _backward_batch, _forward_batch,
-                             evaluate_loss, forward, init_weights, loss_gradients, train_sgd)
+                             _infer, evaluate_loss, forward, init_weights, loss_gradients,
+                             train_sgd)
 from skipdet.tensor import POINTWISE_FNS, ShapeError, Tensor, band_rows
 
 import faults
@@ -143,7 +144,7 @@ def pointwise_first_net():
 
 
 class TestInferencePath:
-    """The cache-free forward writes activations in place on its own buffers."""
+    """The inference loop writes activations in place on its own buffers."""
 
     @pytest.mark.parametrize("batch", [1, 8])
     @pytest.mark.parametrize("seed", range(6))
@@ -155,10 +156,15 @@ class TestInferencePath:
         xb = rng.normal(size=(batch,) + net.input_shape).astype(np.float32)
         xb[rng.random(xb.shape) < 0.1] = -0.0
         before = xb.copy()
-        inferred = _forward_batch(net, weights, xb)
-        trained = _forward_batch(net, weights, xb, [])
-        assert inferred.shape == (batch,) + net.output_shape
-        assert np.array_equal(inferred.view(np.uint32), trained.view(np.uint32))
+        caches, record = [], []
+        trained = _forward_batch(net, weights, xb, caches)
+        for inferred in (_infer(net, weights, xb), _infer(net, weights, xb, record=record)):
+            assert inferred.shape == (batch,) + net.output_shape
+            assert np.array_equal(inferred.view(np.uint32), trained.view(np.uint32))
+        assert len(record) == len(net.layers) + 1
+        assert all(not r.flags.writeable for r in record)
+        for got, want in zip(record, [xb] + [post for _, _, _, post in caches]):
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         assert np.array_equal(xb.view(np.uint32), before.view(np.uint32))
 
     @pytest.mark.parametrize("make_net", [pointwise_first_net, gradcheck_net,
@@ -233,7 +239,7 @@ class TestTaggedCacheOracle:
         want = oracles.tagged_forward_batch(net, weights, xb, tagged)
         assert len(records) == len(net.layers)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-        assert np.array_equal(_forward_batch(net, weights, xb).view(np.uint32),
+        assert np.array_equal(_infer(net, weights, xb).view(np.uint32),
                               oracles.tagged_forward_batch(net, weights, xb).view(np.uint32))
         assert_same_grads(_backward_batch(net, weights, records, grad_out),
                           oracles.tagged_backward_batch(net, weights, tagged, grad_out))

@@ -22,7 +22,11 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   whose inferred frames reuse the reference's activations; the forward
   digests cover only full forwards, and detection files print rounded
   values. One stream runs over the c01 clip and one over the same scene
-  made with ``noise=0.015``, where every row of an inferred frame changes;
+  made with ``noise=0.015``, where every row of an inferred frame changes.
+  A third runs over the c01 clip with a policy that changes every 5
+  frames, from the default gate to ``None`` to a gate with another kernel
+  and back, so that the state drops its forward record, keeps it across
+  gated frames, and makes the gate's half again for a new kernel;
 - each command's exit code and printed output.
 
 ``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.
@@ -65,6 +69,7 @@ def produce(quick: bool) -> None:
     import numpy as np
     from skipdet import cli, detector, netdef, network, pipeline, ppm, zoo
     from skipdet.motion import GatingPolicy
+    from skipdet.tensor import Tensor
 
     Path("stdout").mkdir()
 
@@ -102,10 +107,18 @@ def produce(quick: bool) -> None:
                 out = np.ascontiguousarray(network.forward(net, store, frame.pixels).data)
                 digests.write(f"{frame.index} {hashlib.sha256(out).hexdigest()}\n")
         anchors = [detector.AnchorPrior(0.9, 0.9), detector.AnchorPrior(1.8, 1.8)]
-        for clip, name in (("clip", "gated-map"), ("noisy-clip", "gated-noisy-map")):
-            state, policy = pipeline.PipelineState(), GatingPolicy.default(net.input_shape[0])
+        gate = GatingPolicy.default(net.input_shape[0])
+        k = np.float32([0.7, 0.2, 0.45])
+        other_gate = GatingPolicy(kernel=Tensor(np.concatenate([k, -k]).reshape(1, 6, 1, 1)),
+                                  bias=Tensor.zeros((1,)))
+        streams = (("clip", "gated-map", (gate,)),
+                   ("noisy-clip", "gated-noisy-map", (gate,)),
+                   ("clip", "gated-rotating-map", (gate, None, other_gate)))
+        for clip, name, policies in streams:
+            state = pipeline.PipelineState()
             with Path(f"{name}-{tag}.txt").open("w") as digests:
-                for frame in ppm.load_frames(clip):
+                for n, frame in enumerate(ppm.load_frames(clip)):
+                    policy = policies[n // 5 % len(policies)]
                     _, inferred, state, _ = pipeline.process_frame(
                         state, frame, policy, net, store, anchors, 0.4, 0.5)
                     out = np.ascontiguousarray(state.reference_map.values.data)
