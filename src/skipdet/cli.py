@@ -231,12 +231,14 @@ def _eval_detector(net, store, anchors, frames, truth, obj_thr, nms_thr) -> floa
 
 def _cmd_synth(cfg) -> int:
     frames = _get_count(cfg, "frames")
+    if frames == 0:
+        raise ConfigError(f"config key frames={cfg['frames']!r} is not a positive integer")
     width, height = _parse_size(cfg["size"])
     spec = synth.SyntheticSceneSpec(
         frames=frames, width=width, height=height,
         channels=_get_int(cfg, "channels"), objects=_get_int(cfg, "objects"),
         velocities=_parse_velocities(cfg["velocity"]),
-        schedule=synth.parse_schedule(cfg["schedule"], frames),
+        schedule=synth.parse_schedule(cfg["schedule"] or f"1-{frames}:moving", frames),
         noise=_get_float(cfg, "noise"), seed=_get_count(cfg, "seed"))
     truth_path = synth.write_scene(spec, cfg["out"])
     print(f"wrote {frames} frames and {truth_path}")
@@ -360,7 +362,7 @@ _DETECT_KEYS = {"input": None, "network": None, **_DECODE_KEYS, "out": None}
 SUBCOMMANDS = {
     "synth": (_cmd_synth, {
         "out": None, "frames": "50", "size": "96", "channels": "3",
-        "objects": "1", "velocity": "2,1", "schedule": "1-50:moving",
+        "objects": "1", "velocity": "2,1", "schedule": "",
         "noise": "0", "seed": "0",
     }),
     "train-tiny": (_cmd_train_tiny, {

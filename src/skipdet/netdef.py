@@ -514,6 +514,8 @@ def decode_network(data: bytes) -> tuple[NetworkDescriptor, Optional[WeightStore
         n_layers = int(header("layers"))
     except ValueError as exc:
         raise r.error(f"bad header value: {exc}")
+    if n_layers < 0:
+        raise r.error(f"bad header value: layers={n_layers} is negative")
     layers, mask_flags = [], []
     for i in range(n_layers):
         text, off = r.line(f"layer {i}")
@@ -536,7 +538,7 @@ def decode_network(data: bytes) -> tuple[NetworkDescriptor, Optional[WeightStore
     raw: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i in net.conv_indices():
         shape = net.layers[i].kernel_shape
-        n_kernel = int(np.prod(shape))
+        n_kernel = math.prod(shape)
         kbytes = r.take(4 * n_kernel, f"layer {i} kernel")
         bbytes = r.take(4 * shape[0], f"layer {i} bias")
         kernel = np.frombuffer(kbytes, dtype="<f4").reshape(shape)
@@ -551,7 +553,7 @@ def decode_network(data: bytes) -> tuple[NetworkDescriptor, Optional[WeightStore
             if not mask_flags[i]:
                 continue
             shape = net.layers[i].kernel_shape
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             mbytes = r.take((n + 7) // 8, f"layer {i} mask")
             bits = np.unpackbits(np.frombuffer(mbytes, dtype=np.uint8),
                                  count=n, bitorder="little")

@@ -33,7 +33,6 @@ from .tensor import (
     Tensor,
     _col2im_batch,
     _conv2d_batch,
-    _conv2d_bands,
     _conv2d_row_blocks,
     _maxpool2_backward,
     _maxpool2_batch,
@@ -169,17 +168,20 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
     return grads
 
 
-def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple, pools: int = 0) -> list:
-    """The runs ``[a, b)`` of a conv's output rows whose windows see a row
-    in ``runs``, merged. ``runs`` may count rows before the ``pools`` 2x2
-    max pools that precede the conv, each of which halves a run; a
-    pointwise layer keeps its runs. The conv also recomputes the rest of
-    the matmul bands these rows touch (``_conv2d_bands``), with the
-    bits they already had."""
-    s, p, k, ho = layer.stride, layer.pad, layer.kernel_size, out_shape[2]
+def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
+    """The runs ``[a, b)`` of a layer's output rows that a change in its
+    input rows ``runs`` reaches, merged: for a conv, the rows whose windows
+    see one, and for a 2x2 max pool, whose windows are two rows at stride
+    2, each run halved; a pointwise layer or the head keeps its runs."""
+    if layer.kind == "conv":
+        s, p, k = layer.stride, layer.pad, layer.kernel_size
+    elif layer.kind == "maxpool2":
+        s, p, k = 2, 0, 2
+    else:
+        return runs
+    ho = out_shape[2]
     merged: list = []
     for a, b in runs:
-        a, b = a >> pools, ((b - 1) >> pools) + 1
         lo, hi = max(-(-(a + p - k + 1) // s), 0), min((b - 1 + p) // s + 1, ho)
         if lo >= hi:
             continue
@@ -191,46 +193,28 @@ def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple, pools: int = 0) -
 
 
 def _conv_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
-               was: np.ndarray, bands: list) -> np.ndarray:
+               was: np.ndarray, runs: list) -> np.ndarray:
     """Conv layer i's output, activation included, with the bits a full
-    forward gives it: the rows in ``bands`` (matmul bands, as
-    ``_conv2d_bands`` gives them) are computed and activated as fresh
-    blocks, and the other rows are copied from ``was``, the reference's
-    output."""
+    forward gives it: the blocks ``_conv2d_row_blocks`` computes for the
+    output rows in ``runs`` are activated, and the other rows are copied
+    from ``was``, the reference's output. A block that covers the map is
+    the output."""
     fn = _activation(layer)
-    out = np.empty_like(was)
-    done = 0
-    for r0, r1, block in _conv2d_row_blocks(x, *weights[i], layer.stride, layer.pad, bands):
-        if fn is not None:
+    blocks = _conv2d_row_blocks(x, *weights[i], layer.stride, layer.pad, runs)
+    if fn is not None:
+        for _, _, block in blocks:
             _pointwise_raw(block, fn, layer.alpha, in_place=True)
+    if blocks[0][1] - blocks[0][0] == was.shape[2]:
+        return blocks[0][2]
+    # Made after the blocks: made after the first block only, tiny's first
+    # conv read 4-5 us slower on a reused forward.
+    out, done = np.empty_like(was), 0
+    for r0, r1, block in blocks:
         out[:, :, done:r0] = was[:, :, done:r0]
         out[:, :, r0:r1] = block
         done = r1
     out[:, :, done:] = was[:, :, done:]
     return out
-
-
-def _reuse_plan(net: NetworkDescriptor, runs: list, reference: Sequence) -> list:
-    """Per layer, what a reusing forward computes, given the ``runs`` of
-    input rows that changed: ``[]`` where no changed row reaches the layer,
-    whose output is then the reference's; None where it runs its plain
-    kernel, as a pool, a pointwise layer, the head and a conv whose bands
-    cover its map do; else the matmul bands a conv computes. The changed
-    rows are carried to the next conv, which halves them once per pool
-    between (``_rows_seen``)."""
-    plan, pools = [], 0
-    for layer, was in zip(net.layers, reference[1:]):
-        if runs and layer.kind == "conv":
-            runs, pools = _rows_seen(layer, runs, was.shape, pools), 0
-        if not runs:
-            plan.append([])
-        elif layer.kind == "conv":
-            bands = _conv2d_bands(runs, was.shape[2], was.shape[3])
-            plan.append(None if bands == [(0, was.shape[2])] else bands)
-        else:
-            plan.append(None)
-            pools += layer.kind == "maxpool2"
-    return plan
 
 
 def _changed_rows(x: np.ndarray, was: np.ndarray) -> list:
@@ -253,22 +237,24 @@ def _infer(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
     the transient heap stays under the allocator's trim point and is not
     faulted in again on every call (about 500 minor faults per ``tiny``
     forward). ``xb`` is never written."""
-    if reference is None:
-        plan = [None] * len(net.layers)
-    else:
-        plan = _reuse_plan(net, _changed_rows(xb, reference[0]), reference)
+    runs = None if reference is None else _changed_rows(xb, reference[0])
     out = xb
     if record is not None:
         out = xb.view()
         out.flags.writeable = False
         record.append(out)
-    for i, (layer, bands) in enumerate(zip(net.layers, plan)):
-        if bands is None:
+    for i, layer in enumerate(net.layers):
+        if runs is None:
             out = _infer_layer(layer, weights, i, out)
-        elif not bands:
-            out = reference[i + 1]
         else:
-            out = _conv_rows(layer, weights, i, out, reference[i + 1], bands)
+            was = reference[i + 1]
+            runs = _rows_seen(layer, runs, was.shape)
+            if not runs:
+                out = was
+            elif layer.kind == "conv":
+                out = _conv_rows(layer, weights, i, out, was, runs)
+            else:
+                out = _infer_layer(layer, weights, i, out)
         if record is not None:
             out.flags.writeable = False
             record.append(out)
@@ -297,13 +283,16 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
       bit for bit, so -0.0 and +0.0 differ; a row is unchanged only when
       all its bits are equal, as in the noise-free clips the benchmark
       streams.
-    * A layer that no changed input row reaches returns the recorded
-      output. A conv computes the rows a changed row reaches (its window
-      rows, halved by each pool on the way, kept by a pointwise layer),
-      widened to whole matmul bands, and copies its other rows from the
-      record; a band's other rows keep their bits. A conv whose bands
-      cover its map, and every pool, pointwise layer and head, runs its
-      plain kernel.
+    * The changed rows are walked through the layers as they run: a conv's
+      changed output rows are those whose windows see a changed input row,
+      a 2x2 pool halves them, and a pointwise layer or the head keeps
+      them. A layer that no changed row reaches returns the recorded
+      output; a reached pool, pointwise layer or head runs its plain
+      kernel. A reached conv's kernel widens its changed rows to its
+      matmul bands and computes those alone (``tensor._conv2d_row_blocks``),
+      and the other rows are copied from the record; a band's other rows
+      keep their bits. Where the bands cover the map, the conv's plain
+      kernel's output is the layer's.
     * The output has the bits of a full forward, and with no changed row it
       is the recorded output. Any record made with the same ``net`` and
       ``store`` will do, whichever input it was made from; only its shapes
@@ -402,14 +391,11 @@ def evaluate_loss(net: NetworkDescriptor, store: WeightStore,
 
 
 def _batch_gradients(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
-                     tb: np.ndarray, loss_fn, finite_only: bool = False):
-    """One batch's loss and gradients (None, skipping the backward pass, if
-    ``finite_only`` and the loss is not finite): forward, loss, backward."""
+                     tb: np.ndarray, loss_fn):
+    """One batch's loss and gradients: forward, loss, backward."""
     caches: list = []
     with np.errstate(over="ignore", invalid="ignore"):
         value, grad_out = loss_fn(_forward_batch(net, weights, xb, caches), tb)
-        if finite_only and not np.isfinite(value):
-            return value, None
         return value, _backward_batch(net, weights, caches, grad_out)
 
 
@@ -444,8 +430,7 @@ def train_sgd(net: NetworkDescriptor, store: WeightStore,
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
-            value, grads = _batch_gradients(net, work, xs[chunk], ts[chunk], loss_fn,
-                                            finite_only=True)
+            value, grads = _batch_gradients(net, work, xs[chunk], ts[chunk], loss_fn)
             if not np.isfinite(value):
                 raise TrainingDivergence(epoch, value)
             with np.errstate(over="ignore", invalid="ignore"):

@@ -227,11 +227,22 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return out.reshape(b, f, ho, wo), cols
 
 
-def _conv2d_bands(runs: Sequence, ho: int, wo: int) -> list:
-    """The output rows in ``runs`` (ascending ``[r0, r1)`` pairs) of a
-    convolution ``ho`` by ``wo`` outputs, each widened to the edges of the
-    matmul bands it touches, with runs that then meet merged: the rows
-    ``_conv2d_row_blocks`` computes for them."""
+def _conv2d_row_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                       stride: int, pad: int, runs: Sequence) -> list:
+    """The rows of ``_conv2d_batch(x, ...)`` that cover the output rows in
+    ``runs`` (ascending ``[r0, r1)`` pairs), with its bits, as ``(r0, r1,
+    block)`` triples: each block a fresh C-contiguous [B,F,r1-r0,Wo] array.
+
+    Each run is widened to the edges of the matmul bands it touches, and
+    runs that then meet are merged, so every band is one matmul of the
+    whole conv's shape: a row in a block only because it shares a band with
+    a row in ``runs`` has the bits the whole conv gives it. Only the input
+    rows the blocks see are read. A block that covers the map is the plain
+    kernel's output, which copies less.
+    """
+    b, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    ho, wo = conv_output_extent(h, kh, stride, pad), conv_output_extent(w, kw, stride, pad)
     band = band_rows(wo)
     bands: list = []
     for a, z in runs:
@@ -240,23 +251,8 @@ def _conv2d_bands(runs: Sequence, ho: int, wo: int) -> list:
             bands[-1] = (bands[-1][0], max(r1, bands[-1][1]))
         else:
             bands.append((r0, r1))
-    return bands
-
-
-def _conv2d_row_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                       stride: int, pad: int, bands: Sequence) -> list:
-    """The output rows in ``bands`` (``_conv2d_bands``'s runs) of
-    ``_conv2d_batch(x, ...)``, with its bits, as ``(r0, r1, block)``
-    triples: each block a fresh C-contiguous [B,F,r1-r0,Wo] array.
-
-    Each run starts at a band edge and ends at one or at the last row, so
-    every band is one matmul of the whole conv's shape, and a row in a
-    block only because it shares a band with a changed one has the bits
-    the whole conv gives it. Only the input rows the blocks see are read.
-    """
-    b, c, h, w = x.shape
-    f, _, kh, kw = kernel.shape
-    wo = conv_output_extent(w, kw, stride, pad)
+    if bands == [(0, ho)]:
+        return [(0, ho, _conv2d_batch(x, kernel, bias, stride, pad)[0])]
     blocks = []
     for r0, r1 in bands:
         top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh

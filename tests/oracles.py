@@ -79,6 +79,25 @@ def naive_forward(net, weights, x):
     return out
 
 
+def reached_rows(net, changed):
+    """Per layer, a boolean mask of its output rows that a change in the
+    input rows marked in ``changed`` reaches, propagated densely: a conv's
+    output row is reached when any input row in its padded window is, a
+    2x2 pool's when either row of its pair is; other layers keep the mask."""
+    mask = np.asarray(changed, dtype=bool)
+    masks = []
+    for layer in net.layers:
+        if layer.kind == "conv":
+            k, s, p = layer.kernel_size, layer.stride, layer.pad
+            padded = np.concatenate([np.zeros(p, bool), mask, np.zeros(p, bool)])
+            ho = (mask.size + 2 * p - k) // s + 1
+            mask = np.array([padded[r * s:r * s + k].any() for r in range(ho)], bool)
+        elif layer.kind == "maxpool2":
+            mask = mask[0::2] | mask[1::2]
+        masks.append(mask)
+    return masks
+
+
 def naive_composite_loss(pred, target, anchors, classes):
     """Slot-by-slot detection loss in float64, same definition as production."""
     ch = 5 + classes

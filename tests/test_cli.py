@@ -421,6 +421,29 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "schedule" in err
 
+    def test_default_schedule_moves_every_frame(self, tmp_path):
+        # Unset, the schedule follows ``frames``; at 50 it is 1-50:moving.
+        def scene(frames, *schedule):
+            out = tmp_path / f"{frames}{''.join(schedule)}"
+            argv = ["synth", "--set", f"out={out}", "--set", f"frames={frames}",
+                    "--set", "size=16"]
+            assert cli.run_cli(argv + [a for s in schedule for a in ("--set", s)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        ten = scene(10)
+        images = [ten[name] for name in sorted(ten) if name != "truth.txt"]
+        assert len(images) == 10
+        assert all(a != b for a, b in zip(images, images[1:]))
+        assert scene(50) == scene(50, "schedule=1-50:moving")
+
+    def test_zero_frames_is_a_frame_count_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert cli.run_cli(["synth", "--set", f"out={out}", "--set", "frames=0"]) == 1
+        err = capsys.readouterr().err
+        assert "config key frames='0' is not a positive integer" in err
+        assert "schedule" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("velocity", ["1", "inf,0", "nan,0", "abc", "1,2,3"])
     def test_bad_velocity_is_a_config_error(self, velocity, tmp_path, capsys):
         out = tmp_path / "x"

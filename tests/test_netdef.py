@@ -206,6 +206,22 @@ class TestSerialization:
                 decode_network(mutated)
         assert info.value.offset == line_start
 
+    @pytest.mark.parametrize("layer", [
+        "conv;in=3;out=1;k=2147483648;stride=1;pad=1073741824;act=linear;alpha=0.1",
+        "conv;in=3;out=4611686018427387904;k=3;stride=1;pad=1;act=linear;alpha=0.1"])
+    def test_absurd_kernel_size_is_truncation(self, layer):
+        # The kernel's byte count is exact, not wrapped to 64 bits.
+        blob = f"FNET v1\nname=x\ninput=3,8,8\nlayers=1\nlayer.0={layer}\nWEIGHTS\n".encode()
+        with pytest.raises(FnetFormatError, match="layer 0 kernel needs") as info:
+            decode_network(blob)
+        assert info.value.offset == len(blob)
+
+    def test_negative_layer_count_rejected(self):
+        blob = b"FNET v1\nname=x\ninput=3,8,8\nlayers=-2\n"
+        with pytest.raises(FnetFormatError, match="layers=-2 is negative") as info:
+            decode_network(blob)
+        assert info.value.offset == len(blob)
+
     def test_trailing_bytes_rejected(self):
         blob = encode_network(toy_net(), random_store(toy_net(), 0, False))
         with pytest.raises(FnetFormatError, match="trailing"):

@@ -1,6 +1,7 @@
 import math
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -380,8 +381,9 @@ class TestTrainSgd:
         assert err.value.epoch >= 0
         assert not np.isfinite(err.value.loss)
 
-    def test_divergence_skips_the_backward_pass(self, monkeypatch):
-        # The diverging batch's gradients would be thrown away unread.
+    def test_divergence_stops_at_the_diverging_batch(self, monkeypatch):
+        # The diverging batch runs its backward pass, whose gradients are
+        # never applied, and no batch runs after it.
         calls = []
         forward_batch, backward_batch = network._forward_batch, network._backward_batch
         monkeypatch.setattr(network, "_forward_batch",
@@ -396,8 +398,8 @@ class TestTrainSgd:
                           loss="detector-composite")
         with pytest.raises(TrainingDivergence):
             train_sgd(net, init_weights(net, 0), dataset, cfg)
-        assert calls[-1] == "forward"
-        assert calls.count("forward") == calls.count("backward") + 1 > 1
+        assert calls[-2:] == ["forward", "backward"]
+        assert calls.count("forward") == calls.count("backward") > 1
 
     def test_empty_dataset_rejected(self):
         net = gradcheck_net()
@@ -640,31 +642,131 @@ class TestReferenceReuse:
         assert network._rows_seen(conv, [(0, 1), (5, 6)], (1, 1, 96, 96)) == [(0, 2), (4, 7)]
         assert network._rows_seen(conv, [(0, 1), (3, 4)], (1, 1, 96, 96)) == [(0, 5)]
         assert network._rows_seen(conv, [(95, 96)], (1, 1, 96, 96)) == [(94, 96)]
-        # a pool before the conv halves each run, and halved runs that meet merge
-        point = LayerSpec.conv(1, 1, 1)
-        assert network._rows_seen(point, [(3, 4), (5, 9)], (1, 1, 6, 6), pools=1) == [(1, 5)]
-        assert network._rows_seen(point, [(3, 4), (6, 10)], (1, 1, 3, 3), pools=2) == [(0, 3)]
-        assert network._rows_seen(conv, [(8, 9)], (1, 1, 12, 12), pools=3) == [(0, 3)]
+        # a pool halves each run, and halved runs that meet merge
+        pool, point = LayerSpec.maxpool2(), LayerSpec.conv(1, 1, 1)
+        assert network._rows_seen(pool, [(3, 4), (5, 9)], (1, 1, 6, 6)) == [(1, 5)]
+        assert network._rows_seen(pool, [(0, 1), (4, 6), (11, 12)], (1, 1, 6, 6)) == [
+            (0, 1), (2, 3), (5, 6)]
+        assert self.walk_rows([(3, 4), (5, 9)], (pool, 6), (point, 6)) == [(1, 5)]
+        assert self.walk_rows([(3, 4), (6, 10)], (pool, 6), (pool, 3), (point, 3)) == [(0, 3)]
+        assert self.walk_rows([(8, 9)], (pool, 48), (pool, 24), (pool, 12), (conv, 12)) == [(0, 3)]
+        # a pointwise layer and the head keep their runs
+        head = LayerSpec.detect_head(grid=6, anchors=1, classes=1)
+        for layer in (LayerSpec.pointwise("abs"), head):
+            assert network._rows_seen(layer, [(3, 4), (5, 9)], (1, 1, 12, 12)) == [(3, 4), (5, 9)]
         # output row r of a 1x1 conv at stride 2, pad 1 sees input row 2r - 1 only
         skip = LayerSpec.conv(1, 1, 1, stride=2, pad=1)
         assert network._rows_seen(skip, [(4, 5)], (1, 1, 5, 5)) == []
         assert network._rows_seen(skip, [(5, 6)], (1, 1, 5, 5)) == [(3, 4)]
-        assert network._rows_seen(skip, [(10, 12)], (1, 1, 5, 5), pools=1) == [(3, 4)]
+        assert self.walk_rows([(10, 12)], (pool, 10), (skip, 5)) == [(3, 4)]
 
-    def test_plan_runs_whole_maps_on_the_plain_kernel(self):
+    @staticmethod
+    def walk_rows(runs, *steps):
+        """``runs`` walked through ``(layer, output height)`` steps."""
+        for layer, ho in steps:
+            runs = network._rows_seen(layer, runs, (1, 1, ho, ho))
+        return runs
+
+    @staticmethod
+    def walk(net, store, before, after):
+        """A forward of ``after`` reusing the record of ``before``: the runs
+        of rows the walk reaches at each layer, each reached conv's
+        ``_conv2d_row_blocks`` triples, the record of ``before``, the
+        record of ``after`` and how many convs ran their plain kernel."""
+        reference, got, rows, blocks = [], [], [], []
+        forward(net, store, Tensor(before), record=reference)
+        rows_seen, row_blocks = network._rows_seen, network._conv2d_row_blocks
+        conv2d_batch = sys.modules["skipdet.tensor"]._conv2d_batch
+
+        def spy_rows(*args):
+            rows.append(rows_seen(*args))
+            return rows[-1]
+
+        def spy_blocks(*args):
+            blocks.append(row_blocks(*args))
+            return blocks[-1]
+
+        with mock.patch.object(network, "_rows_seen", spy_rows), \
+                mock.patch.object(network, "_conv2d_row_blocks", spy_blocks), \
+                mock.patch.object(sys.modules["skipdet.tensor"], "_conv2d_batch",
+                                  wraps=conv2d_batch) as plain:
+            forward(net, store, Tensor(after), record=got, reference=reference)
+        return rows, blocks, reference, got, plain.call_count
+
+    def test_walk_runs_whole_maps_on_the_plain_kernel(self):
         # tiny with input rows 10-19 changed: each conv computes the bands
         # its window rows touch, except the 6x6 1x1 conv, whose one band
         # is its map; pools and the head always run their plain kernel.
         net = REUSE_NETS["tiny"]
-        reference = []
-        forward(net, TINY_STORE, Tensor.zeros(net.input_shape), record=reference)
-        assert network._reuse_plan(net, [(10, 20)], reference) == [
-            [(9, 21)], None, [(3, 12)], None, [(0, 8)], None, [(0, 8)], None, None, None]
-        # rows 40-49 reach rows 3-8 of the 12x12 conv, whose 4-row bands
-        # then cover it
-        assert network._reuse_plan(net, [(40, 50)], reference)[4:7] == [[(8, 16)], None, None]
-        assert network._reuse_plan(net, [], reference) == [[]] * 10
-        assert network._reuse_plan(net, [(0, 96)], reference) == [None] * 10
+        before = Tensor.zeros(net.input_shape).data
+
+        def changed(r0, r1):
+            after = before.copy()
+            after[:, r0:r1] = 1
+            return self.walk(net, TINY_STORE, before, after)
+
+        rows, blocks, _, got, plain = changed(10, 20)
+        assert rows == [[(9, 21)], [(4, 11)], [(3, 12)], [(1, 6)], [(0, 7)], [(0, 4)],
+                        [(0, 5)], [(0, 3)], [(0, 3)], [(0, 3)]]
+        assert [[(r0, r1) for r0, r1, _ in b] for b in blocks] == [
+            [(9, 21)], [(3, 12)], [(0, 8)], [(0, 8)], [(0, 6)]]
+        # a block that covers its map is the plain kernel's output, and the
+        # layer's, not a copy
+        assert got[9] is blocks[-1][0][2] and plain == 1
+        # rows 40-49 reach rows 8-14 of the 24x24 conv and rows 3-8 of the
+        # 12x12 conv, whose 4-row bands then cover it
+        rows, blocks, _, got, plain = changed(40, 50)
+        assert rows[4:7] == [[(8, 15)], [(4, 8)], [(3, 9)]]
+        assert [[(r0, r1) for r0, r1, _ in b] for b in blocks[2:4]] == [[(8, 16)], [(0, 12)]]
+        assert got[7] is blocks[3][0][2] and got[9] is blocks[4][0][2] and plain == 2
+        # no changed row: every layer returns the recorded output
+        rows, blocks, reference, got, plain = self.walk(net, TINY_STORE, before, before.copy())
+        assert rows == [[]] * 10 and blocks == [] and plain == 0
+        assert all(g is r for g, r in zip(got[1:], reference[1:]))
+        # every row changed: every conv's one block covers its map
+        rows, blocks, _, got, plain = changed(0, 96)
+        assert all(len(b) == 1 and b[0][2] is got[i + 1] for i, b in
+                   zip(net.conv_indices(), blocks))
+        assert len(blocks) == plain == len(net.conv_indices())
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(REUSE_NETS)), data=st.data())
+    def test_walk_reaches_the_oracles_rows(self, name, data):
+        # The walk reaches exactly the rows a dense row mask does, at every
+        # layer, and each conv computes exactly the bands those rows touch:
+        # no fewer, which a full forward's bits would also catch, and no more.
+        net = REUSE_NETS[name]
+        _, h, w = net.input_shape
+        changed = data.draw(st.sets(st.integers(0, h - 1)), label="changed")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        before = rng.random(net.input_shape, dtype=np.float32)
+        after = before.copy()
+        for row in changed:
+            after[:, row, int(rng.integers(w))] += np.float32(0.5)
+        mask = np.zeros(h, bool)
+        mask[list(changed)] = True
+        rows, blocks, _, _, _ = self.walk(net, init_weights(net, 5), before, after)
+        want = oracles.reached_rows(net, mask)
+        assert len(rows) == len(net.layers)
+        for runs, reached in zip(rows, want):
+            assert all(0 <= a < b <= reached.size for a, b in runs)
+            got = np.zeros(reached.size, bool)
+            for a, b in runs:
+                got[a:b] = True
+            assert np.array_equal(got, reached)
+        convs = [i for i in net.conv_indices() if want[i].any()]
+        assert len(blocks) == len(convs)
+        for i, triples in zip(convs, blocks):
+            reached = want[i]
+            band = band_rows(net.layer_shapes()[i][2])
+            in_band = reached.copy()
+            for r in np.flatnonzero(reached):
+                in_band[r // band * band:(r // band + 1) * band] = True
+            done = np.zeros(reached.size, bool)
+            for r0, r1, _ in triples:
+                assert not done[r0:r1].any()
+                done[r0:r1] = True
+            assert np.array_equal(done, in_band)
 
     def test_reference_of_another_network_is_rejected(self):
         net, other = REUSE_NETS["tiny"], mini_tiny()

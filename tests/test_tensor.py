@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _banded_product, _col2im_batch,
-                            _conv2d_bands, _conv2d_batch, _conv2d_row_blocks, _im2col_batch,
+                            _conv2d_batch, _conv2d_row_blocks, _im2col_batch,
                             _maxpool2_backward, _maxpool2_batch, _pointwise_grad,
                             _pointwise_raw, _sigmoid, band_rows, conv2d, maxpool2, pointwise,
                             tensor)
@@ -430,8 +430,7 @@ class TestBands:
             for r0, r1 in written:
                 seen[max(r0 * stride - pad, 0):max((r1 - 1) * stride - pad + k, 0)] = True
             masked = np.where(seen[:, None], x, np.float32(np.nan))
-            assert _conv2d_bands(runs, ho, wo) == written
-            blocks = _conv2d_row_blocks(masked, kernel, bias, stride, pad, written)
+            blocks = _conv2d_row_blocks(masked, kernel, bias, stride, pad, runs)
             assert [(r0, r1) for r0, r1, _ in blocks] == written
             out = np.full_like(whole, np.nan)
             done = np.zeros(ho, bool)
