@@ -238,7 +238,7 @@ def _cmd_synth(cfg) -> int:
         frames=frames, width=width, height=height,
         channels=_get_int(cfg, "channels"), objects=_get_int(cfg, "objects"),
         velocities=_parse_velocities(cfg["velocity"]),
-        schedule=synth.parse_schedule(cfg["schedule"] or f"1-{frames}:moving", frames),
+        schedule=synth.parse_schedule(cfg["schedule"], frames) if cfg["schedule"] else (),
         noise=_get_float(cfg, "noise"), seed=_get_count(cfg, "seed"))
     truth_path = synth.write_scene(spec, cfg["out"])
     print(f"wrote {frames} frames and {truth_path}")

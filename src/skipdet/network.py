@@ -288,15 +288,15 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
       a 2x2 pool halves them, and a pointwise layer or the head keeps
       them. A layer that no changed row reaches returns the recorded
       output; a reached pool, pointwise layer or head runs its plain
-      kernel. A reached conv's kernel widens its changed rows to its
-      matmul bands and computes those alone (``tensor._conv2d_row_blocks``),
-      and the other rows are copied from the record; a band's other rows
-      keep their bits. Where the bands cover the map, the conv's plain
-      kernel's output is the layer's.
-    * The output has the bits of a full forward, and with no changed row it
-      is the recorded output. Any record made with the same ``net`` and
-      ``store`` will do, whichever input it was made from; only its shapes
-      are checked.
+      kernel. A reached conv widens its changed rows to its matmul bands
+      and runs its one kernel, ``tensor._conv2d_rows``, over those alone
+      (``tensor._conv2d_row_blocks``), and the other rows are copied from
+      the record; a block that covers the map is the layer's output.
+    * The output has the bits of a full forward, by construction: a full
+      forward runs the same kernel over every row, and a band's bits depend
+      only on its own rows. With no changed row it is the recorded output.
+      Any record made with the same ``net`` and ``store`` will do,
+      whichever input it was made from; only its shapes are checked.
     * With noise in every row every layer runs its plain kernel after the
       compare: over the 36 reused forwards of a noisy clip (``synth
       noise=0.015``) a reused forward took 12-15% longer than one without

@@ -1,11 +1,12 @@
 """Synthetic rectangle scenes with ground truth.
 
-Motion semantics: the schedule labels every frame 1..T as moving or frozen.
-Object positions advance from frame i-1 to frame i exactly when frame i is
-labeled moving; frame 1 renders the initial positions regardless of its
-label. With zero noise, each frame of a frozen stretch is bit-identical to
-its predecessor, and the number of changed frame transitions equals the
-number of moving-labeled frames among 2..T.
+Motion semantics: the schedule labels every frame 1..T as moving or frozen;
+an empty schedule, the default, labels every frame moving. Object positions
+advance from frame i-1 to frame i exactly when frame i is labeled moving;
+frame 1 renders the initial positions regardless of its label. With zero
+noise, each frame of a frozen stretch is bit-identical to its predecessor,
+and the number of changed frame transitions equals the number of
+moving-labeled frames among 2..T.
 
 Objects are filled rectangles with seeded sizes (15..30% of the short frame
 side per axis), bright seeded colors over a dark background, and reflecting
@@ -58,11 +59,8 @@ def parse_schedule(text: str, frames: int) -> tuple[MotionInterval, ...]:
 
 
 def _validate_schedule(intervals: Sequence[MotionInterval], frames: int) -> None:
-    spans = sorted((iv.start, iv.end) for iv in intervals)
-    if not spans:
-        raise ValueError("schedule must have at least one interval")
     cursor = 1
-    for start, end in spans:
+    for start, end in sorted((iv.start, iv.end) for iv in intervals):
         if start != cursor or end < start:
             raise ValueError(
                 f"schedule must cover 1..{frames} without gaps or overlap, "
@@ -88,7 +86,7 @@ class SyntheticSceneSpec:
     channels: int = 3
     objects: int = 1
     velocities: tuple[tuple[float, float], ...] = ((2.0, 1.0),)
-    schedule: tuple[MotionInterval, ...] = (MotionInterval(1, 1, True),)
+    schedule: tuple[MotionInterval, ...] = ()  # empty: every frame moves
     noise: float = 0.0
     seed: int = 0
 
@@ -108,14 +106,15 @@ class SyntheticSceneSpec:
             check_velocity(v)
         object.__setattr__(self, "velocities",
                            tuple((float(vx), float(vy)) for vx, vy in self.velocities))
-        _validate_schedule(self.schedule, self.frames)
+        if self.schedule:
+            _validate_schedule(self.schedule, self.frames)
 
     def velocity(self, obj: int) -> tuple[float, float]:
         return self.velocities[0] if len(self.velocities) == 1 else self.velocities[obj]
 
     def moving_labels(self) -> np.ndarray:
         """Boolean label per frame, index 0 unused (frames are 1-based)."""
-        labels = np.zeros(self.frames + 1, dtype=bool)
+        labels = np.ones(self.frames + 1, dtype=bool)
         for iv in self.schedule:
             labels[iv.start:iv.end + 1] = iv.moving
         return labels
@@ -194,8 +193,7 @@ def random_detection_scenes(count: int, width: int = 96, height: int = 96,
     frames, truth = [], []
     for n in range(count):
         spec = SyntheticSceneSpec(
-            frames=1, width=width, height=height, channels=channels,
-            schedule=(MotionInterval(1, 1, False),), noise=noise,
+            frames=1, width=width, height=height, channels=channels, noise=noise,
             seed=(seed * 1_000_003 + n) % 2 ** 64)
         images, boxes = generate_scene(spec)
         frames.append(frame_from_image(n + 1, images[0]))

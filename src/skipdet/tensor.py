@@ -11,8 +11,7 @@ gather/scatter/argmax kernels kept as oracles in ``tests/oracles.py``: same
 values, same tie routing, same gradients; so are the branch-free leaky relu
 to the ``np.where`` select kept there and the sigmoid to its sign split.
 Convolution is cross-correlation (no kernel flip), the convention used by
-mainstream detector frameworks; a 1x1 one at stride 1 without padding
-uses its input as its columns. Values are 32-bit floats throughout. The
+mainstream detector frameworks. Values are 32-bit floats throughout. The
 one finiteness check is ``Tensor``'s constructor, which every public
 operation returns through: a non-finite result raises
 ``ValueError("tensor values must be finite")``. The one way around it is
@@ -20,11 +19,14 @@ the private ``Tensor._trusted``, for ``ppm.frame_from_image``, whose bytes
 divided by 255 are finite by construction. The raw-array kernels below
 check nothing; their callers validate shapes once, at the boundary.
 
-Each kernel makes only the arrays its arithmetic needs. A convolution's
-columns are one copy of one strided window view of its padded input, and
-its product runs in fixed bands of output rows, one BLAS call each: a
-band's bits depend only on its own columns, so ``_conv2d_row_blocks`` can
-recompute any run of bands alone with the bits of the whole conv. A band
+Each kernel makes only the arrays its arithmetic needs. There is one
+convolution kernel, ``_conv2d_rows``, which computes a run of output
+rows: a whole conv is that kernel over every row, and a block that a
+reused forward recomputes (``_conv2d_row_blocks``) is that kernel over
+the block's rows. Its columns are one copy of one strided window view of
+the padded input rows it reads, and its product runs in fixed bands of
+output rows, one BLAS call each: a band's bits depend only on its own
+columns, so a block of whole bands has the bits of the whole conv. A band
 is the fewest rows, at least ``BAND_ROWS`` (3), that hold a multiple of
 ``BAND_ALIGN`` (16) outputs (``band_rows``). Both bounds were measured on
 OpenBLAS 0.3.31 on an AVX-512 core: there a product's columns in whole
@@ -121,44 +123,11 @@ def tensor(values) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# im2col machinery, shared by the public ops and the training engine.
+# Raw kernels, shared by the public ops and the training engine.
 # ---------------------------------------------------------------------------
 
 def conv_output_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
-
-
-def _pad_batch(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    # np.pad's set-up costs more than the copy at these sizes.
-    b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:-pad, pad:-pad] = x
-    return xp
-
-
-def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """[B,C,H,W] to columns [B, C*kh*kw, Ho*Wo]; rows run (c, ky, kx)."""
-    b, c = x.shape[:2]
-    if kh == kw == stride == 1 and pad == 0:
-        # A 1x1 window's columns are the input itself.
-        return x.reshape(b, c, -1), x.shape[2], x.shape[3]
-    xp = _pad_batch(x, pad)
-    ho = conv_output_extent(x.shape[2], kh, stride, pad)
-    wo = conv_output_extent(x.shape[3], kw, stride, pad)
-    # One view [B,C,kh,kw,Ho,Wo] over the padded input's buffer, made by the
-    # plain constructor in a seventh of ``as_strided``'s time. It needs one
-    # C-contiguous buffer, so another layout is copied first (no caller in
-    # the package passes one). The view's C-contiguous copy is the columns,
-    # and keeps the matmul on the BLAS fast path.
-    if not xp.flags.c_contiguous:
-        xp = np.ascontiguousarray(xp)
-    sb, sc, sy, sx = xp.strides
-    win = np.ndarray((b, c, kh, kw, ho, wo), np.float32, xp, 0,
-                     (sb, sc, sy, sx, sy * stride, sx * stride))
-    cols = np.ascontiguousarray(win)
-    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
 # A convolution's matmul bands hold at least BAND_ROWS output rows and a
@@ -204,27 +173,48 @@ def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
     return out
 
 
+def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                 stride: int, pad: int, r0: int, r1: int):
+    """The one convolution kernel: output rows ``[r0, r1)`` of the
+    cross-correlation of [B,C,H,W] ``x`` with [F,C,kh,kw] ``kernel`` plus
+    ``bias``, as ``(out, cols)``: ``out`` a fresh [B,F,r1-r0,Wo] array and
+    ``cols`` its columns [B, C*kh*kw, (r1-r0)*Wo], whose rows run (c, ky, kx).
+
+    The input rows those output rows read are copied into one fresh
+    zero-padded buffer. The columns are one C-contiguous copy, which keeps
+    the matmul on the BLAS fast path, of one view [B,C,kh,kw,r1-r0,Wo] over
+    that buffer, made by the plain constructor in a seventh of
+    ``as_strided``'s time. The product's bands are counted from ``r0``
+    (``_banded_product``), so from a band edge each band has the whole
+    conv's bits.
+    """
+    b, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    wo = conv_output_extent(w, kw, stride, pad)
+    top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh
+    lo, hi = max(top, 0), min(bottom, h)
+    # np.pad's set-up costs more than the copy at these sizes.
+    rows = np.zeros((b, c, bottom - top, w + 2 * pad), np.float32)
+    rows[:, :, lo - top:hi - top, pad:pad + w] = x[:, :, lo:hi]
+    sb, sc, sy, sx = rows.strides
+    win = np.ndarray((b, c, kh, kw, r1 - r0, wo), np.float32, rows, 0,
+                     (sb, sc, sy, sx, sy * stride, sx * stride))
+    cols = np.ascontiguousarray(win).reshape(b, c * kh * kw, (r1 - r0) * wo)
+    out = _banded_product(kernel.reshape(f, -1), cols, bias, wo)
+    return out.reshape(b, f, r1 - r0, wo), cols
+
+
 def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                   stride: int, pad: int):
-    """Batched cross-correlation on raw arrays; returns (out, cols).
+    """Batched cross-correlation on raw arrays: ``_conv2d_rows`` over every
+    output row; returns (out, cols), and the training engine reuses
+    ``cols`` for the kernel gradient.
 
-    ``x`` is [B,C,H,W], the result [B,F,Ho,Wo]. The product runs in fixed
-    bands of output rows, one matmul each (``_banded_product``), so a
-    band's bits depend only on its own columns: ``_conv2d_row_blocks``
-    recomputes whole bands alone with the same bits. The bits can differ
-    in the last place from one matmul over all the columns, as BLAS blocks
-    a longer product differently.
-
-    ``cols`` is returned so the training engine can reuse it for the kernel
-    gradient. For a 1x1 kernel at stride 1 without padding ``cols`` is a
-    view of ``x``, so a cached ``cols`` stays valid only while nothing
-    writes ``x``; the training engine never writes a layer's input.
+    The bits can differ in the last place from one matmul over all the
+    columns, as BLAS blocks a longer product differently.
     """
-    b = x.shape[0]
-    f, _, kh, kw = kernel.shape
-    cols, ho, wo = _im2col_batch(x, kh, kw, stride, pad)
-    out = _banded_product(kernel.reshape(f, -1), cols, bias, wo)
-    return out.reshape(b, f, ho, wo), cols
+    ho = conv_output_extent(x.shape[2], kernel.shape[2], stride, pad)
+    return _conv2d_rows(x, kernel, bias, stride, pad, 0, ho)
 
 
 def _conv2d_row_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
@@ -236,12 +226,12 @@ def _conv2d_row_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     Each run is widened to the edges of the matmul bands it touches, and
     runs that then meet are merged, so every band is one matmul of the
     whole conv's shape: a row in a block only because it shares a band with
-    a row in ``runs`` has the bits the whole conv gives it. Only the input
-    rows the blocks see are read. A block that covers the map is the plain
-    kernel's output, which copies less.
+    a row in ``runs`` has the bits the whole conv gives it. Each block is
+    one ``_conv2d_rows`` call, a block that covers the map too, so only the
+    input rows the blocks see are read.
     """
-    b, c, h, w = x.shape
-    f, _, kh, kw = kernel.shape
+    _, _, h, w = x.shape
+    _, _, kh, kw = kernel.shape
     ho, wo = conv_output_extent(h, kh, stride, pad), conv_output_extent(w, kw, stride, pad)
     band = band_rows(wo)
     bands: list = []
@@ -251,18 +241,8 @@ def _conv2d_row_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
             bands[-1] = (bands[-1][0], max(r1, bands[-1][1]))
         else:
             bands.append((r0, r1))
-    if bands == [(0, ho)]:
-        return [(0, ho, _conv2d_batch(x, kernel, bias, stride, pad)[0])]
-    blocks = []
-    for r0, r1 in bands:
-        top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh
-        lo, hi = max(top, 0), min(bottom, h)
-        rows = np.zeros((b, c, bottom - top, w + 2 * pad), np.float32)
-        rows[:, :, lo - top:hi - top, pad:pad + w] = x[:, :, lo:hi]
-        cols, _, _ = _im2col_batch(rows, kh, kw, stride, 0)
-        block = _banded_product(kernel.reshape(f, -1), cols, bias, wo)
-        blocks.append((r0, r1, block.reshape(b, f, r1 - r0, wo)))
-    return blocks
+    return [(r0, r1, _conv2d_rows(x, kernel, bias, stride, pad, r0, r1)[0])
+            for r0, r1 in bands]
 
 
 def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,

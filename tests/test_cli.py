@@ -72,6 +72,33 @@ class TestConfigHandling:
         assert rc == 1
         assert "key=value" in capsys.readouterr().err
 
+    def test_config_file_line_needs_an_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("network=vgg16\nresolution\n")
+        assert cli.run_cli(["profile", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"skipdet profile: error: {cfg}:2: expected key=value, got 'resolution'\n")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("resolution", "48x", "size must be an integer or WxH, got '48x'"),
+        ("resolution", "4.5", "size must be an integer or WxH, got '4.5'"),
+        ("mode", "sometimes", "mode must be one of ('gated', 'always'), got 'sometimes'"),
+        ("anchors", "1,1;2", "anchors must look like 'w,h;w,h', got '1,1;2'"),
+    ])
+    def test_bad_value_is_a_one_line_error(self, key, value, message, mini_weighted_net,
+                                           scene_dir, tmp_path, capsys):
+        command = "profile" if key == "resolution" else "run"
+        argv = [command, "--set", f"network={mini_weighted_net}", "--set", f"{key}={value}"]
+        if command == "run":
+            argv += ["--set", f"input={scene_dir}", "--set", f"out={tmp_path / 'out.txt'}"]
+        assert cli.run_cli(argv) == 1
+        assert capsys.readouterr().err == f"skipdet {command}: error: {message}\n"
+
+    def test_resolution_is_width_by_height(self, capsys):
+        assert cli.run_cli(["profile", "--set", "network=vgg16",
+                            "--set", "resolution=448x224"]) == 0
+        assert "input=(3, 224, 448)" in capsys.readouterr().out
+
     def test_parser_is_built_once_and_keeps_no_values(self, capsys):
         assert cli._parser() is cli._parser()
         assert cli.run_cli(["profile", "--set", "network=vgg16",
@@ -116,6 +143,30 @@ class TestProfile:
         rc = cli.run_cli(["profile", "--set", f"network={mini_weighted_net}"])
         assert rc == 0
         assert "stored-params=" in capsys.readouterr().out
+
+
+    def test_masked_file_reports_effective_flops(self, mini_weighted_net, tmp_path, capsys):
+        net, store = load_network(mini_weighted_net)
+        masks = {i: (np.arange(store[i].kernel.size) % 3 > 0).reshape(store[i].kernel.shape)
+                 for i in net.conv_indices()}
+        path = tmp_path / "masked.fnet"
+        save_network(path, net, store.with_masks(masks))
+        assert cli.run_cli(["profile", "--set", f"network={path}"]) == 0
+        masked = store.with_masks(masks)
+        effective = netdef.effective_flops(net, net.input_shape, masked)
+        assert capsys.readouterr().out == (
+            f"network=mini input=(3, 32, 32) params={netdef.count_params(net)} "
+            f"flops={netdef.count_flops(net, net.input_shape)} "
+            f"stored-params={netdef.count_params(net, masked)} "
+            f"effective-flops={effective:.0f}\n")
+        assert effective < netdef.count_flops(net, net.input_shape)
+
+    def test_bundled_darknet19_flop_figure(self, capsys):
+        # YOLO9000 gives Darknet-19 5.58 billion operations at 224x224
+        assert cli.run_cli(["profile", "--set", "network=darknet19"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("network=darknet19 input=(3, 224, 224) params=20835176 flops=")
+        assert round(int(out.split("flops=")[1]) / 1e9, 2) == 5.58
 
 
 class TestDetectRunEquivalence:
@@ -355,6 +406,13 @@ class TestAnchorsCommand:
         pairs = [tuple(map(float, p.split(","))) for p in line[8:].split(";")]
         assert len(pairs) == 2 and all(w > 0 and h > 0 for w, h in pairs)
 
+    def test_out_writes_the_printed_anchors(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "anchors.txt"
+        rc = cli.run_cli(["anchors", "--set", f"truth={scene_dir}/truth.txt",
+                          "--set", "k=2", "--set", "grid=8", "--set", f"out={out}"])
+        assert rc == 0
+        assert out.read_text() == capsys.readouterr().out[len("anchors="):]
+
     @pytest.mark.parametrize("grid", ["0", "-2"])
     def test_grid_checked_before_the_truth_file(self, grid, tmp_path, monkeypatch, capsys):
         read = []
@@ -381,6 +439,20 @@ class TestEvolveCommand:
         assert doc["entries"][1]["param-count"] < doc["entries"][0]["param-count"]
         net, store = load_network(out / "gen_1.fnet")
         assert store.has_masks()
+
+    def test_diverging_retraining_exits_1(self, mini_weighted_net, tmp_path, capsys):
+        out = tmp_path / "lineage"
+        rc = cli.run_cli(["evolve", "--set", f"network={mini_weighted_net}",
+                          "--set", f"out={out}", "--set", "gamma=0.9",
+                          "--set", "generations=2", "--set", "epochs=1", "--set", "lr=1e30",
+                          "--set", "frames=16", "--set", "holdout=4", "--set", "batch=4"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: generation 1: training diverged at epoch 0")
+        assert captured.out.startswith("generation 0: ")
+        doc = json.loads((out / "lineage.json").read_text())
+        assert [e["generation"] for e in doc["entries"]] == [0]
+        assert doc["error"] == captured.err[len("error: "):].rstrip("\n")
 
     def test_scenes_take_the_network_input_shape(self, mini_weighted_net, tmp_path):
         mini, _ = load_network(mini_weighted_net)

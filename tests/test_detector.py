@@ -330,6 +330,30 @@ class TestTargetMap:
             float(t[1, :, i, j].sum()), rel=1e-5)
 
 
+    def test_log_scales_are_relative_to_the_anchor(self):
+        # a box 0.2 x 0.45 of the frame at S=6 is 1.2 x 2.7 cells; the
+        # anchor 1.5 x 2.0 gives log(0.8) and log(1.35), one per axis
+        anchors = [AnchorPrior(1.5, 2.0)]
+        t = build_target_map([box(0.4, 0.6, 0.2, 0.45)], grid=6, anchors=anchors,
+                             classes=1).data.reshape(1, 6, 6, 6)
+        assert t[0, 2, 3, 2] == np.float32(math.log(1.2 / 1.5))
+        assert t[0, 3, 3, 2] == np.float32(math.log(2.7 / 2.0))
+
+    def test_a_later_box_replaces_the_whole_slot(self):
+        # two boxes centered in one cell, both nearest the one anchor: the
+        # later one's offsets, scales and class are the slot's, and the
+        # earlier one's class is cleared
+        anchors = [AnchorPrior(1.0, 1.0)]
+        first, later = box(0.30, 0.30, 0.20, 0.10, cls=0), box(0.45, 0.40, 0.15, 0.25, cls=2)
+        t = build_target_map([first, later], grid=2, anchors=anchors,
+                             classes=3).data.reshape(1, 8, 2, 2)
+        want = build_target_map([later], grid=2, anchors=anchors, classes=3).data
+        assert np.array_equal(t.reshape(want.shape), want)
+        assert t[0, 5:, 0, 0].tolist() == [0.0, 0.0, 1.0]
+        assert t[0, :, 0, 0].tolist() == pytest.approx(
+            [0.9, 0.8, math.log(0.3), math.log(0.5), 1.0, 0.0, 0.0, 1.0], rel=1e-6)
+
+
 class TestDetectionLines:
     def test_exact_format(self):
         b = DetectionBox(0.5, 0.25, 0.125, 0.0625, 0.875, 3, 0.5)
@@ -398,3 +422,32 @@ class TestDetectionLines:
         for w in (6e-7, 9.99e-7, 1e-6, 1.4e-6, 0.5):
             b = DetectionBox(0.5, 0.5, w, w, 0.9, 0, 0.9)
             assert format_detection_line(0, b).split()[3] == f"{w:.6f}"
+
+
+CHECKS = [
+    pytest.param(lambda: AnchorPrior(0.0, 1.0), ValueError,
+                 "anchor extents must be positive and finite", id="anchor"),
+    pytest.param(lambda: box(1.5, 0.5, 0.1, 0.1), ValueError,
+                 "box center (1.5, 0.5) outside [0,1]", id="box-center"),
+    pytest.param(lambda: box(0.5, 0.5, 0.1, math.inf), ValueError,
+                 "box extents must be positive and finite", id="box-extents"),
+    pytest.param(lambda: box(0.5, 0.5, 0.1, 0.1, obj=1.5), ValueError,
+                 "objectness and class score must lie in [0,1]", id="box-objectness"),
+    pytest.param(lambda: box(0.5, 0.5, 0.1, 0.1, cls=-1), ValueError,
+                 "class id must be non-negative", id="box-class"),
+    pytest.param(lambda: make_map(np.zeros((12, 2, 3)), 2, 2, 1), ValueError,
+                 "map shape (12, 2, 3) does not match S=2, A=2, C=1", id="map-shape"),
+    pytest.param(lambda: make_map(np.zeros((12, 2, 2)), 2, 2, 2), ValueError,
+                 "map shape (12, 2, 2) does not match S=2, A=2, C=2", id="map-classes"),
+    pytest.param(lambda: decode(make_map(np.zeros((12, 2, 2)), 2, 2, 1), [AnchorPrior(1, 1)], 0.5),
+                 ValueError, "map has 2 anchor slots, got 1 priors", id="decode-anchors"),
+    pytest.param(lambda: evaluate_mean_best_iou([[]], []), ValueError,
+                 "frame count mismatch", id="metric-frames"),
+]
+
+
+@pytest.mark.parametrize("make,error,prefix", CHECKS)
+def test_checks_raise_their_documented_errors(make, error, prefix):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value).startswith(prefix)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from skipdet.detector import AnchorPrior, build_target_map
-from skipdet.evolve import (EnvironmentalFactor, SynapticGenome, encode_genome,
-                            evolve_generations, load_lineage, save_lineage,
-                            synthesize_offspring, _dead_unit_closure)
+from skipdet.evolve import (EnvironmentalFactor, Lineage, LineageEntry, SynapticGenome,
+                            encode_genome, evolve_generations, load_lineage, save_lineage,
+                            synthesize_offspring, _dead_unit_closure, _drop_weakest)
 from skipdet.netdef import (LayerSpec, LayerWeights, NetworkDescriptor,
-                            WeightStore, count_params)
+                            WeightStore, count_params, save_network)
 from skipdet.network import TrainConfig, init_weights
 from skipdet.tensor import Tensor
 
@@ -299,3 +299,47 @@ class TestLineagePersistence:
             assert a.metric == b.metric
             assert a.seed == b.seed
             assert a.store.equals(b.store)
+
+
+def test_drop_weakest_takes_the_lowest_retained_probability_of_any_layer():
+    # layer 0 holds nothing; layer 1's retained minimum (0.2) is below
+    # layer 2's (0.3), and the unretained 0.1 does not count
+    genome = SynapticGenome({0: Tensor([[0.05, 0.05]]), 1: Tensor([[0.1, 0.2, 0.6]]),
+                             2: Tensor([[0.3, 0.9]])}, "a")
+    masks = {0: np.uint8([[0, 0]]), 1: np.uint8([[0, 1, 1]]), 2: np.uint8([[1, 1]])}
+    assert _drop_weakest(masks, genome) is True
+    assert [m.tolist() for m in masks.values()] == [[[0, 0]], [[0, 0, 1]], [[1, 1]]]
+    empty = {i: np.zeros_like(m) for i, m in masks.items()}
+    assert _drop_weakest(empty, genome) is False
+
+
+def descriptor_only_lineage(tmp_path):
+    net = single_layer_net((1, 1, 1, 1))
+    save_lineage(Lineage([LineageEntry(0, net, store_with_kernel(net, [[[[1.0]]]]), 2, 0.5, 0)]),
+                 tmp_path)
+    save_network(tmp_path / "gen_0.fnet", net)
+    load_lineage(tmp_path)
+
+
+CHECKS = [
+    pytest.param(lambda _: EnvironmentalFactor(0.0), ValueError,
+                 "gamma must lie in (0, 1]", id="gamma"),
+    pytest.param(lambda _: SynapticGenome({3: Tensor([0.5, 1.5])}, "a"), ValueError,
+                 "layer 3: probabilities must lie in [0,1]", id="genome-high"),
+    pytest.param(lambda _: SynapticGenome({3: Tensor([-0.5, 0.5])}, "a"), ValueError,
+                 "layer 3: probabilities must lie in [0,1]", id="genome-low"),
+    pytest.param(lambda _: evolve_generations(
+        single_layer_net(), init_weights(single_layer_net(), 0), [], lambda n, s: 0.0,
+        generations=0, env=EnvironmentalFactor(0.5),
+        retrain=TrainConfig(learning_rate=0.1, epochs=0)),
+                 ValueError, "generations must be positive, got 0", id="generations"),
+    pytest.param(descriptor_only_lineage, ValueError, "gen_0.fnet holds no weights",
+                 id="lineage-weights"),
+]
+
+
+@pytest.mark.parametrize("make,error,prefix", CHECKS)
+def test_checks_raise_their_documented_errors(make, error, prefix, tmp_path):
+    with pytest.raises(error) as info:
+        make(tmp_path)
+    assert type(info.value) is error and str(info.value).startswith(prefix)

@@ -287,3 +287,48 @@ class TestGatingPolicy:
         with pytest.raises(ShapeError):
             GatingPolicy(kernel=Tensor.zeros((1, 3, 1, 1)), bias=Tensor.zeros((1,)))
 
+
+
+def policy_with(kernel_shape=(1, 6, 1, 1), bias_shape=(1,)):
+    return GatingPolicy(kernel=Tensor.zeros(kernel_shape), bias=Tensor.zeros(bias_shape))
+
+
+CHECKS = [
+    pytest.param(lambda: const_frame(-1, 0.5), ValueError,
+                 "frame index must be non-negative", id="frame-index"),
+    pytest.param(lambda: Frame(0, Tensor.zeros((4, 4))), ShapeError,
+                 "frame pixels must be [C,H,W]", id="frame-rank"),
+    pytest.param(lambda: const_frame(0, 0.5, channels=2), ShapeError,
+                 "frame channels must be 1 or 3", id="frame-channels"),
+    pytest.param(lambda: const_frame(0, 1.5), ValueError,
+                 "frame pixels must lie in [0,1]", id="frame-range"),
+    pytest.param(lambda: GatingPolicy.default(3, pixel_threshold=1.5), ValueError,
+                 "thresholds must lie in [0,1]", id="p0"),
+    pytest.param(lambda: GatingPolicy.default(3, area_threshold=-0.5), ValueError,
+                 "thresholds must lie in [0,1]", id="tau"),
+    pytest.param(lambda: GatingPolicy.default(3, force_every=-1), ValueError,
+                 "force_every must be non-negative", id="force-every"),
+    pytest.param(lambda: policy_with((1, 6, 1)), ShapeError,
+                 "gate kernel must be [1,2C,1,1]", id="kernel-rank"),
+    pytest.param(lambda: policy_with((2, 6, 1, 1)), ShapeError,
+                 "gate kernel must be [1,2C,1,1]", id="kernel-filters"),
+    pytest.param(lambda: policy_with((1, 6, 3, 1)), ShapeError,
+                 "gate kernel must be [1,2C,1,1]", id="kernel-rows"),
+    pytest.param(lambda: policy_with((1, 6, 1, 3)), ShapeError,
+                 "gate kernel must be [1,2C,1,1]", id="kernel-columns"),
+    pytest.param(lambda: policy_with((1, 3, 1, 1)), ShapeError,
+                 "gate kernel needs an even channel count", id="kernel-channels"),
+    pytest.param(lambda: policy_with(bias_shape=(2,)), ShapeError,
+                 "gate bias must have shape (1,)", id="bias"),
+    pytest.param(lambda: GatingPolicy.default(0), ValueError,
+                 "channels must be positive", id="default-channels"),
+    pytest.param(lambda: decide(mmap(np.zeros((2, 2))), GatingPolicy.default(3), -1),
+                 ValueError, "frames_since_inference must be non-negative", id="decide"),
+]
+
+
+@pytest.mark.parametrize("make,error,prefix", CHECKS)
+def test_checks_raise_their_documented_errors(make, error, prefix):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value).startswith(prefix)

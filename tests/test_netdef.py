@@ -41,6 +41,13 @@ class TestDescriptor:
                 LayerSpec.detect_head(grid=4, anchors=2, classes=1),
             ))
 
+    def test_head_and_output_shape(self):
+        head = LayerSpec.detect_head(grid=4, anchors=1, classes=1)
+        net = NetworkDescriptor("h", (6, 4, 4), (LayerSpec.pointwise("abs"), head))
+        assert net.detect_head() is head and net.output_shape == (6, 4, 4)
+        assert toy_net().detect_head() is None and toy_net().output_shape == (2, 4, 4)
+        assert NetworkDescriptor("e", (3, 5, 7), ()).output_shape == (3, 5, 7)
+
     def test_name_validation(self):
         with pytest.raises(ValueError):
             NetworkDescriptor("has=equals", (1, 2, 2), ())
@@ -78,6 +85,13 @@ class TestCountParams:
         assert b <= a <= count_params(net)
 
 
+def test_unknown_bundled_name_lists_the_names():
+    with pytest.raises(KeyError) as info:
+        zoo.load_bundled("yolov3")
+    assert info.value.args == (f"unknown bundled network 'yolov3', have {zoo.BUNDLED_NAMES}",)
+    assert zoo.BUNDLED_NAMES == ("tiny", "yolov2_voc", "darknet19", "vgg16")
+
+
 class TestCountFlops:
     def test_one_by_one_conv(self):
         net = NetworkDescriptor("c", (2, 4, 4), (LayerSpec.conv(2, 1, 1),))
@@ -98,6 +112,13 @@ class TestCountFlops:
     def test_incompatible_shape_rejected(self):
         with pytest.raises(ShapeError):
             count_flops(toy_net(), (4, 8, 8))
+
+    def test_pools_and_pointwise_layers_cost_one_op_per_output(self):
+        convs = 2 * 9 * 3 * 4 * 8 * 8 + 2 * 1 * 4 * 2 * 4 * 4
+        assert count_flops(toy_net(), (3, 8, 8)) == convs + 2 * 4 * 4 * 4
+        store = init_weights(toy_net(), 0)
+        half = store.with_masks({3: np.float32([[1, 0, 1, 0], [0, 1, 0, 1]]).reshape(2, 4, 1, 1)})
+        assert effective_flops(toy_net(), (3, 8, 8), half) == convs - 2 * 4 * 4 * 4 + 2 * 4 * 4 * 4
 
     def test_effective_flops_scales_with_density(self):
         net = NetworkDescriptor("c", (2, 4, 4), (LayerSpec.conv(2, 2, 1),))
@@ -121,6 +142,24 @@ class TestWeightStore:
         kernel = Tensor(np.ones((1, 1, 1, 1), np.float32))
         with pytest.raises(ValueError, match="0 or 1"):
             LayerWeights(kernel, Tensor.zeros((1,)), np.full((1, 1, 1, 1), 2, np.uint8))
+
+    def test_equals_compares_every_field(self):
+        mask = np.ones((2, 1, 2, 2), np.uint8)
+        mask[0, 0, 0, 1] = 0
+        kernel = (np.arange(1, 9, dtype=np.float32).reshape(2, 1, 2, 2)) * mask
+        bias = np.float32([0.5, -0.5])
+
+        def store(kernel=kernel, bias=bias, mask=mask, extra=False):
+            layers = {0: LayerWeights(Tensor(kernel), Tensor(bias), mask)}
+            if extra:
+                layers[2] = layers[0]
+            return WeightStore(layers)
+
+        assert store().equals(store(kernel.copy(), bias.copy(), mask.copy()))
+        # the all-ones mask differs only where the kernel is zero anyway
+        for other in (store(extra=True), store(kernel=kernel * 2), store(bias=bias + 1),
+                      store(mask=None), store(mask=np.ones_like(mask))):
+            assert not store().equals(other) and not other.equals(store())
 
     def test_validate_for_missing_layer(self):
         net = toy_net()
@@ -222,6 +261,44 @@ class TestSerialization:
             decode_network(blob)
         assert info.value.offset == len(blob)
 
+    @pytest.mark.parametrize("old,new,prefix", [
+        (b"name=toy\n", b"nome=toy\n", "expected name=..., got nome=..."),
+        (b"name=toy\n", b"name=\xfftoy\n", "non-ASCII bytes in name"),
+        (b"layer.1=maxpool2\n", b"layer.2=maxpool2\n", "expected layer.1, got layer.2"),
+        (b"layer.1=maxpool2\n", b"layer.1=avgpool2\n", "unknown layer kind 'avgpool2'"),
+        (b"WEIGHTS\n", b"WEIGHTZ\n", "expected WEIGHTS sentinel, got 'WEIGHTZ'"),
+        (b"MASKS\n", b"MASKZ\n", "expected MASKS sentinel, got 'MASKZ'"),
+    ])
+    def test_bad_line_names_its_offset(self, old, new, prefix):
+        blob = encode_network(toy_net(), random_store(toy_net(), 0, True))
+        at = blob.index(old)
+        with pytest.raises(FnetFormatError) as info:
+            decode_network(blob[:at] + new + blob[at + len(old):])
+        assert str(info.value).startswith(prefix) and info.value.offset == at
+
+    def test_inconsistent_descriptor_is_a_format_error(self):
+        blob = encode_network(toy_net())
+        with pytest.raises(FnetFormatError) as info:
+            decode_network(blob.replace(b"input=3,8,8", b"input=3,8,7"))
+        assert str(info.value).startswith(
+            "inconsistent descriptor: layer 1 (maxpool2): odd spatial extent 8x7")
+        assert info.value.offset == len(blob)
+
+    def test_header_cut_mid_line_is_truncation(self):
+        blob = encode_network(toy_net())
+        at = blob.index(b"name=")
+        with pytest.raises(FnetFormatError) as info:
+            decode_network(blob[:at + 4])
+        assert str(info.value).startswith("truncated file while reading name")
+        assert info.value.offset == at
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.fnet"
+        path.write_bytes(b"XNET v1\n")
+        with pytest.raises(FnetFormatError) as info:
+            load_network(path)
+        assert str(info.value) == f"{path}: bad magic 'XNET v1', expected 'FNET v1' (byte 0)"
+
     def test_trailing_bytes_rejected(self):
         blob = encode_network(toy_net(), random_store(toy_net(), 0, False))
         with pytest.raises(FnetFormatError, match="trailing"):
@@ -292,3 +369,88 @@ class TestMutatedFnet:
             assert isinstance(net, NetworkDescriptor)
             if store is not None:
                 store.validate_for(net)
+
+
+def conv_store(kernel_shape):
+    return WeightStore({0: LayerWeights(Tensor.zeros(kernel_shape), Tensor.zeros(kernel_shape[:1]))})
+
+
+ONE_CONV = NetworkDescriptor("one", (1, 4, 4), (LayerSpec.conv(1, 2, 3, pad=1),))
+
+CHECKS = [
+    pytest.param(lambda: LayerSpec.conv(1, 1, 1, alpha=float("nan")), ValueError,
+                 "alpha must be finite", id="alpha"),
+    pytest.param(lambda: LayerSpec.conv(0, 1, 1), ValueError,
+                 "conv layer extents must be positive", id="conv-in"),
+    pytest.param(lambda: LayerSpec.conv(1, 0, 1), ValueError,
+                 "conv layer extents must be positive", id="conv-out"),
+    pytest.param(lambda: LayerSpec.conv(1, 1, 0), ValueError,
+                 "conv layer extents must be positive", id="conv-kernel"),
+    pytest.param(lambda: LayerSpec.conv(1, 1, 1, stride=0), ValueError,
+                 "conv layer extents must be positive", id="conv-stride"),
+    pytest.param(lambda: LayerSpec.conv(1, 1, 1, pad=-1), ValueError,
+                 "conv pad must be non-negative", id="conv-pad"),
+    pytest.param(lambda: LayerSpec.conv(1, 1, 1, activation="relu"), ValueError,
+                 "conv activation must be one of", id="conv-activation"),
+    pytest.param(lambda: LayerSpec.pointwise("relu"), ValueError,
+                 "pointwise fn must be one of", id="pointwise-fn"),
+    pytest.param(lambda: LayerSpec.detect_head(2, 0, 1), ValueError,
+                 "detect-head extents must be positive", id="head-extents"),
+    pytest.param(lambda: LayerSpec("dense"), ValueError,
+                 "unknown layer kind 'dense'", id="kind"),
+    pytest.param(lambda: LayerSpec.maxpool2().kernel_shape, ValueError,
+                 "maxpool2 layers have no kernel", id="pool-kernel-shape"),
+    pytest.param(lambda: NetworkDescriptor("n", (1, 4, 4), (LayerSpec.conv(2, 1, 1),)),
+                 ShapeError, "layer 0 (conv): expects 2 input channels but receives 1",
+                 id="conv-channels"),
+    pytest.param(lambda: NetworkDescriptor("n", (1, 4, 6), (LayerSpec.pointwise("abs"),
+                                                            LayerSpec.conv(1, 1, 5))),
+                 ShapeError, "layer 1 (conv): non-positive output extent 0x2", id="conv-rows"),
+    pytest.param(lambda: NetworkDescriptor("n", (1, 6, 4), (LayerSpec.conv(1, 1, 5),)),
+                 ShapeError, "layer 0 (conv): non-positive output extent 2x0", id="conv-columns"),
+    pytest.param(lambda: NetworkDescriptor("n", (1, 3, 4), (LayerSpec.maxpool2(),)),
+                 ShapeError, "layer 0 (maxpool2): odd spatial extent 3x4", id="pool-rows"),
+    pytest.param(lambda: NetworkDescriptor("n", (1, 4, 3), (LayerSpec.maxpool2(),)),
+                 ShapeError, "layer 0 (maxpool2): odd spatial extent 4x3", id="pool-columns"),
+    pytest.param(lambda: NetworkDescriptor("n", (12, 2, 2), (LayerSpec.detect_head(2, 2, 2),)),
+                 ShapeError, "layer 0 (detect-head): expects input shape (14, 2, 2)", id="head"),
+    pytest.param(lambda: NetworkDescriptor("n", (1, 0, 4), ()), ShapeError,
+                 "input shape must be 3 positive extents", id="input-extent"),
+    pytest.param(lambda: NetworkDescriptor("n", (1, 4), ()), ShapeError,
+                 "input shape must be 3 positive extents", id="input-rank"),
+    pytest.param(lambda: NetworkDescriptor("a=b", (1, 4, 4), ()), ValueError,
+                 "descriptor name must be non-empty without '='", id="name"),
+    pytest.param(lambda: LayerWeights(Tensor.zeros((2, 1, 1)), Tensor.zeros((2,))),
+                 ShapeError, "kernel must be rank 4", id="kernel-rank"),
+    pytest.param(lambda: LayerWeights(Tensor.zeros((2, 1, 1, 1)), Tensor.zeros((1,))),
+                 ShapeError, "bias shape (1,) does not match kernel filters 2", id="bias-size"),
+    pytest.param(lambda: LayerWeights(Tensor.zeros((2, 1, 1, 1)), Tensor.zeros((2, 1))),
+                 ShapeError, "bias shape (2, 1) does not match kernel filters 2", id="bias-rank"),
+    pytest.param(lambda: LayerWeights(Tensor.zeros((2, 1, 1, 1)), Tensor.zeros((2,)),
+                                      np.ones((2, 1, 1, 2))),
+                 ShapeError, "mask shape (2, 1, 1, 2) != kernel shape (2, 1, 1, 1)", id="mask"),
+    pytest.param(lambda: LayerWeights(Tensor.zeros((2, 1, 1, 1)), Tensor.zeros((2,)),
+                                      np.full((2, 1, 1, 1), 2)),
+                 ValueError, "mask values must be 0 or 1", id="mask-values"),
+    pytest.param(lambda: LayerWeights(Tensor.full((2, 1, 1, 1), 1.0), Tensor.zeros((2,)),
+                                      np.zeros((2, 1, 1, 1))),
+                 ValueError, "kernel must be zero wherever the mask is zero", id="masked-kernel"),
+    pytest.param(lambda: WeightStore({}).validate_for(ONE_CONV), ShapeError,
+                 "layer 0 (conv): no weights in store", id="store-missing"),
+    pytest.param(lambda: count_params(ONE_CONV, WeightStore({})), ShapeError,
+                 "layer 0 (conv): no weights in store", id="params-store"),
+    pytest.param(lambda: effective_flops(ONE_CONV, (1, 4, 4), WeightStore({})), ShapeError,
+                 "layer 0 (conv): no weights in store", id="flops-store"),
+    pytest.param(lambda: encode_network(ONE_CONV, WeightStore({})), ShapeError,
+                 "layer 0 (conv): no weights in store", id="encode-store"),
+    pytest.param(lambda: conv_store((2, 1, 1, 1)).validate_for(ONE_CONV), ShapeError,
+                 "layer 0 (conv): kernel shape (2, 1, 1, 1) does not match descriptor "
+                 "(2, 1, 3, 3)", id="store-shape"),
+]
+
+
+@pytest.mark.parametrize("make,error,prefix", CHECKS)
+def test_checks_raise_their_documented_errors(make, error, prefix):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value).startswith(prefix)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipdet import network, zoo
-from skipdet.detector import OBJECTNESS_BIAS_INIT
+from skipdet.detector import OBJECTNESS_BIAS_INIT, AnchorPrior, DetectionBox, build_target_map
 from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightStore
 from skipdet.network import (TrainConfig, TrainingDivergence, _backward_batch, _forward_batch,
                              _infer, evaluate_loss, forward, init_weights, loss_gradients,
@@ -475,6 +475,29 @@ class TestGradients:
             net, wm, [(x.data, dataset[0][1].data)], loss, step=1e-3)
         assert oracles.max_relative_error(analytic, fd) < 1e-2
 
+    def test_composite_gradcheck_with_classes_and_a_batch(self):
+        # Three classes, so the class softmax varies, and two items with
+        # different targets, so the batch mean scales the gradient.
+        net = NetworkDescriptor("classes", (2, 4, 4), (
+            LayerSpec.conv(2, 3, 3, pad=1, activation="leaky", alpha=0.1),
+            LayerSpec.maxpool2(),
+            LayerSpec.conv(3, 16, 1, activation="linear"),
+            LayerSpec.detect_head(grid=2, anchors=2, classes=3),
+        ))
+        store = init_weights(net, 9)
+        rng = np.random.default_rng(9)
+        anchors = [AnchorPrior(0.6, 0.6), AnchorPrior(1.4, 1.4)]
+        targets = ([DetectionBox(0.3, 0.7, 0.3, 0.2, 1.0, 2, 1.0)],
+                   [DetectionBox(0.8, 0.2, 0.6, 0.7, 1.0, 1, 1.0),
+                    DetectionBox(0.2, 0.3, 0.25, 0.3, 1.0, 0, 1.0)])
+        dataset = [(Tensor(rng.random((2, 4, 4)).astype(np.float32)),
+                    build_target_map(boxes, 2, anchors, 3)) for boxes in targets]
+        _, analytic = loss_gradients(net, store, dataset, "detector-composite")
+        fd = oracles.fd_loss_gradients(net, weights_map(store, net.conv_indices()),
+                                       [(x.data, t.data) for x, t in dataset],
+                                       "detector-composite", step=1e-3)
+        assert oracles.max_relative_error(analytic, fd) < 1e-2
+
     def test_oracle_loss_agrees_with_production(self):
         net = gradcheck_net()
         store = init_weights(net, 8)
@@ -671,12 +694,11 @@ class TestReferenceReuse:
     def walk(net, store, before, after):
         """A forward of ``after`` reusing the record of ``before``: the runs
         of rows the walk reaches at each layer, each reached conv's
-        ``_conv2d_row_blocks`` triples, the record of ``before``, the
-        record of ``after`` and how many convs ran their plain kernel."""
+        ``_conv2d_row_blocks`` triples, the record of ``before`` and the
+        record of ``after``."""
         reference, got, rows, blocks = [], [], [], []
         forward(net, store, Tensor(before), record=reference)
         rows_seen, row_blocks = network._rows_seen, network._conv2d_row_blocks
-        conv2d_batch = sys.modules["skipdet.tensor"]._conv2d_batch
 
         def spy_rows(*args):
             rows.append(rows_seen(*args))
@@ -687,11 +709,9 @@ class TestReferenceReuse:
             return blocks[-1]
 
         with mock.patch.object(network, "_rows_seen", spy_rows), \
-                mock.patch.object(network, "_conv2d_row_blocks", spy_blocks), \
-                mock.patch.object(sys.modules["skipdet.tensor"], "_conv2d_batch",
-                                  wraps=conv2d_batch) as plain:
+                mock.patch.object(network, "_conv2d_row_blocks", spy_blocks):
             forward(net, store, Tensor(after), record=got, reference=reference)
-        return rows, blocks, reference, got, plain.call_count
+        return rows, blocks, reference, got
 
     def test_walk_runs_whole_maps_on_the_plain_kernel(self):
         # tiny with input rows 10-19 changed: each conv computes the bands
@@ -705,29 +725,28 @@ class TestReferenceReuse:
             after[:, r0:r1] = 1
             return self.walk(net, TINY_STORE, before, after)
 
-        rows, blocks, _, got, plain = changed(10, 20)
+        rows, blocks, _, got = changed(10, 20)
         assert rows == [[(9, 21)], [(4, 11)], [(3, 12)], [(1, 6)], [(0, 7)], [(0, 4)],
                         [(0, 5)], [(0, 3)], [(0, 3)], [(0, 3)]]
         assert [[(r0, r1) for r0, r1, _ in b] for b in blocks] == [
             [(9, 21)], [(3, 12)], [(0, 8)], [(0, 8)], [(0, 6)]]
-        # a block that covers its map is the plain kernel's output, and the
-        # layer's, not a copy
-        assert got[9] is blocks[-1][0][2] and plain == 1
+        # a block that covers its map is the layer's output, not a copy
+        assert got[9] is blocks[-1][0][2]
         # rows 40-49 reach rows 8-14 of the 24x24 conv and rows 3-8 of the
         # 12x12 conv, whose 4-row bands then cover it
-        rows, blocks, _, got, plain = changed(40, 50)
+        rows, blocks, _, got = changed(40, 50)
         assert rows[4:7] == [[(8, 15)], [(4, 8)], [(3, 9)]]
         assert [[(r0, r1) for r0, r1, _ in b] for b in blocks[2:4]] == [[(8, 16)], [(0, 12)]]
-        assert got[7] is blocks[3][0][2] and got[9] is blocks[4][0][2] and plain == 2
+        assert got[7] is blocks[3][0][2] and got[9] is blocks[4][0][2]
         # no changed row: every layer returns the recorded output
-        rows, blocks, reference, got, plain = self.walk(net, TINY_STORE, before, before.copy())
-        assert rows == [[]] * 10 and blocks == [] and plain == 0
+        rows, blocks, reference, got = self.walk(net, TINY_STORE, before, before.copy())
+        assert rows == [[]] * 10 and blocks == []
         assert all(g is r for g, r in zip(got[1:], reference[1:]))
         # every row changed: every conv's one block covers its map
-        rows, blocks, _, got, plain = changed(0, 96)
+        rows, blocks, _, got = changed(0, 96)
         assert all(len(b) == 1 and b[0][2] is got[i + 1] for i, b in
                    zip(net.conv_indices(), blocks))
-        assert len(blocks) == plain == len(net.conv_indices())
+        assert len(blocks) == len(net.conv_indices())
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(sorted(REUSE_NETS)), data=st.data())
@@ -745,7 +764,7 @@ class TestReferenceReuse:
             after[:, row, int(rng.integers(w))] += np.float32(0.5)
         mask = np.zeros(h, bool)
         mask[list(changed)] = True
-        rows, blocks, _, _, _ = self.walk(net, init_weights(net, 5), before, after)
+        rows, blocks, _, _ = self.walk(net, init_weights(net, 5), before, after)
         want = oracles.reached_rows(net, mask)
         assert len(rows) == len(net.layers)
         for runs, reached in zip(rows, want):
@@ -783,3 +802,53 @@ def mini_tiny():
     layers[0] = LayerSpec.conv(3, 4, 3, pad=1, activation="leaky", alpha=0.1)
     layers[2] = LayerSpec.conv(4, 16, 3, pad=1, activation="leaky", alpha=0.1)
     return NetworkDescriptor("mini-tiny", tiny.input_shape, tuple(layers))
+
+
+HEADLESS = NetworkDescriptor("headless", (1, 4, 4), (LayerSpec.conv(1, 1, 1),))
+
+
+def train_config(**settings):
+    return lambda: TrainConfig(**{"learning_rate": 0.1, "epochs": 1, **settings})
+
+
+CHECKS = [
+    pytest.param(train_config(learning_rate=0.0), ValueError,
+                 "learning rate must be positive and finite", id="lr"),
+    pytest.param(train_config(epochs=-1), ValueError,
+                 "epochs must be non-negative", id="epochs"),
+    pytest.param(train_config(batch_size=0), ValueError,
+                 "batch size must be positive", id="batch"),
+    pytest.param(train_config(seed=-1), ValueError, "seed must fit in 64 bits", id="seed-low"),
+    pytest.param(train_config(seed=2 ** 64), ValueError, "seed must fit in 64 bits",
+                 id="seed-high"),
+    pytest.param(train_config(loss="hinge"), ValueError, "loss must be one of", id="loss"),
+    pytest.param(lambda: forward(gradcheck_net(), init_weights(gradcheck_net(), 0),
+                                 Tensor.zeros((2, 8, 6))),
+                 ShapeError, "input shape (2, 8, 6) does not match network input (2, 8, 8)",
+                 id="forward-input"),
+    pytest.param(lambda: evaluate_loss(gradcheck_net(), init_weights(gradcheck_net(), 0), [],
+                                       "squared-error"),
+                 ValueError, "dataset must be non-empty", id="empty-dataset"),
+    pytest.param(lambda: evaluate_loss(gradcheck_net(), init_weights(gradcheck_net(), 0),
+                                       [(Tensor.zeros((2, 8, 6)), Tensor.zeros((12, 2, 2)))],
+                                       "squared-error"),
+                 ShapeError, "dataset item 0: input shape (2, 8, 6) != network input (2, 8, 8)",
+                 id="input-shape"),
+    pytest.param(lambda: evaluate_loss(gradcheck_net(), init_weights(gradcheck_net(), 0),
+                                       [(Tensor.zeros((2, 8, 8)), Tensor.zeros((12, 2, 1)))],
+                                       "squared-error"),
+                 ShapeError, "dataset item 0: target shape (12, 2, 1) != network output",
+                 id="target-shape"),
+    pytest.param(lambda: evaluate_loss(HEADLESS, init_weights(HEADLESS, 0),
+                                       [(Tensor.zeros((1, 4, 4)), Tensor.zeros((1, 4, 4)))],
+                                       "detector-composite"),
+                 ValueError, "detector-composite loss requires a detect-head layer",
+                 id="composite-head"),
+]
+
+
+@pytest.mark.parametrize("make,error,prefix", CHECKS)
+def test_checks_raise_their_documented_errors(make, error, prefix):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value).startswith(prefix)

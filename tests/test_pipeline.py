@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import itertools
+import types
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +256,26 @@ class TestRun:
         assert set(doc) == {"frames", "inferences", "inference-frequency",
                             "wall-time", "frames-per-second", "decisions", "config"}
         assert set(doc["wall-time"]) == {"gate", "infer", "decode"}
+
+
+class TestStageTimes:
+    def test_each_stage_times_itself_alone(self, net_and_store, monkeypatch):
+        # A clock that moves one second per read: a stage that reads it at
+        # its start and its end takes exactly 1 s, so a report's times
+        # count the frames that ran each stage.
+        net, store = net_and_store
+        ticks = itertools.count()
+        monkeypatch.setattr(pipeline, "time",
+                            types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        spec = SyntheticSceneSpec(frames=6, width=32, height=32, velocities=((3.0, 2.0),),
+                                  schedule=(MotionInterval(1, 3, True),
+                                            MotionInterval(4, 6, False)), seed=3)
+        frames = frames_from_scene(generate_scene(spec)[0])
+        report, _ = run(frames, net, store, ANCHORS, GatingPolicy.default(3), OBJ_THR, NMS_THR)
+        assert report.decisions == [1, 1, 1, 0, 0, 0]
+        assert report.wall_time == {"gate": 5.0, "infer": 3.0, "decode": 6.0}
+        report, _ = run(frames, net, store, ANCHORS, None, OBJ_THR, NMS_THR)
+        assert report.wall_time == {"gate": 0.0, "infer": 6.0, "decode": 6.0}
 
 
 def redecoding_oracle(net, store, frames, decisions, anchors, obj_thr, nms_thr):

@@ -122,6 +122,14 @@ class TestGeneration:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
+    def test_default_schedule_moves_every_frame(self):
+        # an empty schedule, the default, is 1-T:moving at any frame count
+        spec = SyntheticSceneSpec(frames=10, width=48, height=48)
+        images, truth = generate_scene(spec)
+        assert changed_transitions(images) == list(range(1, 10))
+        want, want_truth = generate_scene(spec_with(10, (MotionInterval(1, 10, True),)))
+        assert all(np.array_equal(x, y) for x, y in zip(images, want)) and truth == want_truth
+
     def test_noise_breaks_frozen_identity(self):
         images, _ = generate_scene(spec_with(5, (MotionInterval(1, 5, False),),
                                              noise=0.03))
@@ -133,6 +141,21 @@ class TestGeneration:
                          velocities=((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
         images, truth = generate_scene(spec)
         assert all(len(t) == 3 for t in truth)
+
+    @pytest.mark.parametrize("velocity,axis", [((5.0, 0.0), "cx"), ((0.0, 5.0), "cy")])
+    def test_objects_reflect_off_the_borders(self, velocity, axis):
+        # 5 px a frame for 40 frames crosses the 48-px frame: each step is
+        # 5 px, and the direction turns at the borders
+        _, truth = generate_scene(spec_with(40, (), velocities=(velocity,)))
+        steps = np.diff([getattr(t[0], axis) for t in truth]) * 48
+        np.testing.assert_allclose(np.abs(steps), 5.0, atol=1e-9)
+        assert (steps > 0).any() and (steps < 0).any()
+
+    def test_each_object_keeps_its_own_size(self):
+        _, truth = generate_scene(spec_with(5, (), objects=2,
+                                            velocities=((1.0, 0.0), (0.0, 1.0))))
+        sizes = [[(b.w, b.h) for b in boxes] for boxes in truth]
+        assert len(set(sizes[0])) == 2 and all(s == sizes[0] for s in sizes)
 
     def test_grayscale_channel(self):
         images, _ = generate_scene(spec_with(3, (MotionInterval(1, 3, False),),
@@ -161,6 +184,11 @@ class TestPpm:
         path = tmp_path / "img.pgm"
         write_ppm(path, img)
         assert np.array_equal(read_ppm(path), img)
+
+    def test_two_axis_image_is_one_channel(self, tmp_path):
+        img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        write_ppm(tmp_path / "img.pgm", img)
+        assert np.array_equal(read_ppm(tmp_path / "img.pgm"), img[:, :, None])
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.ppm"
@@ -233,9 +261,10 @@ class TestPpm:
     def test_save_load_frames_preserve_order_and_index(self, tmp_path):
         rng = np.random.default_rng(2)
         images = [rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8) for _ in range(3)]
-        save_frames(tmp_path, images)
-        listed = list_frame_files(tmp_path)
+        paths = save_frames(str(tmp_path), images)
+        listed = list_frame_files(str(tmp_path))
         assert [idx for idx, _ in listed] == [1, 2, 3]
+        assert [path for _, path in listed] == paths
         frames = load_frames(tmp_path)
         assert [f.index for f in frames] == [1, 2, 3]
         np.testing.assert_allclose(frames[1].pixels.data,
@@ -322,3 +351,39 @@ class TestWriteScene:
         in_memory = frames_from_scene(generate_scene(spec)[0])
         for a, b in zip(from_disk, in_memory):
             assert np.array_equal(a.pixels.data, b.pixels.data)
+
+
+CHECKS = [
+    pytest.param(lambda: spec_with(0, ()), ValueError,
+                 "need at least 1 frame and 8x8 pixels", id="frames"),
+    pytest.param(lambda: spec_with(1, (), width=7), ValueError,
+                 "need at least 1 frame and 8x8 pixels", id="width"),
+    pytest.param(lambda: spec_with(1, (), height=7), ValueError,
+                 "need at least 1 frame and 8x8 pixels", id="height"),
+    pytest.param(lambda: spec_with(1, (), objects=0), ValueError,
+                 "need at least one object", id="objects"),
+    pytest.param(lambda: spec_with(10, (MotionInterval(1, 4, True), MotionInterval(6, 10, False))),
+                 ValueError, "schedule must cover 1..10 without gaps or overlap", id="spec-schedule"),
+    pytest.param(lambda: parse_schedule("1-5", 5), ValueError,
+                 "bad schedule interval '1-5'", id="interval-label"),
+    pytest.param(lambda: parse_schedule("a-5:moving", 5), ValueError,
+                 "bad schedule interval 'a-5:moving'", id="interval-start"),
+    pytest.param(lambda: write_ppm("unused.ppm", np.zeros((2, 2, 3))), ValueError,
+                 "image must be uint8", id="ppm-dtype"),
+    pytest.param(lambda: write_ppm("unused.ppm", np.zeros((2, 2, 2), np.uint8)), ValueError,
+                 "image must be [H,W] or [H,W,1|3]", id="ppm-channels"),
+    pytest.param(lambda: write_ppm("unused.ppm", np.zeros(4, np.uint8)), ValueError,
+                 "image must be [H,W] or [H,W,1|3]", id="ppm-rank"),
+]
+
+
+@pytest.mark.parametrize("make,error,prefix", CHECKS)
+def test_checks_raise_their_documented_errors(make, error, prefix):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value).startswith(prefix)
+
+
+def test_schedule_parts_may_carry_spaces():
+    assert parse_schedule(" 1-5:moving , 6-10:frozen ", 10) == (
+        MotionInterval(1, 5, True), MotionInterval(6, 10, False))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _banded_product, _col2im_batch,
-                            _conv2d_batch, _conv2d_row_blocks, _im2col_batch,
+                            _conv2d_batch, _conv2d_row_blocks,
                             _maxpool2_backward, _maxpool2_batch, _pointwise_grad,
                             _pointwise_raw, _sigmoid, band_rows, conv2d, maxpool2, pointwise,
                             tensor)
@@ -204,13 +204,12 @@ class TestKernelsMatchEarlierKernels:
         x = rng.normal(size=(batch, c) + hw).astype(np.float32)
         kernel = rng.normal(size=(f, c, k, k)).astype(np.float32)
         bias = rng.normal(size=f).astype(np.float32)
-        cols, ho, wo = _im2col_batch(x, k, k, stride, pad)
-        want_cols, want_ho, want_wo = oracles.gather_im2col_batch(x, k, k, stride, pad)
-        assert (ho, wo) == (want_ho, want_wo)
+        out, cols = _conv2d_batch(x, kernel, bias, stride, pad)
+        want_cols, ho, wo = oracles.gather_im2col_batch(x, k, k, stride, pad)
+        assert out.shape == (batch, f, ho, wo)
         assert cols.flags["C_CONTIGUOUS"]
         assert_same_bits(cols, want_cols)
 
-        out, _ = _conv2d_batch(x, kernel, bias, stride, pad)
         want = np.matmul(kernel.reshape(f, -1), want_cols) + bias[None, :, None]
         assert_same_bits(out, want.reshape(batch, f, ho, wo))
 
@@ -218,12 +217,6 @@ class TestKernelsMatchEarlierKernels:
         got = _col2im_batch(dcols, c, hw[0], hw[1], k, k, stride, pad)
         assert_same_bits(got, oracles.bincount_col2im_batch(
             dcols, c, hw[0], hw[1], k, k, stride, pad))
-
-    def test_pointwise_conv_columns_are_the_input(self):
-        x = np.random.default_rng(0).normal(size=(2, 3, 4, 5)).astype(np.float32)
-        cols, ho, wo = _im2col_batch(x, 1, 1, 1, 0)
-        assert (ho, wo) == (4, 5) and cols.shape == (2, 3, 20)
-        assert np.shares_memory(cols, x)
 
     @pytest.mark.parametrize("batch", [1, 8])
     @pytest.mark.parametrize("hw", [(6, 10), (2, 2), (8, 4)])
@@ -263,9 +256,10 @@ class TestKernelsMatchEarlierKernels:
             size=(3, 4, 15, 22)).astype(np.float32)
         x = big[::2, 1:, 1::2, ::3]
         assert not x.flags["C_CONTIGUOUS"]
-        cols, ho, wo = _im2col_batch(x, k, k, stride, pad)
-        want_cols, want_ho, want_wo = oracles.gather_im2col_batch(x, k, k, stride, pad)
-        assert (ho, wo) == (want_ho, want_wo)
+        kernel = np.ones((2, x.shape[1], k, k), np.float32)
+        out, cols = _conv2d_batch(x, kernel, np.zeros(2, np.float32), stride, pad)
+        want_cols, ho, wo = oracles.gather_im2col_batch(x, k, k, stride, pad)
+        assert out.shape[2:] == (ho, wo)
         assert_same_bits(cols, want_cols)
 
     def test_pool_constant_windows_route_to_first_position(self):
@@ -440,3 +434,42 @@ class TestBands:
                 out[:, :, r0:r1] = block
                 done[r0:r1] = True
             assert np.isnan(out[:, :, ~done]).all()
+
+
+CHECKS = [
+    pytest.param(lambda: Tensor(np.zeros((1,) * 5)), ShapeError,
+                 "tensor rank must be 1..4", id="tensor-rank"),
+    pytest.param(lambda: Tensor(np.zeros((2, 0))), ShapeError,
+                 "tensor extents must be positive", id="tensor-extents"),
+    pytest.param(lambda: Tensor([1.0, np.inf]), ValueError,
+                 "tensor values must be finite", id="tensor-finite"),
+    pytest.param(lambda: pointwise(Tensor.zeros((2,)), "relu"), ValueError,
+                 "unknown pointwise function 'relu'", id="pointwise-fn"),
+    pytest.param(lambda: conv2d(Tensor.zeros((1, 3, 3, 3)), Tensor.zeros((1, 3, 1, 1)), [0.0]),
+                 ShapeError, "conv2d input must be [C,H,W]", id="conv-input-rank"),
+    pytest.param(lambda: conv2d(Tensor.zeros((3, 3, 3)), Tensor.zeros((3, 1, 1)), [0.0]),
+                 ShapeError, "conv2d kernel must be [F,C,kh,kw]", id="conv-kernel-rank"),
+    pytest.param(lambda: conv2d(Tensor.zeros((3, 3, 3)), Tensor.zeros((1, 3, 1, 1)), [0.0],
+                                stride=0),
+                 ValueError, "stride must be positive", id="conv-stride"),
+    pytest.param(lambda: conv2d(Tensor.zeros((3, 3, 3)), Tensor.zeros((1, 3, 1, 1)), [0.0],
+                                pad=-1),
+                 ValueError, "pad must be non-negative", id="conv-pad"),
+    pytest.param(lambda: conv2d(Tensor.zeros((3, 3, 3)), Tensor.zeros((1, 2, 1, 1)), [0.0]),
+                 ShapeError, "channel mismatch", id="conv-channels"),
+    pytest.param(lambda: conv2d(Tensor.zeros((3, 3, 3)), Tensor.zeros((2, 3, 1, 1)), [0.0]),
+                 ShapeError, "bias has 1 values, kernel has 2 filters", id="conv-bias"),
+    pytest.param(lambda: conv2d(Tensor.zeros((3, 3, 3)), Tensor.zeros((1, 3, 4, 4)), [0.0]),
+                 ShapeError, "non-positive output extent 0x0", id="conv-extent"),
+    pytest.param(lambda: maxpool2(Tensor.zeros((1, 2, 2, 2))), ShapeError,
+                 "maxpool2 input must be [C,H,W]", id="pool-rank"),
+    pytest.param(lambda: maxpool2(Tensor.zeros((1, 2, 3))), ShapeError,
+                 "maxpool2 needs even spatial extents", id="pool-extents"),
+]
+
+
+@pytest.mark.parametrize("make,error,prefix", CHECKS)
+def test_checks_raise_their_documented_errors(make, error, prefix):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value).startswith(prefix)

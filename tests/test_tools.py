@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -156,3 +157,38 @@ def test_pairs_summarise_canned_runs():
     rss = doc["final"]["workloads"]["motion-gated"]["metrics"]["peak_rss_mb"]
     assert rss["verdict"] == "beyond bound"
     assert not doc["no_regression"]["held"] and not doc["claim"]["met"]
+
+
+def test_mutants_name_the_statements_no_test_needs(tmp_path):
+    # ``label`` follows a non-ASCII character on a line it shares with
+    # ``y``: cut in characters instead of bytes, its mutant would not parse
+    # and would read as killed.
+    write(tmp_path, "src/planted.py", textwrap.dedent('''\
+        def double(x):
+            label = "×"; y = x * 2
+            print("doubled")
+            return y
+        '''))
+    write(tmp_path, "tests/test_planted.py", textwrap.dedent('''\
+        from planted import double
+
+
+        def test_double():
+            assert double(2) == 4
+        '''))
+
+    def mutants(*options):
+        return subprocess.run([sys.executable, str(TOOLS / "mutants.py"), "src/planted.py",
+                               "tests/test_planted.py", "--root", str(tmp_path), *options],
+                              capture_output=True, text=True, timeout=120)
+
+    proc = mutants()
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        'src/planted.py:2: label = "×"; y = x * 2',
+        'src/planted.py:3: print("doubled")',
+        "src/planted.py: 4 mutants, 2 killed, 2 survived"]
+    proc = mutants("--lines", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "src/planted.py: 1 mutants, 1 killed, 0 survived\n"
+    assert (tmp_path / "src/planted.py").read_text().count("pass") == 0
