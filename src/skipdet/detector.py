@@ -273,7 +273,6 @@ def _lloyd(sizes: np.ndarray, k: int, seed: int, max_iter: int = 100):
         cents, dist = new_cents, new_dist
         costs.append(new_cost)
         if np.array_equal(new_assign, assign):
-            cost = new_cost
             break
         assign, cost = new_assign, new_cost
     return cents, costs

@@ -210,7 +210,9 @@ class LayerWeights:
     """Kernel, bias, and optional binary mask for one conv layer.
 
     The mask has the kernel's shape with values in {0,1}; the kernel is
-    exactly zero wherever the mask is zero. Biases are never masked.
+    exactly zero wherever the mask is zero. Biases are never masked. The
+    mask kept is a read-only copy, so a caller that changes its own array
+    afterwards changes neither the weights nor their parameter count.
     """
 
     kernel: Tensor
@@ -224,13 +226,14 @@ class LayerWeights:
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match kernel filters {self.kernel.shape[0]}")
         if self.mask is not None:
-            mask = np.ascontiguousarray(np.asarray(self.mask, dtype=np.uint8))
+            mask = np.array(self.mask, dtype=np.uint8, order="C")
             if mask.shape != self.kernel.shape:
                 raise ShapeError(f"mask shape {mask.shape} != kernel shape {self.kernel.shape}")
             if not np.isin(mask, (0, 1)).all():
                 raise ValueError("mask values must be 0 or 1")
             if np.any(self.kernel.data[mask == 0] != 0.0):
                 raise ValueError("kernel must be zero wherever the mask is zero")
+            mask.flags.writeable = False
             object.__setattr__(self, "mask", mask)
 
     def param_count(self) -> int:

@@ -33,7 +33,7 @@ from .tensor import (
     Tensor,
     _col2im_batch,
     _conv2d_batch,
-    _conv2d_row_blocks,
+    _conv2d_blocks,
     _maxpool2_backward,
     _maxpool2_batch,
     _pointwise_grad,
@@ -142,7 +142,8 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
                     grad_out: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Gradients of every kernel and bias from the per-layer records. Each
     record is dropped once walked, so its arrays are freed before the layers
-    below run; layer 0's input gradient is never made, as nothing reads it."""
+    below run; layer 0's input gradient is never made, as nothing reads it.
+    ``grad_out`` is never written."""
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad_out
     for i in reversed(range(len(net.layers))):
@@ -153,7 +154,9 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
         caches[i] = None
         fn = _activation(layer)
         if fn is not None:
-            g = g * _pointwise_grad(pre, post, fn, layer.alpha)
+            # In place once g is an array this pass made, never grad_out.
+            g = np.multiply(g, _pointwise_grad(pre, post, fn, layer.alpha),
+                            out=None if g is grad_out else g)
         if layer.kind == "conv":
             kernel = weights[i][0]
             g2 = g.reshape(g.shape[0], g.shape[1], -1)
@@ -168,64 +171,99 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
     return grads
 
 
+# A reached 2x2 max pool whose output is at least this many columns wide
+# pools its changed rectangles alone (_pool_rows). On tiny's reused
+# forwards that saved about 16 and 4 us at the 48- and 24-wide pools, and
+# cost 2-10 us more at the 12- and 6-wide ones, whose per-row loops the
+# copy of the rest does not repay.
+POOL_RECT_WIDTH = 16
+
+
 def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
-    """The runs ``[a, b)`` of a layer's output rows that a change in its
-    input rows ``runs`` reaches, merged: for a conv, the rows whose windows
-    see one, and for a 2x2 max pool, whose windows are two rows at stride
-    2, each run halved; a pointwise layer or the head keeps its runs."""
+    """The runs ``(a, b, c0, c1)`` of a layer's output rows ``[a, b)``,
+    each with its columns ``[c0, c1)``, that a change in its input runs
+    ``runs`` reaches, merged: for a conv, the rows and columns whose windows
+    see one, and for a 2x2 max pool, whose windows are two pixels at stride
+    2, each run halved in both; runs whose rows meet merge, with the
+    columns of both. A pointwise layer or the head keeps its runs."""
     if layer.kind == "conv":
         s, p, k = layer.stride, layer.pad, layer.kernel_size
     elif layer.kind == "maxpool2":
         s, p, k = 2, 0, 2
     else:
         return runs
-    ho = out_shape[2]
+    ho, wo = out_shape[2], out_shape[3]
     merged: list = []
-    for a, b in runs:
-        lo, hi = max(-(-(a + p - k + 1) // s), 0), min((b - 1 + p) // s + 1, ho)
-        if lo >= hi:
+    for a, b, c0, c1 in runs:
+        # The first output whose window reaches a is ceil((a + p - k + 1) / s);
+        # conditionals, not max and min, halve this loop's time.
+        lo, hi = (a + p - k + s) // s, (b - 1 + p) // s + 1
+        left, right = (c0 + p - k + s) // s, (c1 - 1 + p) // s + 1
+        lo, left = (lo if lo > 0 else 0), (left if left > 0 else 0)
+        hi, right = (hi if hi < ho else ho), (right if right < wo else wo)
+        if lo >= hi or left >= right:
             continue
         if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+            m0, m1, n0, n1 = merged[-1]
+            merged[-1] = (m0, max(hi, m1), min(left, n0), max(right, n1))
         else:
-            merged.append((lo, hi))
+            merged.append((lo, hi, left, right))
     return merged
 
 
 def _conv_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
                was: np.ndarray, runs: list) -> np.ndarray:
     """Conv layer i's output, activation included, with the bits a full
-    forward gives it: the blocks ``_conv2d_row_blocks`` computes for the
-    output rows in ``runs`` are activated, and the other rows are copied
-    from ``was``, the reference's output. A block that covers the map is
-    the output."""
+    forward gives it: the blocks ``_conv2d_blocks`` computes for the
+    rectangles ``runs`` are activated, and everything else is copied from
+    ``was``, the reference's output. A block that covers the map is the
+    output."""
     fn = _activation(layer)
-    blocks = _conv2d_row_blocks(x, *weights[i], layer.stride, layer.pad, runs)
+    blocks = _conv2d_blocks(x, *weights[i], layer.stride, layer.pad, runs)
     if fn is not None:
-        for _, _, block in blocks:
+        for *_, block in blocks:
             _pointwise_raw(block, fn, layer.alpha, in_place=True)
-    if blocks[0][1] - blocks[0][0] == was.shape[2]:
-        return blocks[0][2]
+    if blocks[0][4].shape == was.shape:
+        return blocks[0][4]
     # Made after the blocks: made after the first block only, tiny's first
-    # conv read 4-5 us slower on a reused forward.
-    out, done = np.empty_like(was), 0
-    for r0, r1, block in blocks:
-        out[:, :, done:r0] = was[:, :, done:r0]
-        out[:, :, r0:r1] = block
-        done = r1
-    out[:, :, done:] = was[:, :, done:]
+    # conv read 4-5 us slower on a reused forward. One copy of the whole
+    # record, then the blocks, took half the time of copying around them.
+    out = was.copy()
+    for r0, r1, c0, c1, block in blocks:
+        out[:, :, r0:r1, c0:c1] = block
+    return out
+
+
+def _pool_rows(x: np.ndarray, was: np.ndarray, runs: list) -> np.ndarray:
+    """A reached 2x2 max pool's output, with the bits of its plain kernel:
+    on a map at least ``POOL_RECT_WIDTH`` columns wide, each rectangle in
+    ``runs`` pooled alone and everything else copied from ``was``, the
+    reference's output. On a narrower map, or where one rectangle covers
+    the map, the plain kernel runs."""
+    _, _, ho, wo = was.shape
+    if wo < POOL_RECT_WIDTH or runs[0] == (0, ho, 0, wo):
+        return _maxpool2_batch(x)
+    out = was.copy()
+    for r0, r1, c0, c1 in runs:
+        _maxpool2_batch(x[:, :, 2 * r0:2 * r1, 2 * c0:2 * c1], out[:, :, r0:r1, c0:c1])
     return out
 
 
 def _changed_rows(x: np.ndarray, was: np.ndarray) -> list:
-    """The runs ``[a, b)`` of rows in which two [B,C,H,W] arrays differ in
-    any bit, so that -0.0 and +0.0 differ."""
+    """The runs ``(a, b, c0, c1)`` of rows ``[a, b)`` in which two [B,C,H,W]
+    arrays differ in any bit, so that -0.0 and +0.0 differ, each with the
+    columns ``[c0, c1)`` from its first to its last differing one."""
     b, c, h, w = x.shape
     differ = np.not_equal(x.view(np.uint32), was.view(np.uint32)).reshape(b * c, h * w)
+    pixels = np.logical_or.reduce(differ, axis=0).reshape(h, w)
     changed = np.zeros(h + 2, np.int8)
-    changed[1:-1] = np.logical_or.reduce(differ, axis=0).reshape(h, w).any(axis=1)
+    changed[1:-1] = pixels.any(axis=1)
     edges = np.flatnonzero(changed[1:] != changed[:-1]).tolist()
-    return list(zip(edges[0::2], edges[1::2]))
+    runs = []
+    for a, z in zip(edges[0::2], edges[1::2]):
+        cols = pixels[a:z].any(axis=0)
+        runs.append((a, z, int(cols.argmax()), w - int(cols[::-1].argmax())))
+    return runs
 
 
 def _infer(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
@@ -253,6 +291,8 @@ def _infer(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
                 out = was
             elif layer.kind == "conv":
                 out = _conv_rows(layer, weights, i, out, was, runs)
+            elif layer.kind == "maxpool2":
+                out = _pool_rows(out, was, runs)
             else:
                 out = _infer_layer(layer, weights, i, out)
         if record is not None:
@@ -280,21 +320,31 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
     statement of the reuse rule:
 
     * The input is compared with the record's own input, ``reference[0]``,
-      bit for bit, so -0.0 and +0.0 differ; a row is unchanged only when
+      bit for bit, so -0.0 and +0.0 differ; a pixel is unchanged only when
       all its bits are equal, as in the noise-free clips the benchmark
-      streams.
-    * The changed rows are walked through the layers as they run: a conv's
-      changed output rows are those whose windows see a changed input row,
-      a 2x2 pool halves them, and a pointwise layer or the head keeps
-      them. A layer that no changed row reaches returns the recorded
-      output; a reached pool, pointwise layer or head runs its plain
-      kernel. A reached conv widens its changed rows to its matmul bands
-      and runs its one kernel, ``tensor._conv2d_rows``, over those alone
-      (``tensor._conv2d_row_blocks``), and the other rows are copied from
-      the record; a block that covers the map is the layer's output.
+      streams. Each run of rows with a changed pixel is one rectangle:
+      those rows, and the columns from the run's first changed pixel to its
+      last.
+    * The rectangles are walked through the layers as they run: a conv's
+      are the outputs whose windows see one, a 2x2 pool halves them, and a
+      pointwise layer or the head keeps them; rectangles whose rows meet
+      merge into one that spans the columns of both. A layer that no
+      rectangle reaches returns the recorded output, and a reached
+      pointwise layer or head runs its plain kernel. A reached conv runs
+      its one kernel, ``tensor._conv2d_rows``, over one block per rectangle
+      (``tensor._conv2d_blocks``): the rectangle's rows in the fewest whole
+      16-column groups that hold its columns, or, where those would be
+      wider than the map or hold the whole conv's last partial group, the
+      full width of the matmul bands its rows touch. A reached pool at
+      least 16 columns wide pools its rectangles alone; a narrower one runs
+      its plain kernel. Everything else is copied from the record, and a
+      block or rectangle that covers the map is the layer's output.
     * The output has the bits of a full forward, by construction: a full
-      forward runs the same kernel over every row, and a band's bits depend
-      only on its own rows. With no changed row it is the recorded output.
+      forward runs the same kernels over the whole map, and each BLAS call
+      of a block is either a band of the whole conv's own shape or has
+      whole 16-column groups only, whose bits depend only on their own
+      columns (the ``tensor`` module states that rule and where it was
+      measured). With no changed pixel it is the recorded output.
       Any record made with the same ``net`` and ``store`` will do,
       whichever input it was made from; only its shapes are checked.
     * With noise in every row every layer runs its plain kernel after the

@@ -20,20 +20,24 @@ divided by 255 are finite by construction. The raw-array kernels below
 check nothing; their callers validate shapes once, at the boundary.
 
 Each kernel makes only the arrays its arithmetic needs. There is one
-convolution kernel, ``_conv2d_rows``, which computes a run of output
-rows: a whole conv is that kernel over every row, and a block that a
-reused forward recomputes (``_conv2d_row_blocks``) is that kernel over
-the block's rows. Its columns are one copy of one strided window view of
-the padded input rows it reads, and its product runs in fixed bands of
-output rows, one BLAS call each: a band's bits depend only on its own
-columns, so a block of whole bands has the bits of the whole conv. A band
-is the fewest rows, at least ``BAND_ROWS`` (3), that hold a multiple of
-``BAND_ALIGN`` (16) outputs (``band_rows``). Both bounds were measured on
-OpenBLAS 0.3.31 on an AVX-512 core: there a product's columns in whole
-groups of 16 have the same bits whatever the call's column count, while
-a last partial group's can differ, so bands of whole groups give every
-column the bits a larger band gives it; and bands of one row made the
-product of ``tiny``'s 48-wide conv 1.3 times as slow as bands of three.
+convolution kernel, ``_conv2d_rows``, which computes a rectangle of output
+rows and columns: a whole conv is that kernel over the whole map, and a
+block that a reused forward recomputes (``_conv2d_blocks``) is that kernel
+over the block. Its columns are one copy of one strided window view of the
+padded input it reads. One bit rule makes a block's values the whole
+conv's: every BLAS call has a column count that is a multiple of
+``BAND_ALIGN`` (16), save the whole conv's last band. It rests on one
+measurement, on one core type only: with OpenBLAS 0.3.31 on an AVX-512
+core, a product's columns in whole groups of 16 have the same bits
+whatever the call's column count, while a last partial group's can differ
+(seen at a map whose last band leaves 1 or 6 outputs over). So the whole
+conv runs in fixed bands of output rows, one BLAS call each, a band being
+the fewest rows, at least ``BAND_ROWS`` (3), that hold a multiple of 16
+outputs (``band_rows``); bands of one row made the product of ``tiny``'s
+48-wide conv 1.3 times as slow as bands of three. A block narrower than
+the map is a whole number of 16-column groups wide, with any rows, in one
+call; one that cannot be, its window wider than the map or holding the
+map's last partial group, is full width, in the whole conv's bands.
 A 2x2 max pool is two ``np.maximum`` passes, across columns and then
 across rows; ``tests/oracles.py`` also keeps a running-maximum pool, one
 pass per window position, as a reference. No kernel keeps a workspace
@@ -146,9 +150,9 @@ def band_rows(wo: int) -> int:
 
 
 def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
-                    wo: int) -> np.ndarray:
+                    step: int) -> np.ndarray:
     """``kernel @ cols + bias`` ([B,F,N]) as a new array, one matmul per band
-    of ``band_rows(wo)`` output rows counted from the first column.
+    of ``step`` columns counted from the first.
 
     A product of one band or less is one plain ``np.matmul``. Otherwise the
     whole bands go to one ``np.matmul`` over a [B, bands, ...] view, which
@@ -159,7 +163,6 @@ def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
     """
     b, n = cols.shape[0], cols.shape[-1]
     f = kernel.shape[0]
-    step = band_rows(wo) * wo
     if n <= step:
         out = np.matmul(kernel, cols)
     else:
@@ -174,75 +177,99 @@ def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
 
 
 def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                 stride: int, pad: int, r0: int, r1: int):
-    """The one convolution kernel: output rows ``[r0, r1)`` of the
-    cross-correlation of [B,C,H,W] ``x`` with [F,C,kh,kw] ``kernel`` plus
-    ``bias``, as ``(out, cols)``: ``out`` a fresh [B,F,r1-r0,Wo] array and
-    ``cols`` its columns [B, C*kh*kw, (r1-r0)*Wo], whose rows run (c, ky, kx).
+                 stride: int, pad: int, r0: int, r1: int, c0: int, c1: int):
+    """The one convolution kernel: the output rectangle of rows ``[r0, r1)``
+    and columns ``[c0, c1)`` of the cross-correlation of [B,C,H,W] ``x``
+    with [F,C,kh,kw] ``kernel`` plus ``bias``, as ``(out, cols)``: ``out`` a
+    fresh [B,F,r1-r0,c1-c0] array and ``cols`` its columns
+    [B, C*kh*kw, (r1-r0)*(c1-c0)], whose rows run (c, ky, kx).
 
-    The input rows those output rows read are copied into one fresh
+    The input window that rectangle reads is copied into one fresh
     zero-padded buffer. The columns are one C-contiguous copy, which keeps
-    the matmul on the BLAS fast path, of one view [B,C,kh,kw,r1-r0,Wo] over
-    that buffer, made by the plain constructor in a seventh of
-    ``as_strided``'s time. The product's bands are counted from ``r0``
-    (``_banded_product``), so from a band edge each band has the whole
-    conv's bits.
+    the matmul on the BLAS fast path, of one view [B,C,kh,kw,r1-r0,c1-c0]
+    over that buffer, made by the plain constructor in a seventh of
+    ``as_strided``'s time. A rectangle as wide as the map runs its product
+    in the whole conv's bands of ``band_rows(Wo)`` rows, counted from
+    ``r0`` (``_banded_product``); a narrower one, which ``_conv2d_blocks``
+    makes a whole number of ``BAND_ALIGN`` groups wide, is one matmul, in
+    about 0.7 times the time of bands of three rows at ``tiny``'s convs.
     """
     b, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
-    wo = conv_output_extent(w, kw, stride, pad)
     top, bottom = r0 * stride - pad, (r1 - 1) * stride - pad + kh
+    left, right = c0 * stride - pad, (c1 - 1) * stride - pad + kw
     lo, hi = max(top, 0), min(bottom, h)
+    first, last = max(left, 0), min(right, w)
     # np.pad's set-up costs more than the copy at these sizes.
-    rows = np.zeros((b, c, bottom - top, w + 2 * pad), np.float32)
-    rows[:, :, lo - top:hi - top, pad:pad + w] = x[:, :, lo:hi]
-    sb, sc, sy, sx = rows.strides
-    win = np.ndarray((b, c, kh, kw, r1 - r0, wo), np.float32, rows, 0,
-                     (sb, sc, sy, sx, sy * stride, sx * stride))
-    cols = np.ascontiguousarray(win).reshape(b, c * kh * kw, (r1 - r0) * wo)
-    out = _banded_product(kernel.reshape(f, -1), cols, bias, wo)
-    return out.reshape(b, f, r1 - r0, wo), cols
+    window = np.zeros((b, c, bottom - top, right - left), np.float32)
+    window[:, :, lo - top:hi - top, first - left:last - left] = x[:, :, lo:hi, first:last]
+    sb, sc, sy, sx = window.strides
+    view = np.ndarray((b, c, kh, kw, r1 - r0, c1 - c0), np.float32, window, 0,
+                      (sb, sc, sy, sx, sy * stride, sx * stride))
+    cols = np.ascontiguousarray(view).reshape(b, c * kh * kw, (r1 - r0) * (c1 - c0))
+    wo = conv_output_extent(w, kw, stride, pad)
+    step = band_rows(wo) * wo if c1 - c0 == wo else cols.shape[-1]
+    out = _banded_product(kernel.reshape(f, -1), cols, bias, step)
+    return out.reshape(b, f, r1 - r0, c1 - c0), cols
 
 
 def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                   stride: int, pad: int):
-    """Batched cross-correlation on raw arrays: ``_conv2d_rows`` over every
-    output row; returns (out, cols), and the training engine reuses
+    """Batched cross-correlation on raw arrays: ``_conv2d_rows`` over the
+    whole output map; returns (out, cols), and the training engine reuses
     ``cols`` for the kernel gradient.
 
     The bits can differ in the last place from one matmul over all the
     columns, as BLAS blocks a longer product differently.
     """
-    ho = conv_output_extent(x.shape[2], kernel.shape[2], stride, pad)
-    return _conv2d_rows(x, kernel, bias, stride, pad, 0, ho)
+    _, _, h, w = x.shape
+    _, _, kh, kw = kernel.shape
+    ho, wo = conv_output_extent(h, kh, stride, pad), conv_output_extent(w, kw, stride, pad)
+    return _conv2d_rows(x, kernel, bias, stride, pad, 0, ho, 0, wo)
 
 
-def _conv2d_row_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                       stride: int, pad: int, runs: Sequence) -> list:
-    """The rows of ``_conv2d_batch(x, ...)`` that cover the output rows in
-    ``runs`` (ascending ``[r0, r1)`` pairs), with its bits, as ``(r0, r1,
-    block)`` triples: each block a fresh C-contiguous [B,F,r1-r0,Wo] array.
+def _conv2d_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                   stride: int, pad: int, rects: Sequence) -> list:
+    """The parts of ``_conv2d_batch(x, ...)`` that cover the output
+    rectangles ``rects`` (``(r0, r1, c0, c1)``, rows ascending and
+    disjoint), with its bits, as ``(r0, r1, c0, c1, block)`` tuples, rows
+    ascending and disjoint: each block a fresh C-contiguous
+    [B,F,r1-r0,c1-c0] array.
 
-    Each run is widened to the edges of the matmul bands it touches, and
-    runs that then meet are merged, so every band is one matmul of the
-    whole conv's shape: a row in a block only because it shares a band with
-    a row in ``runs`` has the bits the whole conv gives it. Each block is
-    one ``_conv2d_rows`` call, a block that covers the map too, so only the
-    input rows the blocks see are read.
+    A rectangle's columns widen to the fewest whole groups of
+    ``BAND_ALIGN`` that hold them, in a window shifted left at the right
+    edge to fit the map; its rows stay as they are. Each BLAS call of the
+    block then has whole groups only. So has every band of the whole conv but
+    the last, whose last ``tail`` columns, the map's last outputs, may form
+    a partial group with bits of its own. A rectangle whose window would be
+    wider than the map, or would hold that partial group, is full width
+    instead: its rows widen to the edges of the matmul bands they touch, so
+    each of its bands is one matmul of the whole conv's shape. A block that
+    meets a full-width one merges into it. Each block is one
+    ``_conv2d_rows`` call, a block that covers the map too, so only the
+    input the blocks see is read.
     """
     _, _, h, w = x.shape
     _, _, kh, kw = kernel.shape
     ho, wo = conv_output_extent(h, kh, stride, pad), conv_output_extent(w, kw, stride, pad)
     band = band_rows(wo)
-    bands: list = []
-    for a, z in runs:
-        r0, r1 = a // band * band, min(-(-z // band) * band, ho)
-        if bands and r0 <= bands[-1][1]:
-            bands[-1] = (bands[-1][0], max(r1, bands[-1][1]))
-        else:
-            bands.append((r0, r1))
-    return [(r0, r1, _conv2d_rows(x, kernel, bias, stride, pad, r0, r1)[0])
-            for r0, r1 in bands]
+    tail = (ho - (ho - 1) // band * band) * wo % BAND_ALIGN
+    blocks: list = []
+    for r0, r1, c0, c1 in rects:
+        width = -(-(c1 - c0) // BAND_ALIGN) * BAND_ALIGN
+        c0 = min(c0, wo - width)
+        c1 = c0 + width
+        if width > wo or (tail and r1 == ho and c1 > wo - tail):
+            r0, r1, c0, c1 = r0 // band * band, min(-(-r1 // band) * band, ho), 0, wo
+        # Merge while this block or the last one is full width and they meet;
+        # rows being ascending and disjoint, the last one starts above this
+        # one and ends no lower than the band edge this one widens to.
+        while blocks and r0 <= blocks[-1][1] and wo in (c1 - c0, blocks[-1][3] - blocks[-1][2]):
+            r0, r1 = blocks.pop()[0] // band * band, min(-(-r1 // band) * band, ho)
+            c0, c1 = 0, wo
+        blocks.append((r0, r1, c0, c1))
+    return [(r0, r1, c0, c1, _conv2d_rows(x, kernel, bias, stride, pad, r0, r1, c0, c1)[0])
+            for r0, r1, c0, c1 in blocks]
 
 
 def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,
@@ -267,8 +294,9 @@ def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,
 _POOL_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _maxpool2_batch(x: np.ndarray) -> np.ndarray:
-    """Batched 2x2 max pooling over even [B,C,H,W] extents, in two passes.
+def _maxpool2_batch(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Batched 2x2 max pooling over even [B,C,H,W] extents, in two passes,
+    into ``out`` if given, else a fresh array.
 
     The first pass takes the larger of each row's column pair, the second
     the larger of each pair of those rows, whose inner loops run over
@@ -277,7 +305,7 @@ def _maxpool2_batch(x: np.ndarray) -> np.ndarray:
     order always goes second, and the first maximum in that order wins.
     """
     cols = np.maximum(x[..., 1::2], x[..., 0::2])
-    return np.maximum(cols[:, :, 1::2], cols[:, :, 0::2])
+    return np.maximum(cols[:, :, 1::2], cols[:, :, 0::2], out=out)
 
 
 def _maxpool2_backward(grad_out: np.ndarray, x: np.ndarray,

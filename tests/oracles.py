@@ -79,21 +79,36 @@ def naive_forward(net, weights, x):
     return out
 
 
-def reached_rows(net, changed):
-    """Per layer, a boolean mask of its output rows that a change in the
-    input rows marked in ``changed`` reaches, propagated densely: a conv's
-    output row is reached when any input row in its padded window is, a
-    2x2 pool's when either row of its pair is; other layers keep the mask."""
-    mask = np.asarray(changed, dtype=bool)
+def _row_spans(mask):
+    """``mask`` with each run of rows that hold a True filled out to the
+    columns from its first True to its last."""
+    rows = np.concatenate([[False], mask.any(axis=1), [False]])
+    edges = np.flatnonzero(rows[1:] != rows[:-1])
+    filled = np.zeros_like(mask)
+    for a, b in zip(edges[0::2], edges[1::2]):
+        cols = np.flatnonzero(mask[a:b].any(axis=0))
+        filled[a:b, cols[0]:cols[-1] + 1] = True
+    return filled
+
+
+def reached_mask(net, changed):
+    """Per layer, a boolean [H, W] mask of the output positions that a
+    change at the input positions marked in ``changed`` reaches, propagated
+    densely: a conv's output position is reached when any input position in
+    its padded window is, a 2x2 pool's when any of its four is; other
+    layers keep the mask. Each run of reached rows, the input's included,
+    is filled out to the columns from its first reached one to its last, as
+    a walk that keeps one column span per run of rows reaches them."""
+    mask = _row_spans(np.asarray(changed, dtype=bool))
     masks = []
     for layer in net.layers:
         if layer.kind == "conv":
             k, s, p = layer.kernel_size, layer.stride, layer.pad
-            padded = np.concatenate([np.zeros(p, bool), mask, np.zeros(p, bool)])
-            ho = (mask.size + 2 * p - k) // s + 1
-            mask = np.array([padded[r * s:r * s + k].any() for r in range(ho)], bool)
+            windows = np.lib.stride_tricks.sliding_window_view(np.pad(mask, p), (k, k))
+            mask = windows[::s, ::s].any(axis=(2, 3))
         elif layer.kind == "maxpool2":
-            mask = mask[0::2] | mask[1::2]
+            mask = mask[0::2, 0::2] | mask[0::2, 1::2] | mask[1::2, 0::2] | mask[1::2, 1::2]
+        mask = _row_spans(mask)
         masks.append(mask)
     return masks
 

@@ -275,6 +275,32 @@ class TestKmeansAnchors:
             _, costs = _lloyd(sizes, k=3, seed=seed)
             assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
+    @staticmethod
+    def wh_cost(sizes, cents):
+        """Sum over boxes of 1 - IOU with the nearest co-centered centroid."""
+        return sum(min(1 - min(w, cw) * min(h, ch) / (w * h + cw * ch - min(w, cw) * min(h, ch))
+                       for cw, ch in cents) for w, h in sizes)
+
+    def test_empty_cluster_reseeds_to_the_farthest_box(self):
+        # Seed 1 starts both centroids on (1, 1): every box is nearest the
+        # first, so the second re-seeds to (4, 4), the box farthest from its
+        # centroid, and the first cost recorded is that of the re-seeded pair.
+        sizes = np.array([(1.0, 1.0)] * 3 + [(4.0, 4.0)])
+        cents, costs = _lloyd(sizes, k=2, seed=1)
+        assert cents.tolist() == [[1.0, 1.0], [4.0, 4.0]]
+        assert costs == [0.0, 0.0]
+
+    def test_stops_when_the_assignment_settles(self):
+        # Seed 0 starts on (4, 4) and (4, 5). Two mean steps move (1, 1) and
+        # (1, 2) to one centroid and (4, 4), (4, 5) to the other; the third
+        # step would keep that assignment, so iteration stops well before
+        # max_iter with one cost per accepted step.
+        sizes = np.array([(1.0, 1.0), (1.0, 2.0), (4.0, 4.0), (4.0, 5.0)])
+        cents, costs = _lloyd(sizes, k=2, seed=0)
+        assert cents.tolist() == [[1.0, 1.5], [4.0, 4.5]]
+        steps = [[(4, 4), (4, 5)], [(2, 7 / 3), (4, 5)], [(1, 1.5), (4, 4.5)]]
+        assert costs == pytest.approx([self.wh_cost(sizes, c) for c in steps], abs=1e-12)
+
     def test_duplicate_boxes_more_clusters_than_shapes(self):
         anchors = kmeans_anchors([(2.0, 2.0)] * 6, k=2, seed=0)
         assert len(anchors) == 2

@@ -138,6 +138,24 @@ class TestWeightStore:
         with pytest.raises(ValueError, match="zero wherever"):
             LayerWeights(kernel, Tensor.zeros((1,)), mask)
 
+    def test_store_keeps_its_own_mask(self):
+        # Changing the caller's array after with_masks changes neither the
+        # store's mask, nor its kernel's zeros, nor its parameter count.
+        net = toy_net()
+        store = init_weights(net, 3)
+        m = np.ones(store[0].kernel.shape, np.uint8)
+        m.ravel()[1] = 0
+        masked = store.with_masks({0: m})
+        count = count_params(net, masked)
+        m.ravel()[0] = 0
+        m.ravel()[1] = 1
+        assert masked[0].mask is not m
+        assert masked[0].mask.ravel()[:2].tolist() == [1, 0]
+        assert masked[0].kernel.data.ravel()[0] != 0 and masked[0].kernel.data.ravel()[1] == 0
+        assert count_params(net, masked) == count
+        with pytest.raises(ValueError, match="read-only"):
+            masked[0].mask.ravel()[0] = 0
+
     def test_mask_values_binary(self):
         kernel = Tensor(np.ones((1, 1, 1, 1), np.float32))
         with pytest.raises(ValueError, match="0 or 1"):

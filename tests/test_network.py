@@ -14,7 +14,8 @@ from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightSto
 from skipdet.network import (TrainConfig, TrainingDivergence, _backward_batch, _forward_batch,
                              _infer, evaluate_loss, forward, init_weights, loss_gradients,
                              train_sgd)
-from skipdet.tensor import POINTWISE_FNS, ShapeError, Tensor, band_rows
+from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _conv2d_batch, _conv2d_blocks,
+                            band_rows)
 
 import faults
 import oracles
@@ -242,8 +243,10 @@ class TestTaggedCacheOracle:
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         assert np.array_equal(_infer(net, weights, xb).view(np.uint32),
                               oracles.tagged_forward_batch(net, weights, xb).view(np.uint32))
-        assert_same_grads(_backward_batch(net, weights, records, grad_out),
-                          oracles.tagged_backward_batch(net, weights, tagged, grad_out))
+        kept = grad_out.tobytes()
+        got = _backward_batch(net, weights, records, grad_out)
+        assert grad_out.tobytes() == kept  # the caller's array is never written
+        assert_same_grads(got, oracles.tagged_backward_batch(net, weights, tagged, grad_out))
         assert records[1:] == [None] * (len(records) - 1)  # dropped once walked
 
     @pytest.mark.parametrize("name", list(oracle_nets()))
@@ -591,6 +594,38 @@ def first_band_edge(net):
     return min(max(rows * conv.stride - conv.pad, 0), net.input_shape[1] - 1)
 
 
+def conv_blocks(rects, ho, wo):
+    """The blocks a conv of ``ho`` by ``wo`` outputs computes for the
+    rectangles ``rects``, as a fixed point: a rectangle widens to the
+    fewest whole 16-column groups that hold it, shifted left to fit the
+    map, unless the window is wider than the map or holds one of the last
+    outputs of the map that the whole conv's last band leaves in a partial
+    group; then, or if its rows meet a full-width block's, its rows widen to
+    the band edges and join the full-width rows."""
+    band = band_rows(wo)
+    tail = (ho - (ho - 1) // band * band) * wo % 16
+    full = np.zeros(ho + 2, bool)  # full-width rows, shifted by one
+    windows = {}
+    for r0, r1, c0, c1 in rects:
+        width = -(-(c1 - c0) // 16) * 16
+        left = min(c0, wo - width)
+        if width <= wo and not (tail and r1 == ho and left + width > wo - tail):
+            windows[r0, r1] = (left, left + width)
+        else:
+            full[1 + r0 // band * band:1 + min(-(-r1 // band) * band, ho)] = True
+    while True:
+        meet = [(r0, r1) for r0, r1 in windows if full[r0:r1 + 2].any()]
+        if not meet:
+            break
+        for r0, r1 in meet:
+            del windows[r0, r1]
+            full[1 + r0 // band * band:1 + min(-(-r1 // band) * band, ho)] = True
+    edges = np.flatnonzero(full[1:] != full[:-1]).tolist()
+    blocks = [(a, b, 0, wo) for a, b in zip(edges[0::2], edges[1::2])]
+    blocks += [(r0, r1, c0, c1) for (r0, r1), (c0, c1) in windows.items()]
+    return sorted(blocks)
+
+
 class TestReferenceReuse:
     """``forward(..., reference=r)`` has the bits of a full forward, and so
     has every array it records, whichever input rows changed."""
@@ -655,137 +690,196 @@ class TestReferenceReuse:
         before[0, 3, 4] = 0.0
         after = before.copy()
         after[0, 3, 4] = -0.0
-        assert network._changed_rows(after[None], before[None]) == [(3, 4)]
+        assert network._changed_rows(after[None], before[None]) == [(3, 4, 4, 5)]
         self.check(net, store, before, after)
 
     def test_rows_seen(self):
         conv = LayerSpec.conv(1, 1, 3, pad=1)
         # rows 49-51 see row 50; the matmul bands they share are not counted
-        assert network._rows_seen(conv, [(50, 51)], (1, 1, 96, 96)) == [(49, 52)]
-        assert network._rows_seen(conv, [(0, 1), (5, 6)], (1, 1, 96, 96)) == [(0, 2), (4, 7)]
-        assert network._rows_seen(conv, [(0, 1), (3, 4)], (1, 1, 96, 96)) == [(0, 5)]
-        assert network._rows_seen(conv, [(95, 96)], (1, 1, 96, 96)) == [(94, 96)]
-        # a pool halves each run, and halved runs that meet merge
+        assert network._rows_seen(conv, [(50, 51, 0, 96)], (1, 1, 96, 96)) == [(49, 52, 0, 96)]
+        assert network._rows_seen(conv, [(0, 1, 5, 6), (5, 6, 5, 6)], (1, 1, 96, 96)) == [
+            (0, 2, 4, 7), (4, 7, 4, 7)]
+        assert network._rows_seen(conv, [(95, 96, 95, 96)], (1, 1, 96, 96)) == [(94, 96, 94, 96)]
+        # runs whose rows meet merge, with the columns of both
+        assert network._rows_seen(conv, [(0, 1, 0, 2), (3, 4, 40, 41)], (1, 1, 96, 96)) == [
+            (0, 5, 0, 42)]
+        # a pool halves each run, rows and columns, and halved runs that meet merge
         pool, point = LayerSpec.maxpool2(), LayerSpec.conv(1, 1, 1)
-        assert network._rows_seen(pool, [(3, 4), (5, 9)], (1, 1, 6, 6)) == [(1, 5)]
-        assert network._rows_seen(pool, [(0, 1), (4, 6), (11, 12)], (1, 1, 6, 6)) == [
-            (0, 1), (2, 3), (5, 6)]
-        assert self.walk_rows([(3, 4), (5, 9)], (pool, 6), (point, 6)) == [(1, 5)]
-        assert self.walk_rows([(3, 4), (6, 10)], (pool, 6), (pool, 3), (point, 3)) == [(0, 3)]
-        assert self.walk_rows([(8, 9)], (pool, 48), (pool, 24), (pool, 12), (conv, 12)) == [(0, 3)]
+        assert network._rows_seen(pool, [(3, 4, 3, 4), (5, 9, 7, 9)], (1, 1, 6, 6)) == [
+            (1, 5, 1, 5)]
+        assert network._rows_seen(pool, [(0, 1, 0, 12), (4, 6, 4, 6), (11, 12, 11, 12)],
+                                  (1, 1, 6, 6)) == [(0, 1, 0, 6), (2, 3, 2, 3), (5, 6, 5, 6)]
+        assert self.walk_rows([(3, 4, 0, 1), (5, 9, 2, 3)], (pool, 6), (point, 6)) == [
+            (1, 5, 0, 2)]
+        assert self.walk_rows([(3, 4, 8, 9), (6, 10, 8, 9)], (pool, 6), (pool, 3),
+                              (point, 3)) == [(0, 3, 2, 3)]
+        assert self.walk_rows([(8, 9, 30, 31)], (pool, 48), (pool, 24), (pool, 12),
+                              (conv, 12)) == [(0, 3, 2, 5)]
         # a pointwise layer and the head keep their runs
         head = LayerSpec.detect_head(grid=6, anchors=1, classes=1)
+        runs = [(3, 4, 0, 2), (5, 9, 7, 12)]
         for layer in (LayerSpec.pointwise("abs"), head):
-            assert network._rows_seen(layer, [(3, 4), (5, 9)], (1, 1, 12, 12)) == [(3, 4), (5, 9)]
-        # output row r of a 1x1 conv at stride 2, pad 1 sees input row 2r - 1 only
+            assert network._rows_seen(layer, runs, (1, 1, 12, 12)) == runs
+        # output pixel (r, c) of a 1x1 conv at stride 2, pad 1 sees input
+        # pixel (2r - 1, 2c - 1) only
         skip = LayerSpec.conv(1, 1, 1, stride=2, pad=1)
-        assert network._rows_seen(skip, [(4, 5)], (1, 1, 5, 5)) == []
-        assert network._rows_seen(skip, [(5, 6)], (1, 1, 5, 5)) == [(3, 4)]
-        assert self.walk_rows([(10, 12)], (pool, 10), (skip, 5)) == [(3, 4)]
+        assert network._rows_seen(skip, [(4, 5, 5, 6)], (1, 1, 5, 5)) == []
+        assert network._rows_seen(skip, [(5, 6, 4, 5)], (1, 1, 5, 5)) == []
+        assert network._rows_seen(skip, [(5, 6, 1, 4)], (1, 1, 5, 5)) == [(3, 4, 1, 3)]
+        assert self.walk_rows([(10, 12, 10, 12)], (pool, 10), (skip, 5)) == [(3, 4, 3, 4)]
 
     @staticmethod
     def walk_rows(runs, *steps):
-        """``runs`` walked through ``(layer, output height)`` steps."""
+        """``runs`` walked through ``(layer, output height and width)`` steps."""
         for layer, ho in steps:
             runs = network._rows_seen(layer, runs, (1, 1, ho, ho))
         return runs
 
     @staticmethod
     def walk(net, store, before, after):
-        """A forward of ``after`` reusing the record of ``before``: the runs
-        of rows the walk reaches at each layer, each reached conv's
-        ``_conv2d_row_blocks`` triples, the record of ``before`` and the
-        record of ``after``."""
+        """A forward of ``after`` reusing the record of ``before``: the
+        rectangles the walk reaches at each layer, each reached conv's
+        ``_conv2d_blocks`` tuples, the record of ``before`` and the record
+        of ``after``."""
         reference, got, rows, blocks = [], [], [], []
         forward(net, store, Tensor(before), record=reference)
-        rows_seen, row_blocks = network._rows_seen, network._conv2d_row_blocks
+        rows_seen, blocks_of = network._rows_seen, network._conv2d_blocks
 
         def spy_rows(*args):
             rows.append(rows_seen(*args))
             return rows[-1]
 
         def spy_blocks(*args):
-            blocks.append(row_blocks(*args))
+            blocks.append(blocks_of(*args))
             return blocks[-1]
 
         with mock.patch.object(network, "_rows_seen", spy_rows), \
-                mock.patch.object(network, "_conv2d_row_blocks", spy_blocks):
+                mock.patch.object(network, "_conv2d_blocks", spy_blocks):
             forward(net, store, Tensor(after), record=got, reference=reference)
         return rows, blocks, reference, got
 
     def test_walk_runs_whole_maps_on_the_plain_kernel(self):
-        # tiny with input rows 10-19 changed: each conv computes the bands
-        # its window rows touch, except the 6x6 1x1 conv, whose one band
-        # is its map; pools and the head always run their plain kernel.
+        # tiny with input rows 10-19 changed across the map: each conv
+        # computes those rows, widened to the bands they touch where the map
+        # is narrower than a 16-column window (24, 12 and 6 columns); pools
+        # and the head always run their plain kernel.
         net = REUSE_NETS["tiny"]
         before = Tensor.zeros(net.input_shape).data
 
-        def changed(r0, r1):
+        def changed(r0, r1, c0=0, c1=96):
             after = before.copy()
-            after[:, r0:r1] = 1
+            after[:, r0:r1, c0:c1] = 1
             return self.walk(net, TINY_STORE, before, after)
 
         rows, blocks, _, got = changed(10, 20)
-        assert rows == [[(9, 21)], [(4, 11)], [(3, 12)], [(1, 6)], [(0, 7)], [(0, 4)],
-                        [(0, 5)], [(0, 3)], [(0, 3)], [(0, 3)]]
-        assert [[(r0, r1) for r0, r1, _ in b] for b in blocks] == [
-            [(9, 21)], [(3, 12)], [(0, 8)], [(0, 8)], [(0, 6)]]
+        assert [[run[:2] for run in runs] for runs in rows] == [
+            [(9, 21)], [(4, 11)], [(3, 12)], [(1, 6)], [(0, 7)], [(0, 4)], [(0, 5)], [(0, 3)],
+            [(0, 3)], [(0, 3)]]
+        assert [[b[:4] for b in bs] for bs in blocks] == [
+            [(9, 21, 0, 96)], [(3, 12, 0, 48)], [(0, 8, 0, 24)], [(0, 8, 0, 12)], [(0, 6, 0, 6)]]
         # a block that covers its map is the layer's output, not a copy
-        assert got[9] is blocks[-1][0][2]
+        assert got[9] is blocks[-1][0][4]
         # rows 40-49 reach rows 8-14 of the 24x24 conv and rows 3-8 of the
         # 12x12 conv, whose 4-row bands then cover it
         rows, blocks, _, got = changed(40, 50)
-        assert rows[4:7] == [[(8, 15)], [(4, 8)], [(3, 9)]]
-        assert [[(r0, r1) for r0, r1, _ in b] for b in blocks[2:4]] == [[(8, 16)], [(0, 12)]]
-        assert got[7] is blocks[3][0][2] and got[9] is blocks[4][0][2]
+        assert [runs[0][:2] for runs in rows[4:7]] == [(8, 15), (4, 8), (3, 9)]
+        assert [[b[:4] for b in bs] for bs in blocks[2:4]] == [[(8, 16, 0, 24)], [(0, 12, 0, 12)]]
+        assert got[7] is blocks[3][0][4] and got[9] is blocks[4][0][4]
+        # pixels (40-49, 40-49) reach columns 39-50 of the first conv and
+        # 18-26 of the second, each held by one 16-column window from its
+        # first column; at columns 85-95 the first conv's window shifts left
+        # to fit the map
+        rows, blocks, _, got = changed(40, 50, 40, 50)
+        assert rows[0] == [(39, 51, 39, 51)] and rows[2] == [(18, 27, 18, 27)]
+        assert [[b[:4] for b in bs] for bs in blocks[:2]] == [[(39, 51, 39, 55)],
+                                                              [(18, 27, 18, 34)]]
+        rows, blocks, _, got = changed(40, 50, 85, 96)
+        assert rows[0] == [(39, 51, 84, 96)] and blocks[0][0][:4] == (39, 51, 80, 96)
         # no changed row: every layer returns the recorded output
         rows, blocks, reference, got = self.walk(net, TINY_STORE, before, before.copy())
         assert rows == [[]] * 10 and blocks == []
         assert all(g is r for g, r in zip(got[1:], reference[1:]))
         # every row changed: every conv's one block covers its map
         rows, blocks, _, got = changed(0, 96)
-        assert all(len(b) == 1 and b[0][2] is got[i + 1] for i, b in
+        assert all(len(b) == 1 and b[0][4] is got[i + 1] for i, b in
                    zip(net.conv_indices(), blocks))
         assert len(blocks) == len(net.conv_indices())
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(sorted(REUSE_NETS)), data=st.data())
     def test_walk_reaches_the_oracles_rows(self, name, data):
-        # The walk reaches exactly the rows a dense row mask does, at every
-        # layer, and each conv computes exactly the bands those rows touch:
-        # no fewer, which a full forward's bits would also catch, and no more.
+        # The walk's rectangles cover exactly the positions a dense mask
+        # reaches, at every layer, and each conv computes exactly the blocks
+        # those rectangles make (conv_blocks): no fewer, which a full
+        # forward's bits would also catch, and no more.
         net = REUSE_NETS[name]
         _, h, w = net.input_shape
-        changed = data.draw(st.sets(st.integers(0, h - 1)), label="changed")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        rects = data.draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1),
+                                             st.integers(1, h), st.integers(1, w)),
+                                   max_size=3), label="rects")
         before = rng.random(net.input_shape, dtype=np.float32)
         after = before.copy()
-        for row in changed:
-            after[:, row, int(rng.integers(w))] += np.float32(0.5)
-        mask = np.zeros(h, bool)
-        mask[list(changed)] = True
+        mask = np.zeros((h, w), bool)
+        for top, left, height, width in rects:
+            # one random pixel per row of each rectangle, so its columns vary
+            for row in range(top, min(top + height, h)):
+                col = int(rng.integers(left, min(left + width, w)))
+                after[int(rng.integers(net.input_shape[0])), row, col] += np.float32(0.5)
+                mask[row, col] = True
         rows, blocks, _, _ = self.walk(net, init_weights(net, 5), before, after)
-        want = oracles.reached_rows(net, mask)
+        want = oracles.reached_mask(net, mask)
         assert len(rows) == len(net.layers)
         for runs, reached in zip(rows, want):
-            assert all(0 <= a < b <= reached.size for a, b in runs)
-            got = np.zeros(reached.size, bool)
-            for a, b in runs:
-                got[a:b] = True
+            got = np.zeros(reached.shape, bool)
+            for r0, r1, c0, c1 in runs:
+                assert 0 <= r0 < r1 <= reached.shape[0] and 0 <= c0 < c1 <= reached.shape[1]
+                assert not got[r0:r1].any()
+                got[r0:r1, c0:c1] = True
             assert np.array_equal(got, reached)
         convs = [i for i in net.conv_indices() if want[i].any()]
         assert len(blocks) == len(convs)
-        for i, triples in zip(convs, blocks):
-            reached = want[i]
-            band = band_rows(net.layer_shapes()[i][2])
-            in_band = reached.copy()
-            for r in np.flatnonzero(reached):
-                in_band[r // band * band:(r // band + 1) * band] = True
-            done = np.zeros(reached.size, bool)
-            for r0, r1, _ in triples:
-                assert not done[r0:r1].any()
-                done[r0:r1] = True
-            assert np.array_equal(done, in_band)
+        for i, tuples in zip(convs, blocks):
+            shape = net.layer_shapes()[i]
+            assert [t[:4] for t in tuples] == conv_blocks(rows[i], *shape[1:])
+
+    def test_wide_pools_pool_only_their_rectangles(self):
+        # At least 16 columns wide, a reached pool pools its rectangles
+        # alone, from the input they see, and copies the rest from the
+        # record; narrower, or under a rectangle that covers it, it runs the
+        # plain kernel.
+        rng = np.random.default_rng(4)
+        for wide, runs in [(True, [(2, 5, 3, 9), (10, 12, 0, 20)]), (False, [(2, 5, 3, 9)]),
+                           (True, [(0, 12, 0, 20)])]:
+            shape = (1, 3, 24, 40 if wide else 30)
+            x = rng.random(shape, dtype=np.float32)
+            x[0, 0, 5, 7] = -0.0  # a tie with +0.0 routes as the plain kernel's
+            x[0, 0, 4, 7] = 0.0
+            whole = network._maxpool2_batch(x)
+            was = rng.random(whole.shape, dtype=np.float32)
+            inside = np.zeros(whole.shape[2:], bool)
+            for r0, r1, c0, c1 in runs:
+                inside[r0:r1, c0:c1] = True
+            covers = len(runs) == 1 and inside.all()
+            if wide and not covers:
+                seen = np.repeat(np.repeat(inside, 2, axis=0), 2, axis=1)
+                x = np.where(seen, x, np.float32(np.nan))
+            with mock.patch.object(network, "_maxpool2_batch",
+                                   wraps=network._maxpool2_batch) as pool:
+                out = network._pool_rows(x, was, runs)
+            want = np.where(inside, whole, was) if wide else whole
+            assert self.same_bits(out, want)
+            assert not np.shares_memory(out, was)
+            # the plain kernel runs on the whole input, with no copy of was
+            plain = [c.args for c in pool.call_args_list if c.args[0] is x]
+            assert plain == ([] if wide and not covers else [(x,)])
+        # every pool a reused forward of tiny reaches goes through _pool_rows
+        net, before = REUSE_NETS["tiny"], Tensor.zeros((3, 96, 96)).data
+        after = before.copy()
+        after[:, 40:50, 40:50] = 1
+        with mock.patch.object(network, "_pool_rows", wraps=network._pool_rows) as pools:
+            self.walk(net, TINY_STORE, before, after)
+        assert [c.args[1].shape[3] for c in pools.call_args_list] == [48, 24, 12, 6]
 
     def test_reference_of_another_network_is_rejected(self):
         net, other = REUSE_NETS["tiny"], mini_tiny()
@@ -793,6 +887,56 @@ class TestReferenceReuse:
         forward(other, init_weights(other, 0), Tensor.zeros(other.input_shape), record=record)
         with pytest.raises(ShapeError, match="reference record"):
             forward(net, init_weights(net, 0), Tensor.zeros(net.input_shape), reference=record)
+
+
+def block_cases():
+    """(input shape, conv) of each conv of tiny and of banded_nets(), and a
+    conv whose whole map leaves its last output alone in a partial
+    16-column group, whose bits there a 16-column window does not have."""
+    cases = [pytest.param((4, 50, 50), LayerSpec.conv(4, 8, 3, stride=2, pad=1), id="tail")]
+    for name, net in {"tiny": REUSE_NETS["tiny"], **banded_nets()}.items():
+        shapes = [net.input_shape] + net.layer_shapes()
+        cases += [pytest.param(shapes[i], layer, id=f"{name}-{i}")
+                  for i, layer in enumerate(net.layers) if layer.kind == "conv"]
+    return cases
+
+
+@pytest.mark.parametrize("shape,layer", block_cases())
+def test_blocks_have_the_whole_convs_bits(shape, layer):
+    # Any rectangles, in the blocks conv_blocks names, with the bits of the
+    # whole conv, read only from the input the blocks see.
+    rng = np.random.default_rng(sum(shape))
+    k, s, p = layer.kernel_size, layer.stride, layer.pad
+    x = rng.normal(size=(1,) + shape).astype(np.float32)
+    kernel = rng.normal(size=layer.kernel_shape).astype(np.float32)
+    bias = rng.normal(size=layer.out_channels).astype(np.float32)
+    whole, _ = _conv2d_batch(x, kernel, bias, s, p)
+    ho, wo = whole.shape[2:]
+    edge = max(wo - 3, 0)
+    cases = [[(0, 1, 0, 1)], [(ho // 2, ho, 0, min(5, wo))],  # from column 0
+             [(1, min(ho, 9), edge, wo)],  # a window shifted at the right edge
+             [(0, ho, 0, wo)], [(ho - 1, ho, 0, wo)],  # the whole width
+             [(max(ho - 2, 0), ho, edge, wo)]]  # the last outputs
+    for _ in range(30):
+        rects, top = [], 0
+        while top < ho and len(rects) < 3:
+            r0 = int(rng.integers(top, ho))
+            r1, c0 = int(rng.integers(r0 + 1, ho + 1)), int(rng.integers(wo))
+            rects.append((r0, r1, c0, int(rng.integers(c0 + 1, wo + 1))))
+            top = r1 + 1
+        cases.append(rects)
+    for rects in cases:
+        written = conv_blocks(rects, ho, wo)
+        seen = np.zeros(shape[1:], bool)
+        for r0, r1, c0, c1 in written:
+            seen[max(r0 * s - p, 0):max((r1 - 1) * s - p + k, 0),
+                 max(c0 * s - p, 0):max((c1 - 1) * s - p + k, 0)] = True
+        masked = np.where(seen, x, np.float32(np.nan))
+        blocks = _conv2d_blocks(masked, kernel, bias, s, p, rects)
+        assert [b[:4] for b in blocks] == written
+        for r0, r1, c0, c1, block in blocks:
+            assert block.flags.c_contiguous
+            assert TestReferenceReuse.same_bits(block, whole[:, :, r0:r1, c0:c1])
 
 
 def mini_tiny():

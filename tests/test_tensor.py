@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _banded_product, _col2im_batch,
-                            _conv2d_batch, _conv2d_row_blocks,
+                            _conv2d_batch, _conv2d_blocks,
                             _maxpool2_backward, _maxpool2_batch, _pointwise_grad,
                             _pointwise_raw, _sigmoid, band_rows, conv2d, maxpool2, pointwise,
                             tensor)
@@ -375,7 +375,7 @@ class TestBands:
         for n, (f, k, ho, wo) in enumerate(shapes + tiny_conv_shapes()):
             kernel = rng.normal(size=(f, k)).astype(np.float32)
             cols = rng.normal(size=(1, k, ho * wo)).astype(np.float32)
-            out = _banded_product(kernel, cols, np.zeros(f, np.float32), wo)
+            out = _banded_product(kernel, cols, np.zeros(f, np.float32), band_rows(wo) * wo)
             rows = band_rows(wo)
             starts = range(0, ho, rows) if n >= len(shapes) else [
                 rows * int(rng.integers(-(-ho // rows)))]
@@ -410,8 +410,8 @@ class TestBands:
         assert -(-ho // rows) > 2  # several bands
         cases = [([(r0, min(r0 + rows, ho))], [(r0, min(r0 + rows, ho))])
                  for r0 in range(0, ho, rows)]
-        # runs inside bands are widened to the band edges, and runs whose
-        # bands meet are written as one
+        # rows inside bands are widened to the band edges, and full-width
+        # blocks whose bands meet are written as one
         cases += [([(1, 2)], [(0, rows)]),
                   ([(ho - 1, ho)], [((ho - 1) // rows * rows, ho)]),
                   ([(0, 1), (rows - 1, rows + 1)], [(0, 2 * rows)]),
@@ -419,16 +419,21 @@ class TestBands:
                   ([(0, 1), (2 * rows, 2 * rows + 1)], [(0, rows), (2 * rows, min(3 * rows, ho))]),
                   ([(0, ho)], [(0, ho)])]
         for runs, written in cases:
+            if wo % 16 == 0:
+                # (k=2: 16 columns) the whole width is one 16-column window,
+                # whose rows are not widened
+                written = runs
             # input rows no block sees are NaN, so reading one would show
             seen = np.zeros(x.shape[2], bool)
             for r0, r1 in written:
                 seen[max(r0 * stride - pad, 0):max((r1 - 1) * stride - pad + k, 0)] = True
             masked = np.where(seen[:, None], x, np.float32(np.nan))
-            blocks = _conv2d_row_blocks(masked, kernel, bias, stride, pad, runs)
-            assert [(r0, r1) for r0, r1, _ in blocks] == written
+            rects = [(r0, r1, 0, wo) for r0, r1 in runs]
+            blocks = _conv2d_blocks(masked, kernel, bias, stride, pad, rects)
+            assert [b[:4] for b in blocks] == [(r0, r1, 0, wo) for r0, r1 in written]
             out = np.full_like(whole, np.nan)
             done = np.zeros(ho, bool)
-            for r0, r1, block in blocks:
+            for r0, r1, _, _, block in blocks:
                 assert block.flags.c_contiguous and block.shape == (1, 4, r1 - r0, wo)
                 assert_same_bits(block, whole[:, :, r0:r1])
                 out[:, :, r0:r1] = block

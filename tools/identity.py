@@ -26,7 +26,11 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   A third runs over the c01 clip with a policy that changes every 5
   frames, from the default gate to ``None`` to a gate with another kernel
   and back, so that the state drops its forward record, keeps it across
-  gated frames, and makes the gate's half again for a new kernel;
+  gated frames, and makes the gate's half again for a new kernel. A fourth
+  runs over a two-object clip (``seed=16``, velocities 4,0.5 and -3,0.5,
+  the c01 schedule) whose objects share rows, so that a run of changed
+  rows spans both, and one of which reaches the right edge, where a
+  16-column window shifts left to fit the map;
 - each command's exit code and printed output.
 
 ``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.
@@ -87,6 +91,8 @@ def produce(quick: bool) -> None:
     call("synth", "synth", out="clip", frames=frames, velocity="3,2", schedule=schedule, seed=11)
     call("synth-noisy", "synth", out="noisy-clip", frames=frames, velocity="3,2",
          schedule=schedule, seed=11, noise=0.015)
+    call("synth-two", "synth", out="two-clip", frames=frames, objects=2,
+         velocity="4,0.5;-3,0.5", schedule=schedule, seed=16)
     tiny = zoo.load_bundled("tiny")
     netdef.save_network("init.fnet", tiny, network.init_weights(tiny, 0))
     fnets = {"init": "init.fnet"}
@@ -113,7 +119,8 @@ def produce(quick: bool) -> None:
                                   bias=Tensor.zeros((1,)))
         streams = (("clip", "gated-map", (gate,)),
                    ("noisy-clip", "gated-noisy-map", (gate,)),
-                   ("clip", "gated-rotating-map", (gate, None, other_gate)))
+                   ("clip", "gated-rotating-map", (gate, None, other_gate)),
+                   ("two-clip", "gated-two-map", (gate,)))
         for clip, name, policies in streams:
             state = pipeline.PipelineState()
             with Path(f"{name}-{tag}.txt").open("w") as digests:
