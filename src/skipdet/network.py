@@ -33,7 +33,7 @@ from .tensor import (
     Tensor,
     _col2im_batch,
     _conv2d_batch,
-    _conv2d_blocks,
+    _conv2d_rows,
     _maxpool2_backward,
     _maxpool2_batch,
     _pointwise_grad,
@@ -214,22 +214,21 @@ def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
 def _conv_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
                was: np.ndarray, runs: list) -> np.ndarray:
     """Conv layer i's output, activation included, with the bits a full
-    forward gives it: the blocks ``_conv2d_blocks`` computes for the
-    rectangles ``runs`` are activated, and everything else is copied from
-    ``was``, the reference's output. A block that covers the map is the
-    output."""
+    forward gives it: each rectangle in ``runs`` is one ``_conv2d_rows``
+    block, activated, and everything else is copied from ``was``, the
+    reference's output. A block that covers the map is the output."""
     fn = _activation(layer)
-    blocks = _conv2d_blocks(x, *weights[i], layer.stride, layer.pad, runs)
+    blocks = [_conv2d_rows(x, *weights[i], layer.stride, layer.pad, *run)[0] for run in runs]
     if fn is not None:
-        for *_, block in blocks:
+        for block in blocks:
             _pointwise_raw(block, fn, layer.alpha, in_place=True)
-    if blocks[0][4].shape == was.shape:
-        return blocks[0][4]
+    if blocks[0].shape == was.shape:
+        return blocks[0]
     # Made after the blocks: made after the first block only, tiny's first
     # conv read 4-5 us slower on a reused forward. One copy of the whole
     # record, then the blocks, took half the time of copying around them.
     out = was.copy()
-    for r0, r1, c0, c1, block in blocks:
+    for (r0, r1, c0, c1), block in zip(runs, blocks):
         out[:, :, r0:r1, c0:c1] = block
     return out
 
@@ -331,22 +330,22 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
       merge into one that spans the columns of both. A layer that no
       rectangle reaches returns the recorded output, and a reached
       pointwise layer or head runs its plain kernel. A reached conv runs
-      its one kernel, ``tensor._conv2d_rows``, over one block per rectangle
-      (``tensor._conv2d_blocks``): the rectangle's rows in the fewest whole
-      16-column groups that hold its columns, or, where those would be
-      wider than the map or hold the whole conv's last partial group, the
-      full width of the matmul bands its rows touch. A reached pool at
-      least 16 columns wide pools its rectangles alone; a narrower one runs
-      its plain kernel. Everything else is copied from the record, and a
-      block or rectangle that covers the map is the layer's output.
-    * The output has the bits of a full forward, by construction: a full
-      forward runs the same kernels over the whole map, and each BLAS call
-      of a block is either a band of the whole conv's own shape or has
-      whole 16-column groups only, whose bits depend only on their own
-      columns (the ``tensor`` module states that rule and where it was
-      measured). With no changed pixel it is the recorded output.
-      Any record made with the same ``net`` and ``store`` will do,
-      whichever input it was made from; only its shapes are checked.
+      its one kernel, ``tensor._conv2d_rows``, over each rectangle as it
+      is. A reached pool at least 16 columns wide pools its rectangles
+      alone; a narrower one runs its plain kernel. Everything else is
+      copied from the record, and a rectangle that covers the map is the
+      layer's output.
+    * The output has the bits of a full forward where the ``tensor``
+      module's bit rule holds: a full forward runs the same kernels over
+      the whole map, and every BLAS call of a conv's product, whole or in
+      a rectangle, has whole 16-column groups only. The rule held on the
+      OpenBLAS SkylakeX, Cooperlake, SapphireRapids, Sandybridge and
+      Nehalem kernels and fails on the Haswell and Zen kernels, which
+      OpenBLAS picks on AVX2 cores without AVX-512; there a reused
+      forward's bits can differ from a full one's. With no changed pixel
+      the output is the recorded output. Any record made with the same
+      ``net`` and ``store`` will do, whichever input it was made from; only
+      its shapes are checked.
     * With noise in every row every layer runs its plain kernel after the
       compare: over the 36 reused forwards of a noisy clip (``synth
       noise=0.015``) a reused forward took 12-15% longer than one without

@@ -20,24 +20,24 @@ divided by 255 are finite by construction. The raw-array kernels below
 check nothing; their callers validate shapes once, at the boundary.
 
 Each kernel makes only the arrays its arithmetic needs. There is one
-convolution kernel, ``_conv2d_rows``, which computes a rectangle of output
-rows and columns: a whole conv is that kernel over the whole map, and a
-block that a reused forward recomputes (``_conv2d_blocks``) is that kernel
-over the block. Its columns are one copy of one strided window view of the
-padded input it reads. One bit rule makes a block's values the whole
-conv's: every BLAS call has a column count that is a multiple of
-``BAND_ALIGN`` (16), save the whole conv's last band. It rests on one
-measurement, on one core type only: with OpenBLAS 0.3.31 on an AVX-512
-core, a product's columns in whole groups of 16 have the same bits
-whatever the call's column count, while a last partial group's can differ
-(seen at a map whose last band leaves 1 or 6 outputs over). So the whole
-conv runs in fixed bands of output rows, one BLAS call each, a band being
-the fewest rows, at least ``BAND_ROWS`` (3), that hold a multiple of 16
-outputs (``band_rows``); bands of one row made the product of ``tiny``'s
-48-wide conv 1.3 times as slow as bands of three. A block narrower than
-the map is a whole number of 16-column groups wide, with any rows, in one
-call; one that cannot be, its window wider than the map or holding the
-map's last partial group, is full width, in the whole conv's bands.
+convolution kernel, ``_conv2d_rows``, which computes any rectangle of
+output rows and columns: a whole conv is that kernel over the whole map,
+and a reused forward runs it over each rectangle it recomputes. Its
+columns are one copy of one strided window view of the padded input it
+reads. One bit rule, with no exception, gives a rectangle the whole conv's
+bits: every BLAS call of a conv's product has a column count that is a
+multiple of ``BAND_ALIGN`` (16), the last call's columns padded with zeros
+up to whole groups (``_banded_product``). It rests on a measurement, not on
+a BLAS guarantee: with OpenBLAS 0.3.31, a product's columns in whole groups
+of 16 had the same bits whatever the call's column count on the SkylakeX,
+Cooperlake, SapphireRapids, Sandybridge and Nehalem kernels
+(``OPENBLAS_CORETYPE``), and did not on the Haswell and Zen kernels, which
+OpenBLAS picks on AVX2 cores without AVX-512. Where a conv cuts its product
+is then a speed choice only. A whole conv runs in fixed bands of output
+rows, one BLAS call each, a band being the fewest rows, at least
+``BAND_ROWS`` (3), that hold a multiple of 16 outputs (``band_rows``);
+bands of one row made the product of ``tiny``'s 48-wide conv 1.3 times as
+slow as bands of three. A narrower rectangle is one call.
 A 2x2 max pool is two ``np.maximum`` passes, across columns and then
 across rows; ``tests/oracles.py`` also keeps a running-maximum pool, one
 pass per window position, as a reference. No kernel keeps a workspace
@@ -152,26 +152,28 @@ def band_rows(wo: int) -> int:
 def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
                     step: int) -> np.ndarray:
     """``kernel @ cols + bias`` ([B,F,N]) as a new array, one matmul per band
-    of ``step`` columns counted from the first.
+    of ``step`` columns counted from the first, ``step`` a multiple of
+    ``BAND_ALIGN``, and one over the columns left, with zero columns
+    appended up to whole ``BAND_ALIGN`` groups and their products dropped.
+    So every BLAS call has whole groups only.
 
-    A product of one band or less is one plain ``np.matmul``. Otherwise the
-    whole bands go to one ``np.matmul`` over a [B, bands, ...] view, which
+    The whole bands go to one ``np.matmul`` over a [B, bands, ...] view, which
     makes the same BLAS call per band as a loop would, for half the time of
     a loop or of one call over all the columns at ``tiny``'s first conv.
     Splitting the last axis of ``cols`` and the result, whose elements are
     adjacent, always gives views.
     """
-    b, n = cols.shape[0], cols.shape[-1]
+    b, k, n = cols.shape
     f = kernel.shape[0]
-    if n <= step:
-        out = np.matmul(kernel, cols)
-    else:
-        out = np.empty((b, f, n), np.float32)
-        whole = n - n % step
-        np.matmul(kernel, cols[..., :whole].reshape(b, -1, whole // step, step).swapaxes(1, 2),
+    whole = n - n % step
+    out = np.empty((b, f, n), np.float32)
+    if whole:
+        np.matmul(kernel, cols[..., :whole].reshape(b, k, whole // step, step).swapaxes(1, 2),
                   out=out[..., :whole].reshape(b, f, whole // step, step).swapaxes(1, 2))
-        if whole < n:
-            np.matmul(kernel, cols[..., whole:], out=out[..., whole:])
+    if whole < n:
+        rest = np.zeros((b, k, -(-(n - whole) // BAND_ALIGN) * BAND_ALIGN), np.float32)
+        rest[..., :n - whole] = cols[..., whole:]
+        out[..., whole:] = np.matmul(kernel, rest)[..., :n - whole]
     out += bias[None, :, None]
     return out
 
@@ -189,10 +191,11 @@ def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     the matmul on the BLAS fast path, of one view [B,C,kh,kw,r1-r0,c1-c0]
     over that buffer, made by the plain constructor in a seventh of
     ``as_strided``'s time. A rectangle as wide as the map runs its product
-    in the whole conv's bands of ``band_rows(Wo)`` rows, counted from
-    ``r0`` (``_banded_product``); a narrower one, which ``_conv2d_blocks``
-    makes a whole number of ``BAND_ALIGN`` groups wide, is one matmul, in
-    about 0.7 times the time of bands of three rows at ``tiny``'s convs.
+    in bands of ``band_rows(Wo)`` rows counted from ``r0``; a narrower one
+    is one matmul, in about 0.7 times the time of bands of three rows at
+    ``tiny``'s convs. Either way each BLAS call has whole ``BAND_ALIGN``
+    groups only (``_banded_product``), so any rectangle has the bits of
+    the whole conv on the kernels the module docstring names.
     """
     b, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
@@ -208,7 +211,7 @@ def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                       (sb, sc, sy, sx, sy * stride, sx * stride))
     cols = np.ascontiguousarray(view).reshape(b, c * kh * kw, (r1 - r0) * (c1 - c0))
     wo = conv_output_extent(w, kw, stride, pad)
-    step = band_rows(wo) * wo if c1 - c0 == wo else cols.shape[-1]
+    step = band_rows(wo) * wo if c1 - c0 == wo else -(-cols.shape[-1] // BAND_ALIGN) * BAND_ALIGN
     out = _banded_product(kernel.reshape(f, -1), cols, bias, step)
     return out.reshape(b, f, r1 - r0, c1 - c0), cols
 
@@ -219,57 +222,13 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     whole output map; returns (out, cols), and the training engine reuses
     ``cols`` for the kernel gradient.
 
-    The bits can differ in the last place from one matmul over all the
-    columns, as BLAS blocks a longer product differently.
+    The bits can differ in the last place from one plain matmul over all
+    the columns, which leaves a last partial 16-column group unpadded.
     """
     _, _, h, w = x.shape
     _, _, kh, kw = kernel.shape
     ho, wo = conv_output_extent(h, kh, stride, pad), conv_output_extent(w, kw, stride, pad)
     return _conv2d_rows(x, kernel, bias, stride, pad, 0, ho, 0, wo)
-
-
-def _conv2d_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                   stride: int, pad: int, rects: Sequence) -> list:
-    """The parts of ``_conv2d_batch(x, ...)`` that cover the output
-    rectangles ``rects`` (``(r0, r1, c0, c1)``, rows ascending and
-    disjoint), with its bits, as ``(r0, r1, c0, c1, block)`` tuples, rows
-    ascending and disjoint: each block a fresh C-contiguous
-    [B,F,r1-r0,c1-c0] array.
-
-    A rectangle's columns widen to the fewest whole groups of
-    ``BAND_ALIGN`` that hold them, in a window shifted left at the right
-    edge to fit the map; its rows stay as they are. Each BLAS call of the
-    block then has whole groups only. So has every band of the whole conv but
-    the last, whose last ``tail`` columns, the map's last outputs, may form
-    a partial group with bits of its own. A rectangle whose window would be
-    wider than the map, or would hold that partial group, is full width
-    instead: its rows widen to the edges of the matmul bands they touch, so
-    each of its bands is one matmul of the whole conv's shape. A block that
-    meets a full-width one merges into it. Each block is one
-    ``_conv2d_rows`` call, a block that covers the map too, so only the
-    input the blocks see is read.
-    """
-    _, _, h, w = x.shape
-    _, _, kh, kw = kernel.shape
-    ho, wo = conv_output_extent(h, kh, stride, pad), conv_output_extent(w, kw, stride, pad)
-    band = band_rows(wo)
-    tail = (ho - (ho - 1) // band * band) * wo % BAND_ALIGN
-    blocks: list = []
-    for r0, r1, c0, c1 in rects:
-        width = -(-(c1 - c0) // BAND_ALIGN) * BAND_ALIGN
-        c0 = min(c0, wo - width)
-        c1 = c0 + width
-        if width > wo or (tail and r1 == ho and c1 > wo - tail):
-            r0, r1, c0, c1 = r0 // band * band, min(-(-r1 // band) * band, ho), 0, wo
-        # Merge while this block or the last one is full width and they meet;
-        # rows being ascending and disjoint, the last one starts above this
-        # one and ends no lower than the band edge this one widens to.
-        while blocks and r0 <= blocks[-1][1] and wo in (c1 - c0, blocks[-1][3] - blocks[-1][2]):
-            r0, r1 = blocks.pop()[0] // band * band, min(-(-r1 // band) * band, ho)
-            c0, c1 = 0, wo
-        blocks.append((r0, r1, c0, c1))
-    return [(r0, r1, c0, c1, _conv2d_rows(x, kernel, bias, stride, pad, r0, r1, c0, c1)[0])
-            for r0, r1, c0, c1 in blocks]
 
 
 def _col2im_batch(dcols: np.ndarray, c: int, h: int, w: int,

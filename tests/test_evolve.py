@@ -225,6 +225,45 @@ class TestEvolveGenerations:
             counts = [e.param_count for e in lineage.entries]
             assert counts[1] < counts[0]
 
+    @pytest.mark.parametrize("gamma,kernel", [
+        (1.0, [[[[0.5, 0.5], [0.5, 0.4999999]]]]),  # no pressure from gamma
+        (0.999999, [[[[0.5, 0.5], [0.5, 0.5]]]]),  # every probability is 1
+    ])
+    def test_no_enforced_drop_without_pressure(self, gamma, kernel):
+        # Sampling keeps everything, and the drop is enforced only when gamma
+        # is below 1 and some probability is too, so the count stays.
+        net = single_layer_net((1, 1, 2, 2))
+        store = store_with_kernel(net, kernel)
+        dataset = toy_dataset(net, 2, 3)
+        retrain = TrainConfig(learning_rate=1e-9, epochs=1, batch_size=2, seed=0)
+        for seed in range(6):
+            lineage = evolve_generations(net, store, dataset, param_metric, 1,
+                                         EnvironmentalFactor(gamma), retrain, seed=seed)
+            counts = [e.param_count for e in lineage.entries]
+            assert counts[1] == counts[0]
+
+    def test_enforced_drop_that_kills_a_unit_closes_it(self):
+        # Layer 0's filter 1 keeps one synapse, the genome's weakest, and
+        # the Bernoulli draw keeps everything: the enforced drop empties
+        # that filter, so the offspring's layer 1 must lose input channel 1.
+        net = NetworkDescriptor("two-conv", (1, 4, 4), (LayerSpec.conv(1, 2, 2),
+                                                        LayerSpec.conv(2, 2, 1)))
+        kernel0 = np.full((2, 1, 2, 2), 0.5, np.float32)
+        kernel0[1] = 0.0
+        kernel0[1, 0, 1, 0] = 0.4999999
+        mask0 = (kernel0 != 0).astype(np.uint8)
+        store = WeightStore({0: LayerWeights(Tensor(kernel0), Tensor.zeros((2,)), mask0),
+                             1: LayerWeights(Tensor.full((2, 2, 1, 1), 0.5),
+                                             Tensor.zeros((2,)))})
+        dataset = toy_dataset(net, 2, 4)
+        retrain = TrainConfig(learning_rate=1e-9, epochs=1, batch_size=2, seed=0)
+        lineage = evolve_generations(net, store, dataset, param_metric, 1,
+                                     EnvironmentalFactor(0.999999), retrain, seed=0)
+        offspring = lineage.entries[1].store
+        assert not offspring[0].mask[1].any() and offspring[0].mask[0].all()
+        assert np.array_equal(offspring[1].mask[:, :, 0, 0], [[1, 0], [1, 0]])
+        assert lineage.entries[1].param_count == lineage.entries[0].param_count - 3
+
     def test_bit_identical_reproducibility(self):
         net = single_layer_net((6, 6, 3, 3))
         store = init_weights(net, 5)

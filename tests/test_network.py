@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +17,7 @@ from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightSto
 from skipdet.network import (TrainConfig, TrainingDivergence, _backward_batch, _forward_batch,
                              _infer, evaluate_loss, forward, init_weights, loss_gradients,
                              train_sgd)
-from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _conv2d_batch, _conv2d_blocks,
+from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _conv2d_batch, _conv2d_rows,
                             band_rows)
 
 import faults
@@ -594,38 +597,6 @@ def first_band_edge(net):
     return min(max(rows * conv.stride - conv.pad, 0), net.input_shape[1] - 1)
 
 
-def conv_blocks(rects, ho, wo):
-    """The blocks a conv of ``ho`` by ``wo`` outputs computes for the
-    rectangles ``rects``, as a fixed point: a rectangle widens to the
-    fewest whole 16-column groups that hold it, shifted left to fit the
-    map, unless the window is wider than the map or holds one of the last
-    outputs of the map that the whole conv's last band leaves in a partial
-    group; then, or if its rows meet a full-width block's, its rows widen to
-    the band edges and join the full-width rows."""
-    band = band_rows(wo)
-    tail = (ho - (ho - 1) // band * band) * wo % 16
-    full = np.zeros(ho + 2, bool)  # full-width rows, shifted by one
-    windows = {}
-    for r0, r1, c0, c1 in rects:
-        width = -(-(c1 - c0) // 16) * 16
-        left = min(c0, wo - width)
-        if width <= wo and not (tail and r1 == ho and left + width > wo - tail):
-            windows[r0, r1] = (left, left + width)
-        else:
-            full[1 + r0 // band * band:1 + min(-(-r1 // band) * band, ho)] = True
-    while True:
-        meet = [(r0, r1) for r0, r1 in windows if full[r0:r1 + 2].any()]
-        if not meet:
-            break
-        for r0, r1 in meet:
-            del windows[r0, r1]
-            full[1 + r0 // band * band:1 + min(-(-r1 // band) * band, ho)] = True
-    edges = np.flatnonzero(full[1:] != full[:-1]).tolist()
-    blocks = [(a, b, 0, wo) for a, b in zip(edges[0::2], edges[1::2])]
-    blocks += [(r0, r1, c0, c1) for (r0, r1), (c0, c1) in windows.items()]
-    return sorted(blocks)
-
-
 class TestReferenceReuse:
     """``forward(..., reference=r)`` has the bits of a full forward, and so
     has every array it records, whichever input rows changed."""
@@ -739,29 +710,35 @@ class TestReferenceReuse:
     def walk(net, store, before, after):
         """A forward of ``after`` reusing the record of ``before``: the
         rectangles the walk reaches at each layer, each reached conv's
-        ``_conv2d_blocks`` tuples, the record of ``before`` and the record
-        of ``after``."""
+        blocks as ``(r0, r1, c0, c1, block)`` tuples, one per
+        ``_conv2d_rows`` call, the record of ``before`` and the record of
+        ``after``."""
         reference, got, rows, blocks = [], [], [], []
         forward(net, store, Tensor(before), record=reference)
-        rows_seen, blocks_of = network._rows_seen, network._conv2d_blocks
+        rows_seen, conv_rows = network._rows_seen, network._conv_rows
 
         def spy_rows(*args):
             rows.append(rows_seen(*args))
             return rows[-1]
 
-        def spy_blocks(*args):
-            blocks.append(blocks_of(*args))
-            return blocks[-1]
+        def spy_conv(*args):
+            blocks.append([])
+            return conv_rows(*args)
 
-        with mock.patch.object(network, "_rows_seen", spy_rows), \
-                mock.patch.object(network, "_conv2d_blocks", spy_blocks):
+        def spy_block(*args):
+            out = _conv2d_rows(*args)
+            blocks[-1].append(args[-4:] + (out[0],))
+            return out
+
+        with mock.patch.multiple(network, _rows_seen=spy_rows, _conv_rows=spy_conv,
+                                 _conv2d_rows=spy_block):
             forward(net, store, Tensor(after), record=got, reference=reference)
         return rows, blocks, reference, got
 
     def test_walk_runs_whole_maps_on_the_plain_kernel(self):
         # tiny with input rows 10-19 changed across the map: each conv
-        # computes those rows, widened to the bands they touch where the map
-        # is narrower than a 16-column window (24, 12 and 6 columns); pools
+        # computes exactly the rectangles the walk reaches, however narrow
+        # its map (24, 12 and 6 columns too), and copies the rest; pools
         # and the head always run their plain kernel.
         net = REUSE_NETS["tiny"]
         before = Tensor.zeros(net.input_shape).data
@@ -771,35 +748,35 @@ class TestReferenceReuse:
             after[:, r0:r1, c0:c1] = 1
             return self.walk(net, TINY_STORE, before, after)
 
-        rows, blocks, _, got = changed(10, 20)
+        rows, blocks, reference, got = changed(10, 20)
         assert [[run[:2] for run in runs] for runs in rows] == [
             [(9, 21)], [(4, 11)], [(3, 12)], [(1, 6)], [(0, 7)], [(0, 4)], [(0, 5)], [(0, 3)],
             [(0, 3)], [(0, 3)]]
         assert [[b[:4] for b in bs] for bs in blocks] == [
-            [(9, 21, 0, 96)], [(3, 12, 0, 48)], [(0, 8, 0, 24)], [(0, 8, 0, 12)], [(0, 6, 0, 6)]]
-        # a block that covers its map is the layer's output, not a copy
-        assert got[9] is blocks[-1][0][4]
+            [(9, 21, 0, 96)], [(3, 12, 0, 48)], [(0, 7, 0, 24)], [(0, 5, 0, 12)], [(0, 3, 0, 6)]]
+        # the head conv's rows 3-5 come from the record, in a copy of it
+        assert not np.shares_memory(got[9], reference[9])
+        assert self.same_bits(got[9][:, :, 3:], reference[9][:, :, 3:])
         # rows 40-49 reach rows 8-14 of the 24x24 conv and rows 3-8 of the
-        # 12x12 conv, whose 4-row bands then cover it
+        # 12x12 conv, and only those
         rows, blocks, _, got = changed(40, 50)
         assert [runs[0][:2] for runs in rows[4:7]] == [(8, 15), (4, 8), (3, 9)]
-        assert [[b[:4] for b in bs] for bs in blocks[2:4]] == [[(8, 16, 0, 24)], [(0, 12, 0, 12)]]
-        assert got[7] is blocks[3][0][4] and got[9] is blocks[4][0][4]
+        assert [[b[:4] for b in bs] for bs in blocks[2:4]] == [[(8, 15, 0, 24)], [(3, 9, 0, 12)]]
         # pixels (40-49, 40-49) reach columns 39-50 of the first conv and
-        # 18-26 of the second, each held by one 16-column window from its
-        # first column; at columns 85-95 the first conv's window shifts left
-        # to fit the map
+        # 18-26 of the second, and at columns 85-95 columns 84-95 of the
+        # first, each computed as it is
         rows, blocks, _, got = changed(40, 50, 40, 50)
         assert rows[0] == [(39, 51, 39, 51)] and rows[2] == [(18, 27, 18, 27)]
-        assert [[b[:4] for b in bs] for bs in blocks[:2]] == [[(39, 51, 39, 55)],
-                                                              [(18, 27, 18, 34)]]
+        assert [[b[:4] for b in bs] for bs in blocks[:2]] == [[(39, 51, 39, 51)],
+                                                              [(18, 27, 18, 27)]]
         rows, blocks, _, got = changed(40, 50, 85, 96)
-        assert rows[0] == [(39, 51, 84, 96)] and blocks[0][0][:4] == (39, 51, 80, 96)
+        assert rows[0] == [(39, 51, 84, 96)] and blocks[0][0][:4] == (39, 51, 84, 96)
         # no changed row: every layer returns the recorded output
         rows, blocks, reference, got = self.walk(net, TINY_STORE, before, before.copy())
         assert rows == [[]] * 10 and blocks == []
         assert all(g is r for g, r in zip(got[1:], reference[1:]))
-        # every row changed: every conv's one block covers its map
+        # every row changed: every conv's one block covers its map and is
+        # the layer's output, not a copy
         rows, blocks, _, got = changed(0, 96)
         assert all(len(b) == 1 and b[0][4] is got[i + 1] for i, b in
                    zip(net.conv_indices(), blocks))
@@ -809,9 +786,9 @@ class TestReferenceReuse:
     @given(name=st.sampled_from(sorted(REUSE_NETS)), data=st.data())
     def test_walk_reaches_the_oracles_rows(self, name, data):
         # The walk's rectangles cover exactly the positions a dense mask
-        # reaches, at every layer, and each conv computes exactly the blocks
-        # those rectangles make (conv_blocks): no fewer, which a full
-        # forward's bits would also catch, and no more.
+        # reaches, at every layer, and each conv computes exactly those
+        # rectangles, one block each: no fewer, which a full forward's bits
+        # would also catch, and no more.
         net = REUSE_NETS[name]
         _, h, w = net.input_shape
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
@@ -840,8 +817,7 @@ class TestReferenceReuse:
         convs = [i for i in net.conv_indices() if want[i].any()]
         assert len(blocks) == len(convs)
         for i, tuples in zip(convs, blocks):
-            shape = net.layer_shapes()[i]
-            assert [t[:4] for t in tuples] == conv_blocks(rows[i], *shape[1:])
+            assert [t[:4] for t in tuples] == rows[i]
 
     def test_wide_pools_pool_only_their_rectangles(self):
         # At least 16 columns wide, a reached pool pools its rectangles
@@ -849,9 +825,10 @@ class TestReferenceReuse:
         # record; narrower, or under a rectangle that covers it, it runs the
         # plain kernel.
         rng = np.random.default_rng(4)
-        for wide, runs in [(True, [(2, 5, 3, 9), (10, 12, 0, 20)]), (False, [(2, 5, 3, 9)]),
-                           (True, [(0, 12, 0, 20)])]:
-            shape = (1, 3, 24, 40 if wide else 30)
+        for width, runs in [(20, [(2, 5, 3, 9), (10, 12, 0, 20)]), (15, [(2, 5, 3, 9)]),
+                            (20, [(0, 12, 0, 20)]), (16, [(2, 5, 3, 9)])]:
+            wide = width >= network.POOL_RECT_WIDTH
+            shape = (1, 3, 24, 2 * width)
             x = rng.random(shape, dtype=np.float32)
             x[0, 0, 5, 7] = -0.0  # a tie with +0.0 routes as the plain kernel's
             x[0, 0, 4, 7] = 0.0
@@ -892,7 +869,7 @@ class TestReferenceReuse:
 def block_cases():
     """(input shape, conv) of each conv of tiny and of banded_nets(), and a
     conv whose whole map leaves its last output alone in a partial
-    16-column group, whose bits there a 16-column window does not have."""
+    16-column group, which the whole conv's last call pads."""
     cases = [pytest.param((4, 50, 50), LayerSpec.conv(4, 8, 3, stride=2, pad=1), id="tail")]
     for name, net in {"tiny": REUSE_NETS["tiny"], **banded_nets()}.items():
         shapes = [net.input_shape] + net.layer_shapes()
@@ -903,8 +880,9 @@ def block_cases():
 
 @pytest.mark.parametrize("shape,layer", block_cases())
 def test_blocks_have_the_whole_convs_bits(shape, layer):
-    # Any rectangles, in the blocks conv_blocks names, with the bits of the
-    # whole conv, read only from the input the blocks see.
+    # Any rectangles, each one _conv2d_rows block of exactly its rows and
+    # columns, with the bits of the whole conv, read only from the input
+    # the blocks see.
     rng = np.random.default_rng(sum(shape))
     k, s, p = layer.kernel_size, layer.stride, layer.pad
     x = rng.normal(size=(1,) + shape).astype(np.float32)
@@ -914,7 +892,7 @@ def test_blocks_have_the_whole_convs_bits(shape, layer):
     ho, wo = whole.shape[2:]
     edge = max(wo - 3, 0)
     cases = [[(0, 1, 0, 1)], [(ho // 2, ho, 0, min(5, wo))],  # from column 0
-             [(1, min(ho, 9), edge, wo)],  # a window shifted at the right edge
+             [(1, min(ho, 9), edge, wo)],  # to the right edge
              [(0, ho, 0, wo)], [(ho - 1, ho, 0, wo)],  # the whole width
              [(max(ho - 2, 0), ho, edge, wo)]]  # the last outputs
     for _ in range(30):
@@ -926,17 +904,54 @@ def test_blocks_have_the_whole_convs_bits(shape, layer):
             top = r1 + 1
         cases.append(rects)
     for rects in cases:
-        written = conv_blocks(rects, ho, wo)
         seen = np.zeros(shape[1:], bool)
-        for r0, r1, c0, c1 in written:
+        for r0, r1, c0, c1 in rects:
             seen[max(r0 * s - p, 0):max((r1 - 1) * s - p + k, 0),
                  max(c0 * s - p, 0):max((c1 - 1) * s - p + k, 0)] = True
         masked = np.where(seen, x, np.float32(np.nan))
-        blocks = _conv2d_blocks(masked, kernel, bias, s, p, rects)
-        assert [b[:4] for b in blocks] == written
-        for r0, r1, c0, c1, block in blocks:
-            assert block.flags.c_contiguous
+        for r0, r1, c0, c1 in rects:
+            block, _ = _conv2d_rows(masked, kernel, bias, s, p, r0, r1, c0, c1)
+            assert block.flags.c_contiguous and block.shape == (1, layer.out_channels,
+                                                                r1 - r0, c1 - c0)
             assert TestReferenceReuse.same_bits(block, whole[:, :, r0:r1, c0:c1])
+
+
+def openblas_picks_its_kernel():
+    """Whether numpy's BLAS is a DYNAMIC_ARCH OpenBLAS, which takes its
+    kernel from ``OPENBLAS_CORETYPE``."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def cpu_has_avx():
+    try:
+        flags = next((line.split() for line in Path("/proc/cpuinfo").read_text().splitlines()
+                      if line.startswith("flags")), [])
+    except OSError:
+        return False
+    return "avx" in flags
+
+
+@pytest.mark.skipif(not openblas_picks_its_kernel(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.skipif(not cpu_has_avx(), reason="the CPU has no AVX for the Sandybridge kernel")
+def test_blocks_have_the_whole_convs_bits_on_sandybridge():
+    # The bit rule on a second OpenBLAS kernel, one without AVX-512 on
+    # which it was measured to hold, in a fresh process that loads it.
+    src = str(Path(network.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{__file__}::test_blocks_have_the_whole_convs_bits"],
+                          cwd=Path(__file__).parents[1], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert f"{len(block_cases())} passed" in proc.stdout
 
 
 def mini_tiny():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _banded_product, _col2im_batch,
-                            _conv2d_batch, _conv2d_blocks,
+from skipdet.tensor import (BAND_ALIGN, POINTWISE_FNS, ShapeError, Tensor, _banded_product,
+                            _col2im_batch, _conv2d_batch, _conv2d_rows,
                             _maxpool2_backward, _maxpool2_batch, _pointwise_grad,
                             _pointwise_raw, _sigmoid, band_rows, conv2d, maxpool2, pointwise,
                             tensor)
@@ -360,15 +360,17 @@ def tiny_conv_shapes():
 
 
 class TestBands:
-    """A conv's product runs in fixed bands of output rows, so that a run of
-    bands recomputed alone has the bits of the whole call."""
+    """Every BLAS call of a conv's product has whole 16-column groups, so any
+    rectangle of outputs recomputed alone has the bits of the whole conv."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_band_alone_equals_the_banded_call(self, seed):
-        # The BLAS fact the reuse rests on: a band's bits depend on its own
-        # columns and shape only, not on where its buffers sit or their
-        # leading dimension. (One call over all the columns may differ.)
-        # One band of each random shape, and every band of tiny's convs.
+        # The BLAS fact the reuse rests on: any column range of a product,
+        # computed alone with zero columns appended up to whole groups, has
+        # the bits of the same columns in the banded call, wherever its
+        # buffers sit and whatever their leading dimension. Random shapes
+        # and tiny's conv shapes, each with random ranges, its last group,
+        # whole or partial, and all its columns.
         rng = np.random.default_rng(seed)
         shapes = [(int(rng.integers(1, 65)), int(rng.integers(1, 200)),
                    int(rng.integers(1, 40)), int(rng.integers(1, 70))) for _ in range(50)]
@@ -376,17 +378,19 @@ class TestBands:
             kernel = rng.normal(size=(f, k)).astype(np.float32)
             cols = rng.normal(size=(1, k, ho * wo)).astype(np.float32)
             out = _banded_product(kernel, cols, np.zeros(f, np.float32), band_rows(wo) * wo)
-            rows = band_rows(wo)
-            starts = range(0, ho, rows) if n >= len(shapes) else [
-                rows * int(rng.integers(-(-ho // rows)))]
-            for r0 in starts:
-                c0, c1 = r0 * wo, min(r0 + rows, ho) * wo
-                lead = c1 - c0 + int(rng.integers(1, 9))
-                fresh = np.empty(k * lead + 1, np.float32)[1:].reshape(k, lead)[:, :c1 - c0]
-                fresh[...] = cols[0, :, c0:c1]
-                got = np.empty(f * lead + 1, np.float32)[1:].reshape(f, lead)[:, :c1 - c0]
+            size = ho * wo
+            ranges = [(size - (size % BAND_ALIGN or BAND_ALIGN), size), (0, size)]
+            for _ in range(1 if n < len(shapes) else 10):
+                c0 = int(rng.integers(size))
+                ranges.append((c0, int(rng.integers(c0 + 1, size + 1))))
+            for c0, c1 in ranges:
+                width = -(-(c1 - c0) // BAND_ALIGN) * BAND_ALIGN
+                lead = width + int(rng.integers(1, 9))
+                fresh = np.zeros(k * lead + 1, np.float32)[1:].reshape(k, lead)[:, :width]
+                fresh[:, :c1 - c0] = cols[0, :, c0:c1]
+                got = np.empty(f * lead + 1, np.float32)[1:].reshape(f, lead)[:, :width]
                 np.matmul(kernel, fresh, out=got)
-                assert_same_bits(got, out[0, :, c0:c1])
+                assert_same_bits(got[:, :c1 - c0], out[0, :, c0:c1])
 
     def test_band_rule(self):
         # The fewest rows, at least 3, holding whole groups of 16 outputs:
@@ -400,6 +404,10 @@ class TestBands:
     @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 1), (2, 1, 0), (3, 1, 1),
                                               (3, 2, 2), (5, 1, 2), (5, 2, 0)])
     def test_rows_equal_the_whole_conv(self, k, stride, pad):
+        # Any run of rows as wide as the map, computed alone in bands counted
+        # from its own first row, has the whole conv's bits, and reads only
+        # the input rows its windows see: the whole conv's bands, runs that
+        # start or end inside a band, and runs of random rows.
         rng = np.random.default_rng(k * 10 + stride + pad)
         x = rng.normal(size=(1, 3, 181, 17)).astype(np.float32)
         kernel = rng.normal(size=(4, 3, k, k)).astype(np.float32)
@@ -408,37 +416,18 @@ class TestBands:
         ho, wo = whole.shape[2:]
         rows = band_rows(wo)
         assert -(-ho // rows) > 2  # several bands
-        cases = [([(r0, min(r0 + rows, ho))], [(r0, min(r0 + rows, ho))])
-                 for r0 in range(0, ho, rows)]
-        # rows inside bands are widened to the band edges, and full-width
-        # blocks whose bands meet are written as one
-        cases += [([(1, 2)], [(0, rows)]),
-                  ([(ho - 1, ho)], [((ho - 1) // rows * rows, ho)]),
-                  ([(0, 1), (rows - 1, rows + 1)], [(0, 2 * rows)]),
-                  ([(0, 1), (rows, rows + 1)], [(0, 2 * rows)]),
-                  ([(0, 1), (2 * rows, 2 * rows + 1)], [(0, rows), (2 * rows, min(3 * rows, ho))]),
-                  ([(0, ho)], [(0, ho)])]
-        for runs, written in cases:
-            if wo % 16 == 0:
-                # (k=2: 16 columns) the whole width is one 16-column window,
-                # whose rows are not widened
-                written = runs
-            # input rows no block sees are NaN, so reading one would show
+        runs = [(r0, min(r0 + rows, ho)) for r0 in range(0, ho, rows)]
+        runs += [(1, 2), (ho - 1, ho), (rows - 1, rows + 1), (1, 2 * rows + 1), (1, ho), (0, ho)]
+        for _ in range(10):
+            r0 = int(rng.integers(ho))
+            runs.append((r0, int(rng.integers(r0 + 1, ho + 1))))
+        for r0, r1 in runs:
             seen = np.zeros(x.shape[2], bool)
-            for r0, r1 in written:
-                seen[max(r0 * stride - pad, 0):max((r1 - 1) * stride - pad + k, 0)] = True
+            seen[max(r0 * stride - pad, 0):max((r1 - 1) * stride - pad + k, 0)] = True
             masked = np.where(seen[:, None], x, np.float32(np.nan))
-            rects = [(r0, r1, 0, wo) for r0, r1 in runs]
-            blocks = _conv2d_blocks(masked, kernel, bias, stride, pad, rects)
-            assert [b[:4] for b in blocks] == [(r0, r1, 0, wo) for r0, r1 in written]
-            out = np.full_like(whole, np.nan)
-            done = np.zeros(ho, bool)
-            for r0, r1, _, _, block in blocks:
-                assert block.flags.c_contiguous and block.shape == (1, 4, r1 - r0, wo)
-                assert_same_bits(block, whole[:, :, r0:r1])
-                out[:, :, r0:r1] = block
-                done[r0:r1] = True
-            assert np.isnan(out[:, :, ~done]).all()
+            block, _ = _conv2d_rows(masked, kernel, bias, stride, pad, r0, r1, 0, wo)
+            assert block.flags.c_contiguous and block.shape == (1, 4, r1 - r0, wo)
+            assert_same_bits(block, whole[:, :, r0:r1])
 
 
 CHECKS = [

@@ -162,19 +162,30 @@ def test_pairs_summarise_canned_runs():
 def test_mutants_name_the_statements_no_test_needs(tmp_path):
     # ``label`` follows a non-ASCII character on a line it shares with
     # ``y``: cut in characters instead of bytes, its mutant would not parse
-    # and would read as killed.
+    # and would read as killed. Each operator of the chained comparison is
+    # flipped alone, on the operator's line; no test sees its ``<`` turned
+    # into ``<=``.
     write(tmp_path, "src/planted.py", textwrap.dedent('''\
         def double(x):
             label = "×"; y = x * 2
             print("doubled")
             return y
+
+
+        def inside(x):
+            return ("é" == "é") and 0 <= x < (
+                10)
         '''))
     write(tmp_path, "tests/test_planted.py", textwrap.dedent('''\
-        from planted import double
+        from planted import double, inside
 
 
         def test_double():
             assert double(2) == 4
+
+
+        def test_inside():
+            assert inside(0) and inside(5) and not inside(-1)
         '''))
 
     def mutants(*options):
@@ -187,7 +198,8 @@ def test_mutants_name_the_statements_no_test_needs(tmp_path):
     assert proc.stdout.splitlines() == [
         'src/planted.py:2: label = "×"; y = x * 2',
         'src/planted.py:3: print("doubled")',
-        "src/planted.py: 4 mutants, 2 killed, 2 survived"]
+        'src/planted.py:8: < -> <=: return ("é" == "é") and 0 <= x < (',
+        "src/planted.py: 8 mutants, 5 killed, 3 survived"]
     proc = mutants("--lines", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "src/planted.py: 1 mutants, 1 killed, 0 survived\n"

@@ -29,8 +29,7 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   gated frames, and makes the gate's half again for a new kernel. A fourth
   runs over a two-object clip (``seed=16``, velocities 4,0.5 and -3,0.5,
   the c01 schedule) whose objects share rows, so that a run of changed
-  rows spans both, and one of which reaches the right edge, where a
-  16-column window shifts left to fit the map;
+  rows spans both, and one of which reaches the right edge;
 - each command's exit code and printed output.
 
 ``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""List the statements of a module whose deletion no named test notices.
+"""List the mutants of a module that no named test notices.
 
     python3 tools/mutants.py MODULE TEST [TEST ...] [--lines 40-60,75]
                              [--jobs 1] [--root DIR]
@@ -17,12 +17,19 @@ with the copy's ``src/`` first on ``PYTHONPATH``, no bytecode written and
 the copy's hypothesis database removed before each run, so that each verdict
 depends on its mutant alone. A mutant whose run fails, or outlives ten times
 the unmutated run plus 30 s, is killed; one whose run passes survives.
-Definitions, imports, ``pass`` and docstrings are not mutated: deleting one
-mostly fails at import, which shows nothing.
 
-Each survivor is printed as ``MODULE:LINE: <its first source line>``, then
-one summary line: ``MODULE: N mutants, K killed, S survived``. The exit
-status is 0 when none survived and 1 otherwise.
+There are two kinds of mutant. A deletion replaces one statement by
+``pass``; definitions, imports, ``pass`` and docstrings are not deleted, as
+deleting one mostly fails at import, which shows nothing. A flip turns one
+comparison operator into its neighbour (``<`` and ``<=``, ``>`` and
+``>=``, ``==`` and ``!=``), each operator of a chained comparison alone;
+its line is the operator's.
+
+Each surviving deletion is printed as ``MODULE:LINE: <its first source
+line>`` and each surviving flip as ``MODULE:LINE: OLD -> NEW: <the source
+line>``, then one summary line over both kinds: ``MODULE: N mutants, K
+killed, S survived``. The exit status is 0 when none survived and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
            ast.Global, ast.Nonlocal, ast.Pass)
+FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
+         ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  ".perfbench-*")
 
@@ -59,14 +68,52 @@ def statements(source: str) -> list[ast.stmt]:
     return sorted(found, key=lambda n: (n.lineno, n.col_offset))
 
 
+def offset(lines: list[bytes], line: int, col: int) -> int:
+    """The byte offset of an AST position; its column counts UTF-8 bytes."""
+    return sum(map(len, lines[:line - 1])) + col
+
+
 def deleted(source: str, node: ast.stmt) -> str:
-    """``source`` with ``node`` replaced by ``pass``. AST column offsets
-    count UTF-8 bytes, so the cut is made in bytes."""
+    """``source`` with ``node`` replaced by ``pass``."""
     lines = source.encode().splitlines(keepends=True)
-    start = sum(map(len, lines[:node.lineno - 1])) + node.col_offset
-    end = sum(map(len, lines[:node.end_lineno - 1])) + node.end_col_offset
     data = b"".join(lines)
+    start = offset(lines, node.lineno, node.col_offset)
+    end = offset(lines, node.end_lineno, node.end_col_offset)
     return (data[:start] + b"pass" + data[end:]).decode()
+
+
+def flips(source: str) -> list[tuple[int, str, str]]:
+    """``(line, "OLD -> NEW", mutated source)`` for each comparison
+    operator, found as the one operator text between its two operands."""
+    lines = source.encode().splitlines(keepends=True)
+    data = b"".join(lines)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, before, after in zip(node.ops, operands, operands[1:]):
+            if type(op) not in FLIPS:
+                continue
+            old, new = FLIPS[type(op)]
+            start = offset(lines, before.end_lineno, before.end_col_offset)
+            end = offset(lines, after.lineno, after.col_offset)
+            at = start + data[start:end].find(old.encode())
+            mutated = data[:at] + new.encode() + data[at + len(old):]
+            found.append((data[:at].count(b"\n") + 1, f"{old} -> {new}", mutated.decode()))
+    return found
+
+
+def mutants(source: str) -> list[tuple[int, str, str]]:
+    """``(line, label, mutated source)`` of every deletion and flip, in
+    source order; a deletion's label is its first source line, a flip's
+    ``OLD -> NEW: `` and its source line."""
+    text = source.encode().splitlines()  # numbered as the parser numbers them
+    found = [(node.lineno, text[node.lineno - 1].decode().strip(), deleted(source, node))
+             for node in statements(source)]
+    found += [(line, f"{label}: {text[line - 1].decode().strip()}", mutated)
+              for line, label, mutated in flips(source)]
+    return sorted(found, key=lambda m: m[0])
 
 
 def parse_lines(text: str) -> set[int]:
@@ -105,10 +152,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     source = (args.root / args.module).read_text()
-    nodes = statements(source)
+    found = mutants(source)
     if args.lines:
         wanted = parse_lines(args.lines)
-        nodes = [n for n in nodes if n.lineno in wanted]
+        found = [m for m in found if m[0] in wanted]
     jobs = max(args.jobs, 1)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         trees: queue.Queue = queue.Queue()
@@ -122,23 +169,22 @@ def main(argv=None) -> int:
         timeout = 10 * (time.perf_counter() - started) + 30
         trees.put(first)
 
-        def survives(node: ast.stmt) -> bool:
+        def survives(mutant: tuple[int, str, str]) -> bool:
             tree = trees.get()
             target = tree / args.module
             try:
-                target.write_text(deleted(source, node))
+                target.write_text(mutant[2])
                 return run_tests(tree, args.tests, timeout)
             finally:
                 target.write_text(source)
                 trees.put(tree)
 
         with ThreadPoolExecutor(jobs) as pool:
-            verdicts = list(pool.map(survives, nodes))
-    survivors = [n for n, alive in zip(nodes, verdicts) if alive]
-    lines = source.encode().splitlines()  # numbered as the parser numbers them
-    for node in survivors:
-        print(f"{args.module}:{node.lineno}: {lines[node.lineno - 1].decode().strip()}")
-    print(f"{args.module}: {len(nodes)} mutants, {len(nodes) - len(survivors)} killed, "
+            verdicts = list(pool.map(survives, found))
+    survivors = [m for m, alive in zip(found, verdicts) if alive]
+    for line, label, _ in survivors:
+        print(f"{args.module}:{line}: {label}")
+    print(f"{args.module}: {len(found)} mutants, {len(found) - len(survivors)} killed, "
           f"{len(survivors)} survived")
     return 1 if survivors else 0
 
