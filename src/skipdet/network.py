@@ -337,15 +337,16 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
       layer's output.
     * The output has the bits of a full forward where the ``tensor``
       module's bit rule holds: a full forward runs the same kernels over
-      the whole map, and every BLAS call of a conv's product, whole or in
-      a rectangle, has whole 16-column groups only. The rule held on the
-      OpenBLAS SkylakeX, Cooperlake, SapphireRapids, Sandybridge and
-      Nehalem kernels and fails on the Haswell and Zen kernels, which
-      OpenBLAS picks on AVX2 cores without AVX-512; there a reused
-      forward's bits can differ from a full one's. With no changed pixel
-      the output is the recorded output. Any record made with the same
-      ``net`` and ``store`` will do, whichever input it was made from; only
-      its shapes are checked.
+      the whole map, and every conv product, whole or in a rectangle, runs
+      in BLAS calls of ``tensor.CALL_COLUMNS`` columns counted from its
+      first, the last padded to whole 16-column groups. The rule held on
+      the OpenBLAS SkylakeX kernel (also run for Cooperlake and
+      SapphireRapids), Sandybridge, Nehalem and Katmai kernels and fails
+      on the Haswell kernel (also run for Zen), which OpenBLAS picks on
+      AVX2 cores without AVX-512; there a reused forward's bits can differ
+      from a full one's. With no changed pixel the output is the recorded
+      output. Any record made with the same ``net`` and ``store`` will do,
+      whichever input it was made from; only its shapes are checked.
     * With noise in every row every layer runs its plain kernel after the
       compare: over the 36 reused forwards of a noisy clip (``synth
       noise=0.015``) a reused forward took 12-15% longer than one without

@@ -24,20 +24,20 @@ convolution kernel, ``_conv2d_rows``, which computes any rectangle of
 output rows and columns: a whole conv is that kernel over the whole map,
 and a reused forward runs it over each rectangle it recomputes. Its
 columns are one copy of one strided window view of the padded input it
-reads. One bit rule, with no exception, gives a rectangle the whole conv's
-bits: every BLAS call of a conv's product has a column count that is a
-multiple of ``BAND_ALIGN`` (16), the last call's columns padded with zeros
-up to whole groups (``_banded_product``). It rests on a measurement, not on
-a BLAS guarantee: with OpenBLAS 0.3.31, a product's columns in whole groups
-of 16 had the same bits whatever the call's column count on the SkylakeX,
-Cooperlake, SapphireRapids, Sandybridge and Nehalem kernels
-(``OPENBLAS_CORETYPE``), and did not on the Haswell and Zen kernels, which
-OpenBLAS picks on AVX2 cores without AVX-512. Where a conv cuts its product
-is then a speed choice only. A whole conv runs in fixed bands of output
-rows, one BLAS call each, a band being the fewest rows, at least
-``BAND_ROWS`` (3), that hold a multiple of 16 outputs (``band_rows``);
-bands of one row made the product of ``tiny``'s 48-wide conv 1.3 times as
-slow as bands of three. A narrower rectangle is one call.
+reads. One rule cuts every conv product into BLAS calls, whether of a
+whole map, a rectangle or a training batch: calls of ``CALL_COLUMNS``
+columns, a multiple of ``BAND_ALIGN`` (16), counted from the product's
+first column, the last call's columns padded with zeros up to whole
+groups (``_banded_product``). Any rectangle then has the whole conv's
+bits where a product's columns in whole groups of 16 have the same bits
+whatever the call's column count. That rests on a measurement, not on a
+BLAS guarantee: with OpenBLAS 0.3.31 it held on the SkylakeX kernel (also
+run for ``OPENBLAS_CORETYPE`` Cooperlake and SapphireRapids), the
+Sandybridge, Nehalem and Katmai kernels, and failed on the Haswell
+kernel (also run for Zen), which OpenBLAS picks on AVX2 cores without
+AVX-512. ``CALL_COLUMNS`` is a speed choice only: calls of 16 columns
+made the convs of a full ``tiny`` forward 1.25 times as slow as calls
+of 144.
 A 2x2 max pool is two ``np.maximum`` passes, across columns and then
 across rows; ``tests/oracles.py`` also keeps a running-maximum pool, one
 pass per window position, as a reference. No kernel keeps a workspace
@@ -49,7 +49,6 @@ frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -134,42 +133,34 @@ def conv_output_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
 
 
-# A convolution's matmul bands hold at least BAND_ROWS output rows and a
-# multiple of BAND_ALIGN outputs; see band_rows.
-BAND_ROWS = 3
+# Every BLAS call of a conv product but the last has CALL_COLUMNS columns, a
+# multiple of BAND_ALIGN, and the last is padded to whole BAND_ALIGN groups;
+# see _banded_product.
 BAND_ALIGN = 16
+CALL_COLUMNS = 144
 
 
-def band_rows(wo: int) -> int:
-    """Output rows in each matmul band of a convolution ``wo`` outputs wide:
-    the fewest, at least ``BAND_ROWS``, that hold a multiple of
-    ``BAND_ALIGN`` outputs (``tiny``: 3, 3, 4 and 4 rows, 8 for the 6x6
-    1x1 conv, so one band there)."""
-    step = BAND_ALIGN // math.gcd(wo, BAND_ALIGN)
-    return -(-BAND_ROWS // step) * step
+def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``kernel @ cols + bias`` ([B,F,N]) as a new array, one matmul per
+    ``CALL_COLUMNS`` columns counted from the first, and one over the
+    columns left, with zero columns appended up to whole ``BAND_ALIGN``
+    groups and their products dropped. So every BLAS call has whole groups
+    only.
 
-
-def _banded_product(kernel: np.ndarray, cols: np.ndarray, bias: np.ndarray,
-                    step: int) -> np.ndarray:
-    """``kernel @ cols + bias`` ([B,F,N]) as a new array, one matmul per band
-    of ``step`` columns counted from the first, ``step`` a multiple of
-    ``BAND_ALIGN``, and one over the columns left, with zero columns
-    appended up to whole ``BAND_ALIGN`` groups and their products dropped.
-    So every BLAS call has whole groups only.
-
-    The whole bands go to one ``np.matmul`` over a [B, bands, ...] view, which
-    makes the same BLAS call per band as a loop would, for half the time of
-    a loop or of one call over all the columns at ``tiny``'s first conv.
+    The whole calls go to one ``np.matmul`` over a [B, calls, ...] view,
+    which makes the same BLAS calls as a loop would, for half the time of a
+    loop or of one call over all the columns at ``tiny``'s first conv.
     Splitting the last axis of ``cols`` and the result, whose elements are
     adjacent, always gives views.
     """
     b, k, n = cols.shape
     f = kernel.shape[0]
-    whole = n - n % step
+    whole = n - n % CALL_COLUMNS
     out = np.empty((b, f, n), np.float32)
     if whole:
-        np.matmul(kernel, cols[..., :whole].reshape(b, k, whole // step, step).swapaxes(1, 2),
-                  out=out[..., :whole].reshape(b, f, whole // step, step).swapaxes(1, 2))
+        calls = whole // CALL_COLUMNS
+        np.matmul(kernel, cols[..., :whole].reshape(b, k, calls, CALL_COLUMNS).swapaxes(1, 2),
+                  out=out[..., :whole].reshape(b, f, calls, CALL_COLUMNS).swapaxes(1, 2))
     if whole < n:
         rest = np.zeros((b, k, -(-(n - whole) // BAND_ALIGN) * BAND_ALIGN), np.float32)
         rest[..., :n - whole] = cols[..., whole:]
@@ -190,12 +181,10 @@ def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     zero-padded buffer. The columns are one C-contiguous copy, which keeps
     the matmul on the BLAS fast path, of one view [B,C,kh,kw,r1-r0,c1-c0]
     over that buffer, made by the plain constructor in a seventh of
-    ``as_strided``'s time. A rectangle as wide as the map runs its product
-    in bands of ``band_rows(Wo)`` rows counted from ``r0``; a narrower one
-    is one matmul, in about 0.7 times the time of bands of three rows at
-    ``tiny``'s convs. Either way each BLAS call has whole ``BAND_ALIGN``
-    groups only (``_banded_product``), so any rectangle has the bits of
-    the whole conv on the kernels the module docstring names.
+    ``as_strided``'s time. Its product runs in ``_banded_product``'s calls
+    of ``CALL_COLUMNS`` columns counted from the rectangle's first output,
+    each with whole ``BAND_ALIGN`` groups only, so any rectangle has the
+    bits of the whole conv on the kernels the module docstring names.
     """
     b, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
@@ -210,9 +199,7 @@ def _conv2d_rows(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     view = np.ndarray((b, c, kh, kw, r1 - r0, c1 - c0), np.float32, window, 0,
                       (sb, sc, sy, sx, sy * stride, sx * stride))
     cols = np.ascontiguousarray(view).reshape(b, c * kh * kw, (r1 - r0) * (c1 - c0))
-    wo = conv_output_extent(w, kw, stride, pad)
-    step = band_rows(wo) * wo if c1 - c0 == wo else -(-cols.shape[-1] // BAND_ALIGN) * BAND_ALIGN
-    out = _banded_product(kernel.reshape(f, -1), cols, bias, step)
+    out = _banded_product(kernel.reshape(f, -1), cols, bias)
     return out.reshape(b, f, r1 - r0, c1 - c0), cols
 
 
@@ -222,8 +209,10 @@ def _conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     whole output map; returns (out, cols), and the training engine reuses
     ``cols`` for the kernel gradient.
 
-    The bits can differ in the last place from one plain matmul over all
-    the columns, which leaves a last partial 16-column group unpadded.
+    Each batch item's product runs in calls of ``CALL_COLUMNS`` columns
+    counted from its first column, as every conv product does. The bits
+    can differ in the last place from one plain matmul over all the
+    columns, which leaves a last partial 16-column group unpadded.
     """
     _, _, h, w = x.shape
     _, _, kh, kw = kernel.shape

@@ -304,6 +304,22 @@ def gather_im2col_batch(x, kh, kw, stride, pad):
     return cols.reshape(b, idx.shape[0], idx.shape[1]), ho, wo
 
 
+def call_product(kernel, cols, bias, width):
+    """``kernel @ cols + bias`` for [F,K] ``kernel`` and [B,K,N] ``cols``,
+    made the way the conv rule cuts a product: one float32 matmul per item
+    and per ``width`` columns counted from column 0, each from a fresh
+    contiguous buffer zero-padded to whole 16-column groups."""
+    b, k, n = cols.shape
+    out = np.empty((b, kernel.shape[0], n), np.float32)
+    for i in range(b):
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
+            fresh = np.zeros((k, -(-(c1 - c0) // 16) * 16), np.float32)
+            fresh[:, :c1 - c0] = cols[i, :, c0:c1]
+            out[i, :, c0:c1] = np.matmul(kernel, fresh)[:, :c1 - c0]
+    return out + bias[None, :, None]
+
+
 def bincount_col2im_batch(dcols, c, h, w, kh, kw, stride, pad):
     b = dcols.shape[0]
     idx, _, _, hp, wp = gather_im2col_plan(c, h, w, kh, kw, stride, pad)

@@ -17,8 +17,8 @@ from skipdet.netdef import LayerSpec, LayerWeights, NetworkDescriptor, WeightSto
 from skipdet.network import (TrainConfig, TrainingDivergence, _backward_batch, _forward_batch,
                              _infer, evaluate_loss, forward, init_weights, loss_gradients,
                              train_sgd)
-from skipdet.tensor import (POINTWISE_FNS, ShapeError, Tensor, _conv2d_batch, _conv2d_rows,
-                            band_rows)
+from skipdet.tensor import (CALL_COLUMNS, POINTWISE_FNS, ShapeError, Tensor, _conv2d_batch,
+                            _conv2d_rows)
 
 import faults
 import oracles
@@ -558,7 +558,7 @@ class TestGradients:
 
 
 def banded_nets():
-    """Nets whose convs span several matmul bands: kernels 1, 2, 3 and 5,
+    """Nets whose convs span several BLAS calls: kernels 1, 2, 3 and 5,
     stride 2, pad 0 to 2, odd extents, pools and pointwise layers, and a
     stride-2 1x1 conv that sees only every other row."""
     return {
@@ -590,11 +590,11 @@ TINY_STORE = init_weights(REUSE_NETS["tiny"], 5)
 
 
 def first_band_edge(net):
-    """An input row seen by both sides of the first conv's first band edge
-    (row 0 when its output is one band)."""
+    """The first input row that the output row holding the first conv's
+    first BLAS call edge sees, clamped to the input's rows."""
     conv = next(layer for layer in net.layers if layer.kind == "conv")
-    rows = band_rows(net.layer_shapes()[net.layers.index(conv)][2])
-    return min(max(rows * conv.stride - conv.pad, 0), net.input_shape[1] - 1)
+    row = CALL_COLUMNS // net.layer_shapes()[net.layers.index(conv)][2]
+    return min(max(row * conv.stride - conv.pad, 0), net.input_shape[1] - 1)
 
 
 class TestReferenceReuse:
@@ -894,6 +894,7 @@ def test_blocks_have_the_whole_convs_bits(shape, layer):
     cases = [[(0, 1, 0, 1)], [(ho // 2, ho, 0, min(5, wo))],  # from column 0
              [(1, min(ho, 9), edge, wo)],  # to the right edge
              [(0, ho, 0, wo)], [(ho - 1, ho, 0, wo)],  # the whole width
+             [(0, ho, min(1, wo - 1), wo)],  # all rows but column 0: several calls
              [(max(ho - 2, 0), ho, edge, wo)]]  # the last outputs
     for _ in range(30):
         rects, top = [], 0
@@ -927,23 +928,30 @@ def openblas_picks_its_kernel():
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-def cpu_has_avx():
+def cpu_flags():
     try:
-        flags = next((line.split() for line in Path("/proc/cpuinfo").read_text().splitlines()
-                      if line.startswith("flags")), [])
+        return next((line.split() for line in Path("/proc/cpuinfo").read_text().splitlines()
+                     if line.startswith("flags")), [])
     except OSError:
-        return False
-    return "avx" in flags
+        return []
+
+
+# Each OpenBLAS kernel without AVX-512 on which the bit rule was measured to
+# hold, with the instruction set it needs as /proc/cpuinfo names it (SSE3 is
+# "pni"). Prescott runs the Katmai kernel.
+RULE_KERNELS = {"Sandybridge": "avx", "Nehalem": "sse4_2", "Prescott": "pni"}
 
 
 @pytest.mark.skipif(not openblas_picks_its_kernel(),
                     reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
-@pytest.mark.skipif(not cpu_has_avx(), reason="the CPU has no AVX for the Sandybridge kernel")
-def test_blocks_have_the_whole_convs_bits_on_sandybridge():
-    # The bit rule on a second OpenBLAS kernel, one without AVX-512 on
-    # which it was measured to hold, in a fresh process that loads it.
+@pytest.mark.parametrize("coretype", list(RULE_KERNELS))
+def test_blocks_have_the_whole_convs_bits_on_kernel(coretype):
+    # The bit rule on another OpenBLAS kernel, in a fresh process that
+    # loads it.
+    if RULE_KERNELS[coretype] not in cpu_flags():
+        pytest.skip(f"the CPU has no {RULE_KERNELS[coretype]} for the {coretype} kernel")
     src = str(Path(network.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge", "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipdet.tensor import (BAND_ALIGN, POINTWISE_FNS, ShapeError, Tensor, _banded_product,
-                            _col2im_batch, _conv2d_batch, _conv2d_rows,
+from skipdet.tensor import (BAND_ALIGN, CALL_COLUMNS, POINTWISE_FNS, ShapeError, Tensor,
+                            _banded_product, _col2im_batch, _conv2d_batch, _conv2d_rows,
                             _maxpool2_backward, _maxpool2_batch, _pointwise_grad,
-                            _pointwise_raw, _sigmoid, band_rows, conv2d, maxpool2, pointwise,
-                            tensor)
+                            _pointwise_raw, _sigmoid, conv2d, maxpool2, pointwise, tensor)
 
 import oracles
 
@@ -194,7 +193,7 @@ class TestKernelsMatchEarlierKernels:
     """The strided kernels reproduce the gather/scatter/argmax ones bit for bit."""
 
     @pytest.mark.parametrize("batch", [1, 8])
-    @pytest.mark.parametrize("hw", [(7, 10), (5, 5), (9, 4)])
+    @pytest.mark.parametrize("hw", [(7, 10), (5, 5), (9, 4), (19, 17)])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -210,7 +209,8 @@ class TestKernelsMatchEarlierKernels:
         assert cols.flags["C_CONTIGUOUS"]
         assert_same_bits(cols, want_cols)
 
-        want = np.matmul(kernel.reshape(f, -1), want_cols) + bias[None, :, None]
+        # The product in the rule's calls, each made from its own buffer.
+        want = oracles.call_product(kernel.reshape(f, -1), want_cols, bias, CALL_COLUMNS)
         assert_same_bits(out, want.reshape(batch, f, ho, wo))
 
         dcols = rng.normal(size=cols.shape).astype(np.float32)
@@ -360,16 +360,20 @@ def tiny_conv_shapes():
 
 
 class TestBands:
-    """Every BLAS call of a conv's product has whole 16-column groups, so any
-    rectangle of outputs recomputed alone has the bits of the whole conv."""
+    """Every BLAS call of a conv's product has ``CALL_COLUMNS`` columns
+    counted from its first, the last padded to whole 16-column groups, so
+    any rectangle of outputs recomputed alone has the bits of the whole
+    conv."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_band_alone_equals_the_banded_call(self, seed):
-        # The BLAS fact the reuse rests on: any column range of a product,
-        # computed alone with zero columns appended up to whole groups, has
-        # the bits of the same columns in the banded call, wherever its
-        # buffers sit and whatever their leading dimension. Random shapes
-        # and tiny's conv shapes, each with random ranges, its last group,
+        # The banded call makes the rule's calls of CALL_COLUMNS columns.
+        # And the BLAS fact the reuse rests on: any column range of a
+        # product, computed alone with zero columns appended up to whole
+        # groups, has the bits of the same columns in those calls, wherever
+        # its buffers sit and whatever their leading dimension. Random
+        # shapes and tiny's conv shapes, each with random ranges, its first
+        # call, the two columns around its first call edge, its last group,
         # whole or partial, and all its columns.
         rng = np.random.default_rng(seed)
         shapes = [(int(rng.integers(1, 65)), int(rng.integers(1, 200)),
@@ -377,9 +381,14 @@ class TestBands:
         for n, (f, k, ho, wo) in enumerate(shapes + tiny_conv_shapes()):
             kernel = rng.normal(size=(f, k)).astype(np.float32)
             cols = rng.normal(size=(1, k, ho * wo)).astype(np.float32)
-            out = _banded_product(kernel, cols, np.zeros(f, np.float32), band_rows(wo) * wo)
+            zero = np.zeros(f, np.float32)
+            out = _banded_product(kernel, cols, zero)
+            assert_same_bits(out, oracles.call_product(kernel, cols, zero, CALL_COLUMNS))
             size = ho * wo
-            ranges = [(size - (size % BAND_ALIGN or BAND_ALIGN), size), (0, size)]
+            ranges = [(size - (size % BAND_ALIGN or BAND_ALIGN), size), (0, size),
+                      (0, min(size, CALL_COLUMNS))]
+            if size > CALL_COLUMNS:
+                ranges.append((CALL_COLUMNS - 1, CALL_COLUMNS + 1))
             for _ in range(1 if n < len(shapes) else 10):
                 c0 = int(rng.integers(size))
                 ranges.append((c0, int(rng.integers(c0 + 1, size + 1))))
@@ -392,30 +401,22 @@ class TestBands:
                 np.matmul(kernel, fresh, out=got)
                 assert_same_bits(got[:, :c1 - c0], out[0, :, c0:c1])
 
-    def test_band_rule(self):
-        # The fewest rows, at least 3, holding whole groups of 16 outputs:
-        # tiny's widths 96, 48, 24, 12 and 6 get 3, 3, 4, 4 and 8 rows.
-        assert [band_rows(wo) for wo in (96, 48, 24, 12, 6)] == [3, 3, 4, 4, 8]
-        for wo in range(1, 200):
-            rows = band_rows(wo)
-            assert rows >= 3 and rows * wo % 16 == 0
-            assert all(r < 3 or r * wo % 16 for r in range(1, rows))
-
     @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 1), (2, 1, 0), (3, 1, 1),
                                               (3, 2, 2), (5, 1, 2), (5, 2, 0)])
     def test_rows_equal_the_whole_conv(self, k, stride, pad):
-        # Any run of rows as wide as the map, computed alone in bands counted
-        # from its own first row, has the whole conv's bits, and reads only
-        # the input rows its windows see: the whole conv's bands, runs that
-        # start or end inside a band, and runs of random rows.
+        # Any run of rows as wide as the map, computed alone in calls
+        # counted from its own first output, has the whole conv's bits, and
+        # reads only the input rows its windows see: runs of the rows before
+        # the whole conv's first call edge, runs that start or end at the
+        # row that edge falls in, and runs of random rows.
         rng = np.random.default_rng(k * 10 + stride + pad)
         x = rng.normal(size=(1, 3, 181, 17)).astype(np.float32)
         kernel = rng.normal(size=(4, 3, k, k)).astype(np.float32)
         bias = rng.normal(size=4).astype(np.float32)
         whole, _ = _conv2d_batch(x, kernel, bias, stride, pad)
         ho, wo = whole.shape[2:]
-        rows = band_rows(wo)
-        assert -(-ho // rows) > 2  # several bands
+        rows = CALL_COLUMNS // wo  # the row the first call edge falls in
+        assert 0 < rows and ho * wo > 2 * CALL_COLUMNS  # several calls
         runs = [(r0, min(r0 + rows, ho)) for r0 in range(0, ho, rows)]
         runs += [(1, 2), (ho - 1, ho), (rows - 1, rows + 1), (1, 2 * rows + 1), (1, ho), (0, ho)]
         for _ in range(10):
