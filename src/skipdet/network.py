@@ -2,8 +2,8 @@
 
 Each layer is a linear part (conv, 2x2 max pool or none), then its
 activation if any: a conv's ``act`` or a pointwise layer's ``fn``.
-Inference runs one loop, which can record every layer's output and reuse
-an earlier record; :func:`forward` states the reuse rule. Training walks
+Inference runs one loop, which can record layer outputs and reuse an
+earlier record; :func:`forward` states the reuse rule. Training walks
 ``net.layers`` forward keeping one record per layer, then backward over
 the records; there is no general autodiff. Two losses are available:
 
@@ -171,14 +171,6 @@ def _backward_batch(net: NetworkDescriptor, weights: dict, caches: list,
     return grads
 
 
-# A reached 2x2 max pool whose output is at least this many columns wide
-# pools its changed rectangles alone (_pool_rows). On tiny's reused
-# forwards that saved about 16 and 4 us at the 48- and 24-wide pools, and
-# cost 2-10 us more at the 12- and 6-wide ones, whose per-row loops the
-# copy of the rest does not repay.
-POOL_RECT_WIDTH = 16
-
-
 def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
     """The runs ``(a, b, c0, c1)`` of a layer's output rows ``[a, b)``,
     each with its columns ``[c0, c1)``, that a change in its input runs
@@ -212,16 +204,20 @@ def _rows_seen(layer: LayerSpec, runs: list, out_shape: tuple) -> list:
 
 
 def _conv_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
-               was: np.ndarray, runs: list) -> np.ndarray:
-    """Conv layer i's output, activation included, with the bits a full
-    forward gives it: each rectangle in ``runs`` is one ``_conv2d_rows``
-    block, activated, and everything else is copied from ``was``, the
-    reference's output. A block that covers the map is the output."""
-    fn = _activation(layer)
-    blocks = [_conv2d_rows(x, *weights[i], layer.stride, layer.pad, *run)[0] for run in runs]
-    if fn is not None:
-        for block in blocks:
+               was: np.ndarray, runs: list, pooled: bool = False) -> np.ndarray:
+    """Conv layer i's output, activation included, or with ``pooled`` the
+    output of the 2x2 max pool that reads it next, with the bits a full
+    forward gives it. Each rectangle in ``runs`` is one ``_conv2d_rows``
+    block, activated; pooled, the block spans twice the rectangle's rows
+    and columns and is then pooled. Everything else is copied from ``was``,
+    the reference's output, and a block that covers the map is the output."""
+    fn, n = _activation(layer), 2 if pooled else 1
+    blocks = []
+    for run in runs:
+        block = _conv2d_rows(x, *weights[i], layer.stride, layer.pad, *[n * v for v in run])[0]
+        if fn is not None:
             _pointwise_raw(block, fn, layer.alpha, in_place=True)
+        blocks.append(_maxpool2_batch(block) if pooled else block)
     if blocks[0].shape == was.shape:
         return blocks[0]
     # Made after the blocks: made after the first block only, tiny's first
@@ -233,19 +229,12 @@ def _conv_rows(layer: LayerSpec, weights: dict, i: int, x: np.ndarray,
     return out
 
 
-def _pool_rows(x: np.ndarray, was: np.ndarray, runs: list) -> np.ndarray:
-    """A reached 2x2 max pool's output, with the bits of its plain kernel:
-    on a map at least ``POOL_RECT_WIDTH`` columns wide, each rectangle in
-    ``runs`` pooled alone and everything else copied from ``was``, the
-    reference's output. On a narrower map, or where one rectangle covers
-    the map, the plain kernel runs."""
-    _, _, ho, wo = was.shape
-    if wo < POOL_RECT_WIDTH or runs[0] == (0, ho, 0, wo):
-        return _maxpool2_batch(x)
-    out = was.copy()
-    for r0, r1, c0, c1 in runs:
-        _maxpool2_batch(x[:, :, 2 * r0:2 * r1, 2 * c0:2 * c1], out[:, :, r0:r1, c0:c1])
-    return out
+def _pooled_convs(net: NetworkDescriptor) -> set:
+    """The convs that a 2x2 max pool reads next: a reused forward runs each
+    with its pool (``_conv_rows``), and a record keeps None in its place."""
+    layers = net.layers
+    return {i for i in range(len(layers) - 1)
+            if layers[i].kind == "conv" and layers[i + 1].kind == "maxpool2"}
 
 
 def _changed_rows(x: np.ndarray, was: np.ndarray) -> list:
@@ -275,6 +264,7 @@ def _infer(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
     faulted in again on every call (about 500 minor faults per ``tiny``
     forward). ``xb`` is never written."""
     runs = None if reference is None else _changed_rows(xb, reference[0])
+    pooled = () if record is None and runs is None else _pooled_convs(net)
     out = xb
     if record is not None:
         out = xb.view()
@@ -283,20 +273,24 @@ def _infer(net: NetworkDescriptor, weights: dict, xb: np.ndarray,
     for i, layer in enumerate(net.layers):
         if runs is None:
             out = _infer_layer(layer, weights, i, out)
+        elif i in pooled:
+            # Run with its pool at i + 1; ``out`` stays this conv's input.
+            h, w = reference[i + 2].shape[2:]
+            runs = _rows_seen(layer, runs, (1, 1, 2 * h, 2 * w))
         else:
             was = reference[i + 1]
             runs = _rows_seen(layer, runs, was.shape)
             if not runs:
                 out = was
+            elif i - 1 in pooled:
+                out = _conv_rows(net.layers[i - 1], weights, i - 1, out, was, runs, pooled=True)
             elif layer.kind == "conv":
                 out = _conv_rows(layer, weights, i, out, was, runs)
-            elif layer.kind == "maxpool2":
-                out = _pool_rows(out, was, runs)
             else:
                 out = _infer_layer(layer, weights, i, out)
         if record is not None:
             out.flags.writeable = False
-            record.append(out)
+            record.append(None if i in pooled else out)
     return out
 
 
@@ -314,8 +308,9 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
     never written.
 
     ``record``, a list, gets the input and each layer's output as read-only
-    [1,C,H,W] arrays; the returned tensor views the last. Passing an
-    earlier call's record as ``reference`` reuses it. This is the one
+    [1,C,H,W] arrays, but None in place of each conv's output that a 2x2
+    max pool reads next, full forward or reused; the returned tensor views
+    the last. Passing an earlier call's record as ``reference`` reuses it. This is the one
     statement of the reuse rule:
 
     * The input is compared with the record's own input, ``reference[0]``,
@@ -329,15 +324,17 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
       pointwise layer or the head keeps them; rectangles whose rows meet
       merge into one that spans the columns of both. A layer that no
       rectangle reaches returns the recorded output, and a reached
-      pointwise layer or head runs its plain kernel. A reached conv runs
-      its one kernel, ``tensor._conv2d_rows``, over each rectangle as it
-      is. A reached pool at least 16 columns wide pools its rectangles
-      alone; a narrower one runs its plain kernel. Everything else is
-      copied from the record, and a rectangle that covers the map is the
-      layer's output.
+      pointwise layer, head, or pool that no conv feeds directly runs its
+      plain kernel. A reached conv runs its one kernel,
+      ``tensor._conv2d_rows``, over each rectangle as it is. A conv that a
+      2x2 pool reads next runs with it instead: over each of the pool's
+      rectangles doubled in rows and columns, the whole windows the pool
+      reads, it runs that kernel, activates the block and pools it, so its
+      whole output is never built. Everything else is copied from the
+      record, and a rectangle that covers the map is the layer's output.
     * The output has the bits of a full forward where the ``tensor``
       module's bit rule holds: a full forward runs the same kernels over
-      the whole map, and every conv product, whole or in a rectangle, runs
+      the whole map, a max is exact, and every conv product, whole or in a rectangle, runs
       in BLAS calls of ``tensor.CALL_COLUMNS`` columns counted from its
       first, the last padded to whole 16-column groups. The rule held on
       the OpenBLAS SkylakeX kernel (also run for Cooperlake and
@@ -347,21 +344,24 @@ def forward(net: NetworkDescriptor, store: WeightStore, x: Tensor, *,
       from a full one's. With no changed pixel the output is the recorded
       output. Any record made with the same ``net`` and ``store`` will do,
       whichever input it was made from; only its shapes are checked.
-    * With noise in every row every layer runs its plain kernel after the
-      compare: over the 36 reused forwards of a noisy clip (``synth
+    * With noise in every row every layer runs over its whole map after
+      the compare: over the 36 reused forwards of a noisy clip (``synth
       noise=0.015``) a reused forward took 12-15% longer than one without
       ``record`` or ``reference`` (three in-process A/B runs on one pinned
       CPU; 711 against 616 us in one).
 
-    A ``tiny`` record holds about 0.7 MB besides its input.
+    A ``tiny`` record holds about 140 KB besides its input.
     """
     store.validate_for(net)
     if x.shape != net.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match network input {net.input_shape}")
     if reference is not None:
-        shapes = [(1,) + s for s in [net.input_shape] + net.layer_shapes()]
-        if [r.shape for r in reference] != shapes:
-            raise ShapeError(f"reference record of shapes {[r.shape for r in reference]} "
+        pooled = _pooled_convs(net)
+        shapes = [None if i - 1 in pooled else (1,) + s
+                  for i, s in enumerate([net.input_shape] + net.layer_shapes())]
+        got = [getattr(r, "shape", None) for r in reference]
+        if got != shapes:
+            raise ShapeError(f"reference record of shapes {got} "
                              f"does not match the network's {shapes}")
     return Tensor(_infer(net, _weights_map(store), x.data[None], record, reference)[0])
 

@@ -25,7 +25,7 @@ key matches the call:
 - the reference's forward record, keyed on ``net`` and ``store`` by
   identity. A gated inferred frame passes it to ``network.forward`` as
   ``reference``, which states the reuse rule, and records its own forward
-  for the next one. A ``tiny`` record holds about 0.7 MB.
+  for the next one. A ``tiny`` record holds about 140 KB.
 
 ``policy=None`` infers every frame in full, calls no gate function and
 keeps no record; it is the one detection path, which the CLI's ``detect``

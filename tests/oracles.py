@@ -113,6 +113,23 @@ def reached_mask(net, changed):
     return masks
 
 
+def computed_mask(net, reached):
+    """Per conv index, the output positions a reused forward computes, from
+    ``reached_mask``'s masks: a conv's own reached positions, or, for a
+    conv that a 2x2 pool reads next, the pool's reached positions doubled
+    in rows and columns, the whole windows the pool reads."""
+    layers = net.layers
+    masks = {}
+    for i, layer in enumerate(layers):
+        if layer.kind != "conv":
+            continue
+        if i + 1 < len(layers) and layers[i + 1].kind == "maxpool2":
+            masks[i] = reached[i + 1].repeat(2, axis=0).repeat(2, axis=1)
+        else:
+            masks[i] = reached[i]
+    return masks
+
+
 def naive_composite_loss(pred, target, anchors, classes):
     """Slot-by-slot detection loss in float64, same definition as production."""
     ch = 5 + classes

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skipdet import network, zoo
@@ -38,6 +38,14 @@ def gradcheck_net():
         LayerSpec.conv(3, 12, 1, activation="linear"),
         LayerSpec.detect_head(grid=2, anchors=2, classes=1),
     ))
+
+
+def pooled_slots(net):
+    """The record slots that hold None: the output of each conv that a 2x2
+    max pool reads next, which a forward never keeps."""
+    layers = net.layers
+    return [i + 1 for i in range(len(layers) - 1)
+            if layers[i].kind == "conv" and layers[i + 1].kind == "maxpool2"]
 
 
 def detector_target(seed=0):
@@ -167,10 +175,13 @@ class TestInferencePath:
             assert inferred.shape == (batch,) + net.output_shape
             assert np.array_equal(inferred.view(np.uint32), trained.view(np.uint32))
         assert len(record) == len(net.layers) + 1
-        assert all(not r.flags.writeable for r in record)
+        assert [i for i, r in enumerate(record) if r is None] == pooled_slots(net)
         for got, want in zip(record, [xb] + [post for _, _, _, post in caches]):
-            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-        assert np.array_equal(xb.view(np.uint32), before.view(np.uint32))
+            if got is not None:
+                assert not got.flags.writeable
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        # the record holds a read-only view of the input, which stays writable
+        assert np.array_equal(xb.view(np.uint32), before.view(np.uint32)) and xb.flags.writeable
 
     @pytest.mark.parametrize("make_net", [pointwise_first_net, gradcheck_net,
                                           lambda: random_net(0)])
@@ -585,7 +596,26 @@ def banded_nets():
     }
 
 
-REUSE_NETS = {"tiny": zoo.load_bundled("tiny"), **oracle_nets(), **banded_nets()}
+def pool_nets():
+    """Nets whose pools no conv feeds directly: a pool after a pointwise
+    layer, and a pool after a pool, each on a map wider than one BLAS call."""
+    return {
+        "pool-after-pointwise": NetworkDescriptor("poolpw", (2, 20, 36), (
+            LayerSpec.conv(2, 3, 3, pad=1, activation="linear"),
+            LayerSpec.pointwise("abs"),
+            LayerSpec.maxpool2(),
+            LayerSpec.conv(3, 2, 3, pad=1, activation="leaky", alpha=0.1),
+        )),
+        "pool-after-pool": NetworkDescriptor("poolpool", (2, 24, 40), (
+            LayerSpec.conv(2, 3, 3, pad=1, activation="tanh"),
+            LayerSpec.maxpool2(),
+            LayerSpec.maxpool2(),
+            LayerSpec.conv(3, 2, 1, activation="linear"),
+        )),
+    }
+
+
+REUSE_NETS = {"tiny": zoo.load_bundled("tiny"), **oracle_nets(), **banded_nets(), **pool_nets()}
 TINY_STORE = init_weights(REUSE_NETS["tiny"], 5)
 
 
@@ -609,14 +639,18 @@ class TestReferenceReuse:
     def check(self, net, store, before, after):
         reference, got, want = [], [], []
         forward(net, store, Tensor(before), record=reference)
-        kept = [r.tobytes() for r in reference]
+        kept = [None if r is None else r.tobytes() for r in reference]
         out = forward(net, store, Tensor(after), record=got, reference=reference)
         full = forward(net, store, Tensor(after), record=want)
         assert self.same_bits(out.data, full.data)
-        assert len(got) == len(net.layers) + 1
-        assert all(self.same_bits(g, w) for g, w in zip(got, want))
-        assert all(not r.flags.writeable for r in got)
-        assert [r.tobytes() for r in reference] == kept
+        # a record, full or reused, holds None exactly where a conv's output
+        # is read by a 2x2 pool, and every other array with a full forward's bits
+        for record in (got, want):
+            assert len(record) == len(net.layers) + 1
+            assert [i for i, r in enumerate(record) if r is None] == pooled_slots(net)
+        assert all(self.same_bits(g, w) for g, w in zip(got, want) if w is not None)
+        assert all(r is None or not r.flags.writeable for r in got)
+        assert [None if r is None else r.tobytes() for r in reference] == kept
         return out, reference
 
     @pytest.mark.parametrize("change", ["none", "all", "first", "last", "middle", "band-edge"])
@@ -637,6 +671,7 @@ class TestReferenceReuse:
             assert np.shares_memory(out.data, reference[-1])
 
     @settings(max_examples=100, deadline=None)
+    @example(rects=[(42, 62, 8, 8)], seed=9)  # the first conv's rectangle starts odd
     @given(rects=st.lists(st.tuples(st.integers(0, 95), st.integers(0, 95),
                                     st.integers(1, 96), st.integers(1, 96)),
                           min_size=1, max_size=2),
@@ -711,35 +746,42 @@ class TestReferenceReuse:
         """A forward of ``after`` reusing the record of ``before``: the
         rectangles the walk reaches at each layer, each reached conv's
         blocks as ``(r0, r1, c0, c1, block)`` tuples, one per
-        ``_conv2d_rows`` call, the record of ``before`` and the record of
-        ``after``."""
-        reference, got, rows, blocks = [], [], [], []
+        ``_conv2d_rows`` call, every array a pool returned, the record of
+        ``before`` and the record of ``after``."""
+        reference, got, rows, blocks, pools = [], [], [], [], []
         forward(net, store, Tensor(before), record=reference)
         rows_seen, conv_rows = network._rows_seen, network._conv_rows
+        pool = network._maxpool2_batch
 
         def spy_rows(*args):
             rows.append(rows_seen(*args))
             return rows[-1]
 
-        def spy_conv(*args):
+        def spy_conv(*args, **kwargs):
             blocks.append([])
-            return conv_rows(*args)
+            return conv_rows(*args, **kwargs)
 
         def spy_block(*args):
             out = _conv2d_rows(*args)
             blocks[-1].append(args[-4:] + (out[0],))
             return out
 
+        def spy_pool(*args):
+            pools.append(pool(*args))
+            return pools[-1]
+
         with mock.patch.multiple(network, _rows_seen=spy_rows, _conv_rows=spy_conv,
-                                 _conv2d_rows=spy_block):
+                                 _conv2d_rows=spy_block, _maxpool2_batch=spy_pool):
             forward(net, store, Tensor(after), record=got, reference=reference)
-        return rows, blocks, reference, got
+        return rows, blocks, pools, reference, got
 
     def test_walk_runs_whole_maps_on_the_plain_kernel(self):
         # tiny with input rows 10-19 changed across the map: each conv
-        # computes exactly the rectangles the walk reaches, however narrow
-        # its map (24, 12 and 6 columns too), and copies the rest; pools
-        # and the head always run their plain kernel.
+        # computes exactly the rectangles its output's reader needs, however
+        # narrow its map (24, 12 and 6 columns too), and copies the rest: a
+        # conv that a pool reads computes the pool's rectangles doubled, and
+        # pools them, and the head conv its own. No conv's whole map and no
+        # pool's plain kernel runs.
         net = REUSE_NETS["tiny"]
         before = Tensor.zeros(net.input_shape).data
 
@@ -748,39 +790,50 @@ class TestReferenceReuse:
             after[:, r0:r1, c0:c1] = 1
             return self.walk(net, TINY_STORE, before, after)
 
-        rows, blocks, reference, got = changed(10, 20)
+        rows, blocks, pools, reference, got = changed(10, 20)
         assert [[run[:2] for run in runs] for runs in rows] == [
             [(9, 21)], [(4, 11)], [(3, 12)], [(1, 6)], [(0, 7)], [(0, 4)], [(0, 5)], [(0, 3)],
             [(0, 3)], [(0, 3)]]
         assert [[b[:4] for b in bs] for bs in blocks] == [
-            [(9, 21, 0, 96)], [(3, 12, 0, 48)], [(0, 7, 0, 24)], [(0, 5, 0, 12)], [(0, 3, 0, 6)]]
+            [(8, 22, 0, 96)], [(2, 12, 0, 48)], [(0, 8, 0, 24)], [(0, 6, 0, 12)], [(0, 3, 0, 6)]]
+        assert [p.shape[2:] for p in pools] == [(7, 48), (5, 24), (4, 12), (3, 6)]
         # the head conv's rows 3-5 come from the record, in a copy of it
         assert not np.shares_memory(got[9], reference[9])
         assert self.same_bits(got[9][:, :, 3:], reference[9][:, :, 3:])
-        # rows 40-49 reach rows 8-14 of the 24x24 conv and rows 3-8 of the
-        # 12x12 conv, and only those
-        rows, blocks, _, got = changed(40, 50)
-        assert [runs[0][:2] for runs in rows[4:7]] == [(8, 15), (4, 8), (3, 9)]
-        assert [[b[:4] for b in bs] for bs in blocks[2:4]] == [[(8, 15, 0, 24)], [(3, 9, 0, 12)]]
+        # rows 40-49 reach rows 8-14 of the 24x24 conv, and so rows 4-7 of
+        # its pool, and rows 3-8 of the 12x12 conv, and so rows 1-4 of its
+        # pool, and only those
+        rows, blocks, _, _, got = changed(40, 50)
+        assert [runs[0][:2] for runs in rows[4:8]] == [(8, 15), (4, 8), (3, 9), (1, 5)]
+        assert [[b[:4] for b in bs] for bs in blocks[2:4]] == [[(8, 16, 0, 24)], [(2, 10, 0, 12)]]
         # pixels (40-49, 40-49) reach columns 39-50 of the first conv and
-        # 18-26 of the second, and at columns 85-95 columns 84-95 of the
-        # first, each computed as it is
-        rows, blocks, _, got = changed(40, 50, 40, 50)
+        # 18-26 of the second, which compute columns 38-51 and 18-27, and
+        # at columns 85-95 columns 84-95 of the first, each as it is
+        rows, blocks, _, _, got = changed(40, 50, 40, 50)
         assert rows[0] == [(39, 51, 39, 51)] and rows[2] == [(18, 27, 18, 27)]
-        assert [[b[:4] for b in bs] for bs in blocks[:2]] == [[(39, 51, 39, 51)],
-                                                              [(18, 27, 18, 27)]]
-        rows, blocks, _, got = changed(40, 50, 85, 96)
-        assert rows[0] == [(39, 51, 84, 96)] and blocks[0][0][:4] == (39, 51, 84, 96)
+        assert [[b[:4] for b in bs] for bs in blocks[:2]] == [[(38, 52, 38, 52)],
+                                                              [(18, 28, 18, 28)]]
+        rows, blocks, _, _, got = changed(40, 50, 85, 96)
+        assert rows[0] == [(39, 51, 84, 96)] and blocks[0][0][:4] == (38, 52, 84, 96)
+        # pixels (42-49, 62-69) reach rows 41-50 and columns 61-70 of the
+        # first conv, both from odd ones: the pool windows that see them
+        # cover rows 40-51 and columns 60-71, which the conv computes
+        rows, blocks, _, _, got = changed(42, 50, 62, 70)
+        assert rows[:2] == [[(41, 51, 61, 71)], [(20, 26, 30, 36)]]
+        assert blocks[0][0][:4] == (40, 52, 60, 72)
         # no changed row: every layer returns the recorded output
-        rows, blocks, reference, got = self.walk(net, TINY_STORE, before, before.copy())
-        assert rows == [[]] * 10 and blocks == []
+        rows, blocks, pools, reference, got = self.walk(net, TINY_STORE, before, before.copy())
+        assert rows == [[]] * 10 and blocks == [] and pools == []
         assert all(g is r for g, r in zip(got[1:], reference[1:]))
-        # every row changed: every conv's one block covers its map and is
+        # every row changed: every conv's one block covers the map it
+        # computes, and that block, pooled where a pool reads the conv, is
         # the layer's output, not a copy
-        rows, blocks, _, got = changed(0, 96)
-        assert all(len(b) == 1 and b[0][4] is got[i + 1] for i, b in
-                   zip(net.conv_indices(), blocks))
-        assert len(blocks) == len(net.conv_indices())
+        rows, blocks, pools, _, got = changed(0, 96)
+        assert [[b[:4] for b in bs] for bs in blocks] == [
+            [(0, 96, 0, 96)], [(0, 48, 0, 48)], [(0, 24, 0, 24)], [(0, 12, 0, 12)], [(0, 6, 0, 6)]]
+        assert [got[i] for i in pooled_slots(net)] == [None] * 4
+        assert all(p is got[i + 1] for p, i in zip(pools, pooled_slots(net), strict=True))
+        assert blocks[-1][0][4] is got[9]
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(sorted(REUSE_NETS)), data=st.data())
@@ -804,59 +857,61 @@ class TestReferenceReuse:
                 col = int(rng.integers(left, min(left + width, w)))
                 after[int(rng.integers(net.input_shape[0])), row, col] += np.float32(0.5)
                 mask[row, col] = True
-        rows, blocks, _, _ = self.walk(net, init_weights(net, 5), before, after)
+        rows, blocks, _, _, _ = self.walk(net, init_weights(net, 5), before, after)
         want = oracles.reached_mask(net, mask)
         assert len(rows) == len(net.layers)
         for runs, reached in zip(rows, want):
-            got = np.zeros(reached.shape, bool)
-            for r0, r1, c0, c1 in runs:
-                assert 0 <= r0 < r1 <= reached.shape[0] and 0 <= c0 < c1 <= reached.shape[1]
-                assert not got[r0:r1].any()
-                got[r0:r1, c0:c1] = True
-            assert np.array_equal(got, reached)
-        convs = [i for i in net.conv_indices() if want[i].any()]
+            assert np.array_equal(self.cover(runs, reached.shape), reached)
+        computed = oracles.computed_mask(net, want)
+        convs = [i for i in net.conv_indices() if computed[i].any()]
         assert len(blocks) == len(convs)
         for i, tuples in zip(convs, blocks):
-            assert [t[:4] for t in tuples] == rows[i]
+            assert np.array_equal(self.cover([t[:4] for t in tuples], computed[i].shape),
+                                  computed[i])
+            assert not (want[i] & ~computed[i]).any()
 
-    def test_wide_pools_pool_only_their_rectangles(self):
-        # At least 16 columns wide, a reached pool pools its rectangles
-        # alone, from the input they see, and copies the rest from the
-        # record; narrower, or under a rectangle that covers it, it runs the
-        # plain kernel.
+    @staticmethod
+    def cover(runs, shape):
+        """The [H, W] mask of rectangles ``runs``, each within ``shape`` and
+        in rows no earlier rectangle holds."""
+        got = np.zeros(shape, bool)
+        for r0, r1, c0, c1 in runs:
+            assert 0 <= r0 < r1 <= shape[0] and 0 <= c0 < c1 <= shape[1]
+            assert not got[r0:r1].any()
+            got[r0:r1, c0:c1] = True
+        return got
+
+    def test_a_conv_and_its_pool_run_as_pooled_blocks(self):
+        # A conv that a pool reads computes each pool rectangle's block of
+        # twice its rows and columns, from the input that block sees,
+        # activates and pools it, and copies the rest of the pool's output
+        # from the record; one rectangle that covers the pool's map is the
+        # output. Filter 0 is the identity at leaky alpha 0, so negative
+        # inputs give -0.0 and zeros +0.0: a window of both routes its tie
+        # as the plain kernel's.
         rng = np.random.default_rng(4)
-        for width, runs in [(20, [(2, 5, 3, 9), (10, 12, 0, 20)]), (15, [(2, 5, 3, 9)]),
-                            (20, [(0, 12, 0, 20)]), (16, [(2, 5, 3, 9)])]:
-            wide = width >= network.POOL_RECT_WIDTH
-            shape = (1, 3, 24, 2 * width)
-            x = rng.random(shape, dtype=np.float32)
-            x[0, 0, 5, 7] = -0.0  # a tie with +0.0 routes as the plain kernel's
-            x[0, 0, 4, 7] = 0.0
-            whole = network._maxpool2_batch(x)
+        conv = LayerSpec.conv(1, 2, 3, pad=1, activation="leaky", alpha=0.0)
+        kernel = rng.normal(size=conv.kernel_shape).astype(np.float32)
+        kernel[0] = 0
+        kernel[0, 0, 1, 1] = 1
+        weights = {3: (kernel, np.zeros(2, np.float32))}
+        for runs in [[(2, 5, 3, 9), (10, 12, 0, 20)], [(2, 5, 3, 9)], [(0, 12, 0, 20)],
+                     [(11, 12, 19, 20)]]:
+            x = rng.normal(size=(1, 1, 24, 40)).astype(np.float32)
+            x[0, 0, 4:6, 6:8] = [[-1, 0], [0, -1]]
+            x[0, 0, 20:22, 38:40] = [[0, -1], [-1, 0]]
+            pre, _ = _conv2d_batch(x, *weights[3], 1, 1)
+            whole = network._maxpool2_batch(network._pointwise_raw(pre, "leaky-relu", 0.0))
+            assert np.signbit(whole[0, 0, 2, 3]) and not np.signbit(whole[0, 0, 10, 19])
             was = rng.random(whole.shape, dtype=np.float32)
-            inside = np.zeros(whole.shape[2:], bool)
-            for r0, r1, c0, c1 in runs:
-                inside[r0:r1, c0:c1] = True
-            covers = len(runs) == 1 and inside.all()
-            if wide and not covers:
-                seen = np.repeat(np.repeat(inside, 2, axis=0), 2, axis=1)
-                x = np.where(seen, x, np.float32(np.nan))
-            with mock.patch.object(network, "_maxpool2_batch",
-                                   wraps=network._maxpool2_batch) as pool:
-                out = network._pool_rows(x, was, runs)
-            want = np.where(inside, whole, was) if wide else whole
-            assert self.same_bits(out, want)
+            inside = self.cover(runs, whole.shape[2:])
+            seen = np.repeat(np.repeat(inside, 2, axis=0), 2, axis=1)
+            seen = np.lib.stride_tricks.sliding_window_view(np.pad(seen, 1), (3, 3)).any(
+                axis=(2, 3))
+            masked = np.where(seen, x, np.float32(np.nan))
+            out = network._conv_rows(conv, weights, 3, masked, was, runs, pooled=True)
+            assert self.same_bits(out, np.where(inside, whole, was))
             assert not np.shares_memory(out, was)
-            # the plain kernel runs on the whole input, with no copy of was
-            plain = [c.args for c in pool.call_args_list if c.args[0] is x]
-            assert plain == ([] if wide and not covers else [(x,)])
-        # every pool a reused forward of tiny reaches goes through _pool_rows
-        net, before = REUSE_NETS["tiny"], Tensor.zeros((3, 96, 96)).data
-        after = before.copy()
-        after[:, 40:50, 40:50] = 1
-        with mock.patch.object(network, "_pool_rows", wraps=network._pool_rows) as pools:
-            self.walk(net, TINY_STORE, before, after)
-        assert [c.args[1].shape[3] for c in pools.call_args_list] == [48, 24, 12, 6]
 
     def test_reference_of_another_network_is_rejected(self):
         net, other = REUSE_NETS["tiny"], mini_tiny()

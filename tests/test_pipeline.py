@@ -548,7 +548,7 @@ class TestReferenceRecord:
             made_with_net, made_with_store, record = state.reference_record
             assert did_infer and made_with_net is net and made_with_store is store
             assert np.shares_memory(record[0], frame.pixels.data)
-            assert all(not r.flags.writeable for r in record)
+            assert all(r is None or not r.flags.writeable for r in record)
             self.assert_fresh(state, net, store, frame)
             records.append(record)
         assert references[0] is None
