@@ -5,7 +5,7 @@ reference yet). Afterwards each frame is paired with the reference, gated
 by the motion map, and either (a) run through the detector, becoming the
 new reference together with its class probability map and its boxes, or
 (b) skipped, in which case the reference's boxes are returned again.
-The state keeps three values made from the reference, each with the key
+The state keeps four values made from the reference, each with the key
 it was made under (see :class:`PipelineState`), and uses one only when its
 key matches the call:
 
@@ -22,6 +22,18 @@ key matches the call:
   changed in place, or a state given another reference), and never made
   with ``policy=None``. A gated frame therefore multiplies only its own
   channels, and its map has the bits of the ``[2C,H,W]`` stack's.
+- the last gated frame's pixels and its motion map, keyed on that half and
+  the bytes of the gate bias. A bias change drops only these. The first
+  gated frame under a key maps in full. A later one is compared with the
+  last gated frame bit for bit, by the forward's compare
+  (``network._changed_rows``), and ``motion_map`` runs only on each
+  rectangle in which they differ, written into a copy of the last map; a
+  repeated frame reuses the last map as it is. The gate maps each pixel
+  alone, from the current pixel, the half and the bias, so the map, the
+  decision and the boxes keep their bits on any BLAS. Once a compare under
+  a key finds every row changed, as sensor noise does, the later frames
+  under that key map in full without a compare. An inferred frame drops
+  the map before its forward.
 - the reference's forward record, keyed on ``net`` and ``store`` by
   identity. A gated inferred frame passes it to ``network.forward`` as
   ``reference``, which states the reuse rule, and records its own forward
@@ -31,6 +43,11 @@ key matches the call:
 keeps no record; it is the one detection path, which the CLI's ``detect``
 and evaluation metric use, and the per-frame baseline that gating is
 measured against.
+
+A frame's pixels must not be written after the frame is passed to
+:func:`process_frame`: the forward's record and the gate's last frame are
+compared with later frames, and a pixel written in place would read as
+unchanged.
 
 Processing is strictly sequential per video; independent videos can run
 concurrently with separate states.
@@ -47,7 +64,7 @@ from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
                        map_from_output, nms)
 from .motion import Frame, GatingPolicy, decide, motion_map, reference_half, stack_frames
 from .netdef import NetworkDescriptor, WeightStore
-from .network import forward
+from .network import _changed_rows, forward
 
 __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
@@ -55,13 +72,17 @@ __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 @dataclass(frozen=True)
 class PipelineState:
     """What the next frame needs: the reference and its map, how old it is,
-    and three values made from the reference, each in a tuple with the key
+    and four values made from the reference, each in a tuple with the key
     it was made under and used only when that key matches the call:
 
     * ``reference_boxes``, ``(settings, boxes)``: the settings are the
       anchors and the two thresholds as Python floats;
     * ``reference_half``, ``(reference frame, gate kernel bytes, half)``:
       the reference's read-only half of the gate's products;
+    * ``last_gated``, ``(reference_half, gate bias bytes, pixels, map)``:
+      the last gated frame's pixels and its read-only motion map, made with
+      that half (by identity) and bias; pixels and map are None once a
+      compare under that key found every row changed;
     * ``reference_record``, ``(net, store, arrays)``: the reference's
       forward record (``network.forward``'s ``record``).
 
@@ -74,6 +95,7 @@ class PipelineState:
     reference_boxes: Optional[tuple] = None
     reference_half: Optional[tuple] = None
     reference_record: Optional[tuple] = None
+    last_gated: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if (self.reference_frame is None) != (self.reference_map is None):
@@ -106,12 +128,14 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     state's record when it was made with this ``net`` and ``store``. The
     returned list is the caller's to change. A frame's shape is
     checked once, by the stage that uses it: ``motion_map`` against the
-    reference's half, or ``forward`` against the network input when there
-    is no reference or no policy. States are immutable, so the caller's
-    state stays usable after an error.
+    reference's half, before any compare with the last gated frame, or
+    ``forward`` against the network input when there is no reference or no
+    policy. States are immutable, so the caller's state stays usable after
+    an error.
     """
     reference, cmap = state.reference_frame, state.reference_map
     boxes, half, record = state.reference_boxes, state.reference_half, state.reference_record
+    last = state.last_gated
     gate_s = 0.0
     gap = state.frames_since_inference + 1
     if reference is None or policy is None:
@@ -121,15 +145,17 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
         kernel = policy.kernel.data.tobytes()
         if half is None or half[0] is not reference or half[1] != kernel:
             half = (reference, kernel, reference_half(reference, policy))
-        # The motion map is dropped before inference. Kept alive through the
-        # forward, it left the heap's free top within 24 KB of glibc's trim
-        # threshold in most process layouts, and some trimmed and re-grew
-        # the heap on every run.
-        must_infer = decide(motion_map(stack_frames(frame, half[2]), policy), policy, gap)
+        m, last = _gate_map(stack_frames(frame, half[2]), policy, half, last)
+        must_infer = decide(m, policy, gap)
         gate_s = time.perf_counter() - t0
 
     infer_s = 0.0
     if must_infer:
+        # The motion map is dropped before inference. Kept alive through the
+        # forward, it left the heap's free top within 24 KB of glibc's trim
+        # threshold in most process layouts, and some trimmed and re-grew
+        # the heap on every run.
+        m = last = None
         t0 = time.perf_counter()
         if policy is None:
             out, record = forward(net, store, frame.pixels), None
@@ -149,8 +175,39 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     if boxes is None or boxes[0] != settings:
         boxes = (settings, tuple(nms(decode(cmap, anchors, obj_threshold), nms_threshold)))
     decode_s = time.perf_counter() - t0
-    new_state = PipelineState(reference, cmap, gap, boxes, half, record)
+    new_state = PipelineState(reference, cmap, gap, boxes, half, record, last)
     return list(boxes[1]), must_infer, new_state, FrameTiming(gate_s, infer_s, decode_s)
+
+
+def _gate_map(stack: tuple, policy: GatingPolicy, half: tuple,
+              last: Optional[tuple]) -> tuple:
+    """The motion map of ``stack`` with ``motion_map``'s bits, and the
+    ``last_gated`` value to keep (see :class:`PipelineState`). Under the
+    same half and bias only the rectangles in which the current frame
+    differs from ``last``'s are mapped again; a rectangle that covers every
+    row is the whole map."""
+    current, product = stack
+    bias = policy.bias.data.tobytes()
+    runs = None
+    if last is not None and last[0] is half and last[1] == bias:
+        if last[2] is None:
+            return motion_map(stack, policy), last
+        # A frame of another shape goes to motion_map, which raises.
+        if current.shape == last[2].shape:
+            runs = _changed_rows(current[None], last[2][None])
+    if runs is None:
+        m = motion_map(stack, policy)
+    elif runs and runs[0][:2] == (0, current.shape[1]):
+        return motion_map(stack, policy), (half, bias, None, None)
+    elif runs:
+        m = last[3].copy()
+        for a, b, c0, c1 in runs:
+            m[:, a:b, c0:c1] = motion_map(
+                (current[:, a:b, c0:c1], product[:, a:b, c0:c1]), policy)
+    else:
+        m = last[3]
+    m.flags.writeable = False
+    return m, (half, bias, current, m)
 
 
 @dataclass
@@ -194,13 +251,13 @@ def run(frames: Iterable[Frame], net: NetworkDescriptor, store: WeightStore,
 
     ``frames`` may be any iterable, a lazy one included: it is read once,
     one frame at a time, and never held whole, so a run keeps only the
-    current frame and the reference alive. ``policy=None`` infers every
-    frame. Wall time covers the gate, infer, and decode stages only (frame
-    I/O is the caller's business); FPS is frames divided by that total. A
-    ``ValueError``, ``ArithmeticError`` or ``OSError`` raised for a frame by
-    :func:`process_frame` is re-raised as the same type with
-    ``frame <index>:`` before its message; one raised by the iterable
-    itself passes through unchanged.
+    current frame, the reference and the last gated frame alive.
+    ``policy=None`` infers every frame. Wall time covers the gate, infer,
+    and decode stages only (frame I/O is the caller's business); FPS is
+    frames divided by that total. A ``ValueError``, ``ArithmeticError`` or
+    ``OSError`` raised for a frame by :func:`process_frame` is re-raised as
+    the same type with ``frame <index>:`` before its message; one raised by
+    the iterable itself passes through unchanged.
     """
     state = PipelineState()
     decisions: list[int] = []

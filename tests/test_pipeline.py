@@ -372,28 +372,62 @@ class TestReuse:
 
 class TestReferenceHalf:
     """The state keeps the reference's half of the gate's products, made once
-    per reference and kernel; every map equals one of a fresh stack."""
+    per reference and kernel, and the last gated frame with its map, made
+    again only where a frame differs from it; the map that ``decide`` gets
+    equals one of a fresh stack."""
 
     @pytest.fixture
     def gate(self, monkeypatch):
-        seen = {"halves": 0, "maps": []}
+        # maps: each map decide receives; mapped: the shape of each pair
+        # motion_map maps; compares: what each compare with the last gated
+        # frame found
+        seen = {"halves": 0, "maps": [], "mapped": [], "compares": []}
 
         def counted_half(*args, fn=pipeline.reference_half):
             seen["halves"] += 1
             return fn(*args)
 
-        def recorded_map(*args, fn=pipeline.motion_map):
-            m = fn(*args)
+        def recorded_decide(m, *args, fn=pipeline.decide):
             seen["maps"].append(m.copy())
-            return m
+            return fn(m, *args)
+
+        def recorded_map(stack, policy, fn=pipeline.motion_map):
+            seen["mapped"].append(stack[0].shape)
+            return fn(stack, policy)
+
+        def recorded_compare(*args, fn=pipeline._changed_rows):
+            seen["compares"].append(fn(*args))
+            return seen["compares"][-1]
         monkeypatch.setattr(pipeline, "reference_half", counted_half)
+        monkeypatch.setattr(pipeline, "decide", recorded_decide)
         monkeypatch.setattr(pipeline, "motion_map", recorded_map)
+        monkeypatch.setattr(pipeline, "_changed_rows", recorded_compare)
         return seen
 
     @staticmethod
     def fresh_map(frame, reference, policy):
         stack = np.concatenate([frame.pixels.data, reference.pixels.data], axis=0)
         return oracles.channel_sum_motion_map(stack, policy.kernel.data, policy.bias.data)
+
+    def stream(self, gate, net, store, frames, policies, state=None):
+        """Each frame through ``process_frame``, checking that each gated
+        frame's map has the oracle's bits and its decision is ``decide``'s
+        on that map; returns the decisions and the last state."""
+        state, decisions = state or PipelineState(), []
+        for frame, policy in zip(frames, policies):
+            reference, gap = state.reference_frame, state.frames_since_inference + 1
+            maps = len(gate["maps"])
+            _, did_infer, state, _ = process_frame(
+                state, frame, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
+            gated = reference is not None and policy is not None
+            assert len(gate["maps"]) == maps + gated
+            if gated:
+                want = self.fresh_map(frame, reference, policy)
+                assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
+                assert did_infer is decide(want, policy, gap)
+            assert (state.last_gated is None) is did_infer
+            decisions.append(did_infer)
+        return decisions, state
 
     def test_kernel_changes_mid_stream(self, net_and_store, gate):
         net, store = net_and_store
@@ -515,6 +549,80 @@ class TestReferenceHalf:
         assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
         assert did_infer is decide(want, policy, moved.frames_since_inference + 1)
         assert gate["halves"] == 2
+
+    def test_bias_changed_in_place_keeps_the_half(self, net_and_store, gate):
+        net, store = net_and_store
+        b = np.zeros(1, np.float32)
+        policy = GatingPolicy(kernel=GatingPolicy.default(3).kernel, bias=Tensor(b))
+        assert policy.bias.data is b  # the Tensor wraps the caller's array
+        f1 = scene_frames(1, seed=8)[0]
+        frames = [Frame(n, f1.pixels) for n in range(1, 7)]
+        _, state = self.stream(gate, net, store, frames[:3], [policy] * 3)
+        assert gate["compares"] == [[]] and gate["halves"] == 1
+        for frame, bias in zip(frames[3:], (0.03, 0.03, 0.0)):
+            mapped, compares = len(gate["mapped"]), len(gate["compares"])
+            b[0] = bias
+            decisions, state = self.stream(gate, net, store, [frame], [policy], state)
+            assert decisions == [False] and gate["halves"] == 1
+            # a new bias maps in full with no compare; the same one reuses the map
+            again = bias == 0.03 and frame is frames[4]
+            assert len(gate["compares"]) == compares + again
+            assert gate["mapped"][mapped:] == ([] if again else [(3, 32, 32)])
+        assert state.last_gated[1] == b.tobytes()
+
+    def test_slow_clip_maps_only_the_changed_rectangles(self, net_and_store, gate):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3, area_threshold=0.05)
+        frames = scene_frames(16, seed=5, velocity=(0.4, 0.3))
+        decisions, state = self.stream(gate, net, store, frames, [policy] * 16)
+        assert 1 < sum(decisions) < 8
+        partial = [runs for runs in gate["compares"] if runs]
+        assert partial and all(runs[0][:2] != (0, 32) for runs in partial)
+        assert any(len(runs) > 1 for runs in partial) and [] in gate["compares"]
+        blocks = [(3, b - a, c1 - c0) for runs in partial for a, b, c0, c1 in runs]
+        assert set(blocks) <= set(gate["mapped"])
+        assert not state.last_gated[3].flags.writeable
+
+    def test_noisy_clip_stops_comparing(self, net_and_store, gate):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3, force_every=6)
+        spec = SyntheticSceneSpec(frames=12, width=32, height=32, velocities=((3.0, 2.0),),
+                                  schedule=(MotionInterval(1, 12, False),), noise=0.015,
+                                  seed=9)
+        frames = frames_from_scene(generate_scene(spec)[0])
+        decisions, state = self.stream(gate, net, store, frames, [policy] * 12)
+        assert [n for n, d in enumerate(decisions, start=1) if d] == [1, 7]
+        # one compare per reference, on its second gated frame (3 and 9),
+        # finds every row changed; the later ones map in full without one
+        assert gate["compares"] == [[(0, 32, 0, 32)]] * 2
+        assert gate["mapped"] == [(3, 32, 32)] * 11
+        assert state.last_gated[2:] == (None, None)
+
+    def test_a_signed_zero_counts_as_changed(self, net_and_store, gate):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3)
+        pixels = scene_frames(1, seed=10)[0].pixels.data.copy()
+        pixels[1, 5, 7] = 0.0
+        signed = pixels.copy()
+        signed[1, 5, 7] = -0.0
+        frames = [Frame(1, Tensor(pixels)), Frame(2, Tensor(pixels.copy())),
+                  Frame(3, Tensor(signed))]
+        decisions, _ = self.stream(gate, net, store, frames, [policy] * 3)
+        assert decisions == [True, False, False]
+        assert gate["compares"] == [[(5, 6, 7, 8)]]
+        assert gate["mapped"] == [(3, 32, 32), (3, 1, 1)]
+
+    def test_no_policy_frame_drops_the_last_gated_frame(self, net_and_store, gate):
+        net, store = net_and_store
+        policy = GatingPolicy.default(3)
+        f1 = scene_frames(1, seed=11)[0]
+        frames = [Frame(n, f1.pixels) for n in range(1, 7)]
+        decisions, _ = self.stream(gate, net, store, frames,
+                                   [policy, policy, policy, None, policy, policy])
+        assert decisions == [True, False, False, True, False, False]
+        # frames 2 and 5 map in full after an inference; 3 and 6 compare
+        assert gate["compares"] == [[], []]
+        assert gate["mapped"] == [(3, 32, 32)] * 2
 
 
 class TestReferenceRecord:

@@ -29,7 +29,11 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   gated frames, and makes the gate's half again for a new kernel. A fourth
   runs over a two-object clip (``seed=16``, velocities 4,0.5 and -3,0.5,
   the c01 schedule) whose objects share rows, so that a run of changed
-  rows spans both, and one of which reaches the right edge;
+  rows spans both, and one of which reaches the right edge. A fifth runs
+  over the c01 scene at velocity 0.5,0.25, under a pixel per frame, with
+  the default gate at ``tau`` 0.01: the object shifts by one pixel every
+  few frames, so many skipped frames differ from the last gated frame in
+  a few rows, and the gate maps only those;
 - each command's exit code and printed output.
 
 ``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.
@@ -92,6 +96,8 @@ def produce(quick: bool) -> None:
          schedule=schedule, seed=11, noise=0.015)
     call("synth-two", "synth", out="two-clip", frames=frames, objects=2,
          velocity="4,0.5;-3,0.5", schedule=schedule, seed=16)
+    call("synth-slow", "synth", out="slow-clip", frames=frames, velocity="0.5,0.25",
+         schedule=schedule, seed=11)
     tiny = zoo.load_bundled("tiny")
     netdef.save_network("init.fnet", tiny, network.init_weights(tiny, 0))
     fnets = {"init": "init.fnet"}
@@ -116,10 +122,12 @@ def produce(quick: bool) -> None:
         k = np.float32([0.7, 0.2, 0.45])
         other_gate = GatingPolicy(kernel=Tensor(np.concatenate([k, -k]).reshape(1, 6, 1, 1)),
                                   bias=Tensor.zeros((1,)))
+        slow_gate = GatingPolicy.default(net.input_shape[0], area_threshold=0.01)
         streams = (("clip", "gated-map", (gate,)),
                    ("noisy-clip", "gated-noisy-map", (gate,)),
                    ("clip", "gated-rotating-map", (gate, None, other_gate)),
-                   ("two-clip", "gated-two-map", (gate,)))
+                   ("two-clip", "gated-two-map", (gate,)),
+                   ("slow-clip", "gated-slow-map", (slow_gate,)))
         for clip, name, policies in streams:
             state = pipeline.PipelineState()
             with Path(f"{name}-{tag}.txt").open("w") as digests:
