@@ -240,13 +240,9 @@ def _pooled_convs(net: NetworkDescriptor) -> set:
 def _changed_rows(x: np.ndarray, was: np.ndarray) -> list:
     """The runs ``(a, b, c0, c1)`` of rows ``[a, b)`` in which two [B,C,H,W]
     arrays differ in any bit, so that -0.0 and +0.0 differ, each with the
-    columns ``[c0, c1)`` from its first to its last differing one. Arrays
-    with no differing bit, as the gate's repeated frames are, return at
-    once."""
+    columns ``[c0, c1)`` from its first to its last differing one."""
     b, c, h, w = x.shape
     differ = np.not_equal(x.view(np.uint32), was.view(np.uint32)).reshape(b * c, h * w)
-    if not differ.any():
-        return []
     pixels = np.logical_or.reduce(differ, axis=0).reshape(h, w)
     changed = np.zeros(h + 2, np.int8)
     changed[1:-1] = pixels.any(axis=1)

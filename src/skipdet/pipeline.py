@@ -22,18 +22,15 @@ key matches the call:
   changed in place, or a state given another reference), and never made
   with ``policy=None``. A gated frame therefore multiplies only its own
   channels, and its map has the bits of the ``[2C,H,W]`` stack's.
-- the last gated frame's pixels and its motion map, keyed on that half and
-  the bytes of the gate bias. A bias change drops only these. The first
-  gated frame under a key maps in full. A later one is compared with the
-  last gated frame bit for bit, by the forward's compare
-  (``network._changed_rows``), and ``motion_map`` runs only on each
-  rectangle in which they differ, written into a copy of the last map; a
-  repeated frame reuses the last map as it is. The gate maps each pixel
-  alone, from the current pixel, the half and the bias, so the map, the
-  decision and the boxes keep their bits on any BLAS. Once a compare under
-  a key finds every row changed, as sensor noise does, the later frames
-  under that key map in full without a compare. An inferred frame drops
-  the map before its forward.
+- the pixels and the read-only motion map of the last gated frame mapped
+  in full, keyed on that half and the bytes of the gate bias. A bias
+  change drops only these. The first gated frame under a key maps in full
+  and keeps them. A later one whose bits all equal those pixels (so -0.0
+  and +0.0 differ) reuses the map as it is; one that differs in any bit
+  maps in full and drops the pixels and the map, so the later frames
+  under that key map in full without a compare. The gate maps each pixel
+  from the current pixel, the half and the bias alone, so a reused map has
+  a fresh map's bits. An inferred frame drops the map before its forward.
 - the reference's forward record, keyed on ``net`` and ``store`` by
   identity. A gated inferred frame passes it to ``network.forward`` as
   ``reference``, which states the reuse rule, and records its own forward
@@ -45,7 +42,7 @@ and evaluation metric use, and the per-frame baseline that gating is
 measured against.
 
 A frame's pixels must not be written after the frame is passed to
-:func:`process_frame`: the forward's record and the gate's last frame are
+:func:`process_frame`: the forward's record and the gate's kept pixels are
 compared with later frames, and a pixel written in place would read as
 unchanged.
 
@@ -60,11 +57,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .detector import (AnchorPrior, ClassProbabilityMap, DetectionBox, decode,
                        map_from_output, nms)
 from .motion import Frame, GatingPolicy, decide, motion_map, reference_half, stack_frames
 from .netdef import NetworkDescriptor, WeightStore
-from .network import _changed_rows, forward
+from .network import forward
 
 __all__ = ["FrameTiming", "PipelineState", "RunReport", "process_frame", "run"]
 
@@ -80,9 +79,9 @@ class PipelineState:
     * ``reference_half``, ``(reference frame, gate kernel bytes, half)``:
       the reference's read-only half of the gate's products;
     * ``last_gated``, ``(reference_half, gate bias bytes, pixels, map)``:
-      the last gated frame's pixels and its read-only motion map, made with
-      that half (by identity) and bias; pixels and map are None once a
-      compare under that key found every row changed;
+      the pixels and read-only motion map of the last gated frame mapped in
+      full with that half (by identity) and bias; pixels and map are None
+      once a gated frame under that key differed from them;
     * ``reference_record``, ``(net, store, arrays)``: the reference's
       forward record (``network.forward``'s ``record``).
 
@@ -128,10 +127,10 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
     state's record when it was made with this ``net`` and ``store``. The
     returned list is the caller's to change. A frame's shape is
     checked once, by the stage that uses it: ``motion_map`` against the
-    reference's half, before any compare with the last gated frame, or
-    ``forward`` against the network input when there is no reference or no
-    policy. States are immutable, so the caller's state stays usable after
-    an error.
+    reference's half (a frame of another shape never equals the kept
+    pixels, so it is mapped), or ``forward`` against the network input when
+    there is no reference or no policy. States are immutable, so the
+    caller's state stays usable after an error.
     """
     reference, cmap = state.reference_frame, state.reference_map
     boxes, half, record = state.reference_boxes, state.reference_half, state.reference_record
@@ -181,33 +180,19 @@ def process_frame(state: PipelineState, frame: Frame, policy: Optional[GatingPol
 
 def _gate_map(stack: tuple, policy: GatingPolicy, half: tuple,
               last: Optional[tuple]) -> tuple:
-    """The motion map of ``stack`` with ``motion_map``'s bits, and the
-    ``last_gated`` value to keep (see :class:`PipelineState`). Under the
-    same half and bias only the rectangles in which the current frame
-    differs from ``last``'s are mapped again; a rectangle that covers every
-    row is the whole map."""
-    current, product = stack
+    """The motion map of ``stack`` and the ``last_gated`` value to keep (see
+    :class:`PipelineState`): under the same half and bias a frame whose bits
+    all equal the kept pixels reuses the kept map; any other maps in full."""
+    current = stack[0]
     bias = policy.bias.data.tobytes()
-    runs = None
-    if last is not None and last[0] is half and last[1] == bias:
-        if last[2] is None:
-            return motion_map(stack, policy), last
-        # A frame of another shape goes to motion_map, which raises.
-        if current.shape == last[2].shape:
-            runs = _changed_rows(current[None], last[2][None])
-    if runs is None:
+    if last is None or last[0] is not half or last[1] != bias:
         m = motion_map(stack, policy)
-    elif runs and runs[0][:2] == (0, current.shape[1]):
-        return motion_map(stack, policy), (half, bias, None, None)
-    elif runs:
-        m = last[3].copy()
-        for a, b, c0, c1 in runs:
-            m[:, a:b, c0:c1] = motion_map(
-                (current[:, a:b, c0:c1], product[:, a:b, c0:c1]), policy)
-    else:
-        m = last[3]
-    m.flags.writeable = False
-    return m, (half, bias, current, m)
+        m.flags.writeable = False
+        return m, (half, bias, current, m)
+    if last[2] is not None and np.array_equal(current.view(np.uint32),
+                                              last[2].view(np.uint32)):
+        return last[3], last
+    return motion_map(stack, policy), (half, bias, None, None)
 
 
 @dataclass
@@ -251,13 +236,13 @@ def run(frames: Iterable[Frame], net: NetworkDescriptor, store: WeightStore,
 
     ``frames`` may be any iterable, a lazy one included: it is read once,
     one frame at a time, and never held whole, so a run keeps only the
-    current frame, the reference and the last gated frame alive.
-    ``policy=None`` infers every frame. Wall time covers the gate, infer,
-    and decode stages only (frame I/O is the caller's business); FPS is
-    frames divided by that total. A ``ValueError``, ``ArithmeticError`` or
-    ``OSError`` raised for a frame by :func:`process_frame` is re-raised as
-    the same type with ``frame <index>:`` before its message; one raised by
-    the iterable itself passes through unchanged.
+    current frame, the reference and the gated frame last mapped in full
+    alive. ``policy=None`` infers every frame. Wall time covers the gate,
+    infer, and decode stages only (frame I/O is the caller's business); FPS
+    is frames divided by that total. A ``ValueError``, ``ArithmeticError``
+    or ``OSError`` raised for a frame by :func:`process_frame` is re-raised
+    as the same type with ``frame <index>:`` before its message; one raised
+    by the iterable itself passes through unchanged.
     """
     state = PipelineState()
     decisions: list[int] = []

@@ -372,16 +372,15 @@ class TestReuse:
 
 class TestReferenceHalf:
     """The state keeps the reference's half of the gate's products, made once
-    per reference and kernel, and the last gated frame with its map, made
-    again only where a frame differs from it; the map that ``decide`` gets
-    equals one of a fresh stack."""
+    per reference and kernel, and the pixels and map of the gated frame last
+    mapped in full, whose map a bit-equal frame reuses; the map that
+    ``decide`` gets equals one of a fresh stack."""
 
     @pytest.fixture
     def gate(self, monkeypatch):
         # maps: each map decide receives; mapped: the shape of each pair
-        # motion_map maps; compares: what each compare with the last gated
-        # frame found
-        seen = {"halves": 0, "maps": [], "mapped": [], "compares": []}
+        # motion_map maps
+        seen = {"halves": 0, "maps": [], "mapped": []}
 
         def counted_half(*args, fn=pipeline.reference_half):
             seen["halves"] += 1
@@ -394,14 +393,9 @@ class TestReferenceHalf:
         def recorded_map(stack, policy, fn=pipeline.motion_map):
             seen["mapped"].append(stack[0].shape)
             return fn(stack, policy)
-
-        def recorded_compare(*args, fn=pipeline._changed_rows):
-            seen["compares"].append(fn(*args))
-            return seen["compares"][-1]
         monkeypatch.setattr(pipeline, "reference_half", counted_half)
         monkeypatch.setattr(pipeline, "decide", recorded_decide)
         monkeypatch.setattr(pipeline, "motion_map", recorded_map)
-        monkeypatch.setattr(pipeline, "_changed_rows", recorded_compare)
         return seen
 
     @staticmethod
@@ -558,30 +552,51 @@ class TestReferenceHalf:
         f1 = scene_frames(1, seed=8)[0]
         frames = [Frame(n, f1.pixels) for n in range(1, 7)]
         _, state = self.stream(gate, net, store, frames[:3], [policy] * 3)
-        assert gate["compares"] == [[]] and gate["halves"] == 1
+        assert gate["mapped"] == [(3, 32, 32)] and gate["halves"] == 1
         for frame, bias in zip(frames[3:], (0.03, 0.03, 0.0)):
-            mapped, compares = len(gate["mapped"]), len(gate["compares"])
+            mapped = len(gate["mapped"])
             b[0] = bias
             decisions, state = self.stream(gate, net, store, [frame], [policy], state)
             assert decisions == [False] and gate["halves"] == 1
-            # a new bias maps in full with no compare; the same one reuses the map
+            # a new bias maps in full; the same one reuses the map
             again = bias == 0.03 and frame is frames[4]
-            assert len(gate["compares"]) == compares + again
             assert gate["mapped"][mapped:] == ([] if again else [(3, 32, 32)])
         assert state.last_gated[1] == b.tobytes()
+        assert state.last_gated[2] is f1.pixels.data
 
-    def test_slow_clip_maps_only_the_changed_rectangles(self, net_and_store, gate):
+    def test_slow_clip_reuses_only_repeated_frames(self, net_and_store, gate):
         net, store = net_and_store
         policy = GatingPolicy.default(3, area_threshold=0.05)
         frames = scene_frames(16, seed=5, velocity=(0.4, 0.3))
-        decisions, state = self.stream(gate, net, store, frames, [policy] * 16)
-        assert 1 < sum(decisions) < 8
-        partial = [runs for runs in gate["compares"] if runs]
-        assert partial and all(runs[0][:2] != (0, 32) for runs in partial)
-        assert any(len(runs) > 1 for runs in partial) and [] in gate["compares"]
-        blocks = [(3, b - a, c1 - c0) for runs in partial for a, b, c0, c1 in runs]
-        assert set(blocks) <= set(gate["mapped"])
-        assert not state.last_gated[3].flags.writeable
+        state, paths = PipelineState(), []
+        for frame in frames:
+            before, mapped = state.last_gated, len(gate["mapped"])
+            gated = state.reference_frame is not None
+            (inferred,), state = self.stream(gate, net, store, [frame], [policy], state)
+            maps = gate["mapped"][mapped:]
+            if not gated:
+                path = "ungated"
+            elif before is None:
+                path = "first"
+                assert maps == [(3, 32, 32)]
+                assert inferred or state.last_gated[2] is frame.pixels.data
+                assert inferred or not state.last_gated[3].flags.writeable
+            elif before[2] is None:
+                path = "after a change"
+                assert maps == [(3, 32, 32)]
+                assert inferred or state.last_gated[2:] == (None, None)
+            elif np.array_equal(frame.pixels.data.view(np.uint32), before[2].view(np.uint32)):
+                path = "repeat"
+                assert maps == [] and (inferred or state.last_gated is before)
+            else:
+                path = "changed"
+                assert maps == [(3, 32, 32)]
+                assert inferred or state.last_gated[2:] == (None, None)
+            paths.append((path, inferred))
+        assert 1 < sum(inferred for _, inferred in paths) < 8
+        # skipped frames took each path: reused a map, differed from the kept
+        # pixels without moving enough to infer, and mapped in full after that
+        assert {("repeat", False), ("changed", False), ("after a change", False)} <= set(paths)
 
     def test_noisy_clip_stops_comparing(self, net_and_store, gate):
         net, store = net_and_store
@@ -590,11 +605,13 @@ class TestReferenceHalf:
                                   schedule=(MotionInterval(1, 12, False),), noise=0.015,
                                   seed=9)
         frames = frames_from_scene(generate_scene(spec)[0])
-        decisions, state = self.stream(gate, net, store, frames, [policy] * 12)
+        decisions, state = self.stream(gate, net, store, frames[:2], [policy] * 2)
+        assert state.last_gated[2] is frames[1].pixels.data
+        # each later frame differs from the one before, so the pixels are
+        # dropped until the next inference, and every gated frame maps in full
+        more, state = self.stream(gate, net, store, frames[2:], [policy] * 10, state)
+        decisions += more
         assert [n for n, d in enumerate(decisions, start=1) if d] == [1, 7]
-        # one compare per reference, on its second gated frame (3 and 9),
-        # finds every row changed; the later ones map in full without one
-        assert gate["compares"] == [[(0, 32, 0, 32)]] * 2
         assert gate["mapped"] == [(3, 32, 32)] * 11
         assert state.last_gated[2:] == (None, None)
 
@@ -607,10 +624,10 @@ class TestReferenceHalf:
         signed[1, 5, 7] = -0.0
         frames = [Frame(1, Tensor(pixels)), Frame(2, Tensor(pixels.copy())),
                   Frame(3, Tensor(signed))]
-        decisions, _ = self.stream(gate, net, store, frames, [policy] * 3)
+        decisions, state = self.stream(gate, net, store, frames, [policy] * 3)
         assert decisions == [True, False, False]
-        assert gate["compares"] == [[(5, 6, 7, 8)]]
-        assert gate["mapped"] == [(3, 32, 32), (3, 1, 1)]
+        assert gate["mapped"] == [(3, 32, 32)] * 2
+        assert state.last_gated[2:] == (None, None)
 
     def test_no_policy_frame_drops_the_last_gated_frame(self, net_and_store, gate):
         net, store = net_and_store
@@ -620,8 +637,7 @@ class TestReferenceHalf:
         decisions, _ = self.stream(gate, net, store, frames,
                                    [policy, policy, policy, None, policy, policy])
         assert decisions == [True, False, False, True, False, False]
-        # frames 2 and 5 map in full after an inference; 3 and 6 compare
-        assert gate["compares"] == [[], []]
+        # frames 2 and 5 map in full after an inference; 3 and 6 reuse it
         assert gate["mapped"] == [(3, 32, 32)] * 2
 
 

@@ -32,8 +32,8 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   rows spans both, and one of which reaches the right edge. A fifth runs
   over the c01 scene at velocity 0.5,0.25, under a pixel per frame, with
   the default gate at ``tau`` 0.01: the object shifts by one pixel every
-  few frames, so many skipped frames differ from the last gated frame in
-  a few rows, and the gate maps only those;
+  few frames, so skipped frames differ from the gate's kept pixels, and
+  the gate maps them in full and stops comparing until the next inference;
 - each command's exit code and printed output.
 
 ``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.
