@@ -14,8 +14,8 @@ is one finiteness test of the map, by its maximum after ``abs``.
 divided by 255 lie in [0,1].
 
 The reference changes only when inference runs, so the reference's half of
-the products, ``w[C:] * reference`` (:func:`reference_half`), is made once
-per reference and kernel and kept by the pipeline. ``stack_frames`` pairs
+the products, ``w[C:] * reference`` (:func:`reference_half`), is kept by the
+pipeline under its key (see the ``pipeline`` module). ``stack_frames`` pairs
 the current frame with it without copying either, and ``motion_map``
 checks the pair's shapes and adds ``w[:C] * current`` to the half: the
 same products, added in the same order, as a 1x1 convolution of the

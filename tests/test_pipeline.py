@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import importlib
 import itertools
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,58 @@ def net_and_store():
     return net, init_weights(net, seed=21)
 
 
+@pytest.fixture
+def gate(monkeypatch):
+    # halves: reference_half calls; maps: each map decide receives; mapped:
+    # the shape of each pair motion_map maps
+    seen = {"halves": 0, "maps": [], "mapped": []}
+
+    def counted_half(*args, fn=pipeline.reference_half):
+        seen["halves"] += 1
+        return fn(*args)
+
+    def recorded_decide(m, *args, fn=pipeline.decide):
+        seen["maps"].append(m.copy())
+        return fn(m, *args)
+
+    def recorded_map(stack, policy, fn=pipeline.motion_map):
+        seen["mapped"].append(stack[0].shape)
+        return fn(stack, policy)
+    monkeypatch.setattr(pipeline, "reference_half", counted_half)
+    monkeypatch.setattr(pipeline, "decide", recorded_decide)
+    monkeypatch.setattr(pipeline, "motion_map", recorded_map)
+    return seen
+
+
+@pytest.fixture
+def references(monkeypatch):
+    # the ``reference`` each forward call is given
+    seen = []
+
+    def spy(net, store, x, **record):
+        seen.append(record.get("reference", "no keywords"))
+        return forward(net, store, x, **record)
+
+    monkeypatch.setattr(pipeline, "forward", spy)
+    return seen
+
+
+def fresh_map(frame, reference, policy):
+    stack = np.concatenate([frame.pixels.data, reference.pixels.data], axis=0)
+    return oracles.channel_sum_motion_map(stack, policy.kernel.data, policy.bias.data)
+
+
+def assert_fresh(state, net, store, frame):
+    want = forward(net, store, frame.pixels).data
+    assert np.array_equal(state.reference_map.values.data.view(np.uint32),
+                          want.view(np.uint32))
+
+
+def kept_gate(state):
+    """The state's kept ``(half, pixels, map)``, or None."""
+    return state.kept[3] if state.kept else None
+
+
 class TestProcessFrame:
     def test_first_frame_always_infers(self, net_and_store):
         net, store = net_and_store
@@ -105,7 +159,7 @@ class TestProcessFrame:
         assert did_infer is True
         assert state.reference_frame is f2
         assert state.frames_since_inference == 0
-        assert state.reference_half is None
+        assert state.kept[2:] == (None, None)  # no record, no gate
         assert timing.gate == 0.0
         assert boxes2 == boxes1
 
@@ -291,7 +345,7 @@ def redecoding_oracle(net, store, frames, decisions, anchors, obj_thr, nms_thr):
 
 class TestReuse:
     """A skipped frame returns the reference's boxes without decoding them
-    again, unless its decode settings differ from the ones that made them."""
+    again, unless its key differs from the one they were made under."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -322,22 +376,74 @@ class TestReuse:
         assert calls == {"decode": 1, "nms": 1}
 
     @pytest.mark.parametrize("changed", [
-        ([AnchorPrior(0.5, 1.1), AnchorPrior(2.0, 1.2)], OBJ_THR, NMS_THR),
-        (ANCHORS, 0.1, NMS_THR),
-        (ANCHORS, 0.0, 0.2),
-        (ANCHORS, np.float32(OBJ_THR), NMS_THR),  # == OBJ_THR, yet another float value
+        ("anchors", [AnchorPrior(0.5, 1.1), AnchorPrior(2.0, 1.2)]),
+        ("obj_thr", 0.1),
+        ("nms_thr", 0.2),
+        ("obj_thr", np.float32(OBJ_THR)),  # == OBJ_THR, yet another float value
+        ("reference", None),  # an equal-valued reference frame, with its own map
+        ("net", mini_net()),  # equal in value, but another object
+        ("store", init_weights(mini_net(), seed=22)),
+        ("kernel", 2.0),  # both halves scaled in place
+        ("bias", 0.03),  # set in place
+        ("policy", None),  # the gate, after frames under policy=None
+        ("nms_thr", np.float32(0.45)),  # == the 0.45 it replaces, yet another float value
     ])
-    def test_changed_settings_redecode_once(self, net_and_store, calls, changed):
+    def test_changed_settings_redecode_once(self, net_and_store, calls, gate, references,
+                                            changed):
+        # Frames 1-2 run under the first arguments and 3-6 under the changed
+        # ones, each key part changed alone. Frame 3, skipped, decodes and
+        # makes the half again, frame 4 reuses both, and frames 5 and 6,
+        # moving, infer: 5 in full, as no record is kept, 6 reusing 5's.
         net, store = net_and_store
-        f1, policy, state = self.first_frame(net, store)
-        for n in (2, 3):
+        part, value = changed
+        policy = GatingPolicy.default(3)
+        args = {"policy": None if part == "policy" else policy, "net": net, "store": store,
+                "anchors": ANCHORS, "obj_thr": OBJ_THR, "nms_thr": 0.45}
+        f1, f2, f3 = scene_frames(3, seed=1)
+        frames = [f1] + [Frame(n, f1.pixels) for n in (2, 3, 4)] + [f2, f3]
+        state, decisions, made, records = PipelineState(), [], [], []
+        for n, frame in enumerate(frames, start=1):
+            if n == 3 and part == "reference":
+                equal = Frame(state.reference_frame.index, state.reference_frame.pixels)
+                assert equal == state.reference_frame
+                state = dataclasses.replace(state, reference_frame=equal, reference_map=(
+                    map_from_output(net, forward(net, store, equal.pixels))))
+            elif n == 3 and part == "kernel":
+                policy.kernel.data[...] *= np.float32(value)
+            elif n == 3 and part == "bias":
+                policy.bias.data[...] = value
+            elif n == 3:
+                args[part] = policy if part == "policy" else value
+            reference, gap = state.reference_frame, state.frames_since_inference + 1
+            maps = len(gate["maps"])
             boxes, did_infer, state, _ = process_frame(
-                state, Frame(n, f1.pixels), policy, net, store, *changed)
-            assert not did_infer
-            anchors, obj_thr, nms_thr = changed
-            assert boxes == nms(decode(state.reference_map, anchors, obj_thr), nms_thr)
-        # frame 2 re-decoded; frame 3, with the same settings, reused
-        assert calls == {"decode": 2, "nms": 2}
+                state, frame, args["policy"], args["net"], args["store"], args["anchors"],
+                args["obj_thr"], args["nms_thr"])
+            decisions.append(did_infer)
+            made.append((calls["decode"], calls["nms"], gate["halves"]))
+            records.append(state.kept[2])
+            gated = reference is not None and args["policy"] is not None
+            assert len(gate["maps"]) == maps + gated
+            if gated:
+                want = fresh_map(frame, reference, args["policy"])
+                assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
+                assert did_infer is decide(want, args["policy"], gap)
+            if did_infer:
+                # frame 6's map is the forward that reuses frame 5's record;
+                # test_network checks that it has a full forward's bits
+                want = forward(args["net"], args["store"], frame.pixels,
+                               reference=records[4] if n == 6 else None).data
+                assert np.array_equal(state.reference_map.values.data.view(np.uint32),
+                                      want.view(np.uint32))
+            assert boxes == nms(decode(state.reference_map, args["anchors"], args["obj_thr"]),
+                                args["nms_thr"])
+        assert decisions == [True, part == "policy", False, False, True, True]
+        decoded, nmsed, halves = zip(*made)
+        # made again once on frame 3, reused on frame 4
+        assert decoded[2:4] == nmsed[2:4] == (decoded[1] + 1,) * 2
+        assert halves[2:4] == (halves[1] + 1,) * 2
+        assert references[-2] is None and references[-1] is records[4]
+        assert references[:-2] == ([None] if part != "policy" else ["no keywords"] * 2)
 
     def test_returned_list_is_the_callers(self, net_and_store):
         net, store = net_and_store
@@ -372,36 +478,9 @@ class TestReuse:
 
 class TestReferenceHalf:
     """The state keeps the reference's half of the gate's products, made once
-    per reference and kernel, and the pixels and map of the gated frame last
-    mapped in full, whose map a bit-equal frame reuses; the map that
-    ``decide`` gets equals one of a fresh stack."""
-
-    @pytest.fixture
-    def gate(self, monkeypatch):
-        # maps: each map decide receives; mapped: the shape of each pair
-        # motion_map maps
-        seen = {"halves": 0, "maps": [], "mapped": []}
-
-        def counted_half(*args, fn=pipeline.reference_half):
-            seen["halves"] += 1
-            return fn(*args)
-
-        def recorded_decide(m, *args, fn=pipeline.decide):
-            seen["maps"].append(m.copy())
-            return fn(m, *args)
-
-        def recorded_map(stack, policy, fn=pipeline.motion_map):
-            seen["mapped"].append(stack[0].shape)
-            return fn(stack, policy)
-        monkeypatch.setattr(pipeline, "reference_half", counted_half)
-        monkeypatch.setattr(pipeline, "decide", recorded_decide)
-        monkeypatch.setattr(pipeline, "motion_map", recorded_map)
-        return seen
-
-    @staticmethod
-    def fresh_map(frame, reference, policy):
-        stack = np.concatenate([frame.pixels.data, reference.pixels.data], axis=0)
-        return oracles.channel_sum_motion_map(stack, policy.kernel.data, policy.bias.data)
+    per key, and the pixels and map of the first gated frame, whose map a
+    bit-equal frame reuses; the map that ``decide`` gets equals one of a
+    fresh stack."""
 
     def stream(self, gate, net, store, frames, policies, state=None):
         """Each frame through ``process_frame``, checking that each gated
@@ -416,10 +495,10 @@ class TestReferenceHalf:
             gated = reference is not None and policy is not None
             assert len(gate["maps"]) == maps + gated
             if gated:
-                want = self.fresh_map(frame, reference, policy)
+                want = fresh_map(frame, reference, policy)
                 assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
                 assert did_infer is decide(want, policy, gap)
-            assert (state.last_gated is None) is did_infer
+            assert (kept_gate(state) is None) is did_infer
             decisions.append(did_infer)
         return decisions, state
 
@@ -430,19 +509,21 @@ class TestReferenceHalf:
         plain = GatingPolicy.default(3)
         other = GatingPolicy(kernel=Tensor(w), bias=Tensor.zeros((1,)),
                              pixel_threshold=0.05, area_threshold=0.01)
-        # another kernel object with the same values: no new half either
+        # another kernel object with the same values: no new half
         copied = GatingPolicy(kernel=Tensor(w.copy()), bias=Tensor.zeros((1,)))
-        # the same kernel object with another bias and thresholds: no new half
-        rebiased = GatingPolicy(kernel=plain.kernel, bias=Tensor(np.float32([0.03])),
-                                pixel_threshold=0.2, area_threshold=0.01)
+        # the same kernel and bias with other thresholds: no new half
+        rethresholded = GatingPolicy(kernel=plain.kernel, bias=plain.bias,
+                                     pixel_threshold=0.2, area_threshold=0.01)
+        # the same kernel object with another bias: a new half
+        rebiased = GatingPolicy(kernel=plain.kernel, bias=Tensor(np.float32([0.03])))
         spec = SyntheticSceneSpec(
             frames=30, width=32, height=32, velocities=((3.0, 2.0),),
             schedule=(MotionInterval(1, 5, True), MotionInterval(6, 14, False),
                       MotionInterval(15, 19, True), MotionInterval(20, 30, False)),
             noise=0.0, seed=14)
         frames = frames_from_scene(generate_scene(spec)[0])
-        policies = ([plain] * 8 + [rebiased] * 3 + [other] * 2 + [copied] + [plain] * 6
-                    + [other] * 10)
+        policies = ([plain] * 6 + [rethresholded] * 2 + [rebiased] * 3 + [other] * 2 + [copied]
+                    + [plain] * 6 + [other] * 10)
         state, made_for, halves, kept, decisions = PipelineState(), None, 0, 0, []
         for n, (frame, policy) in enumerate(zip(frames, policies)):
             reference, gap = state.reference_frame, state.frames_since_inference + 1
@@ -450,11 +531,12 @@ class TestReferenceHalf:
                 state, frame, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
             decisions.append(did_infer)
             if reference is not None:
-                want = self.fresh_map(frame, reference, policy)
+                want = fresh_map(frame, reference, policy)
                 assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
                 assert did_infer is decide(want, policy, gap)
-                if made_for != policy.kernel.data.tobytes():
-                    halves, made_for = halves + 1, policy.kernel.data.tobytes()
+                gate_bytes = policy.kernel.data.tobytes() + policy.bias.data.tobytes()
+                if made_for != gate_bytes:
+                    halves, made_for = halves + 1, gate_bytes
                 elif policy is not policies[n - 1]:
                     kept += 1
             if did_infer:
@@ -462,10 +544,10 @@ class TestReferenceHalf:
         assert len(gate["maps"]) == len(frames) - 1
         assert gate["halves"] == halves
         assert 0 < sum(decisions) < len(frames)
-        # in the frozen stretch the kernel changed twice without an inference,
-        # and new policy objects with the same kernel values kept the half
+        # in the frozen stretch the gate's bytes changed three times without an
+        # inference, and new policy objects with the same bytes kept the half
         assert not any(decisions[7:14])
-        assert kept >= 2 and halves >= sum(decisions[:-1]) + 2
+        assert kept >= 2 and halves >= sum(decisions[:-1]) + 3
 
     @pytest.mark.parametrize("skipped_first", [False, True])
     def test_wrong_shape_frame_leaves_the_state_reusable(self, net_and_store, gate,
@@ -478,15 +560,15 @@ class TestReferenceHalf:
         if skipped_first:
             _, did_infer, state, _ = process_frame(
                 state, Frame(2, f1.pixels), policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-            assert not did_infer and state.reference_half[0] is state.reference_frame
-        half = state.reference_half
+            assert not did_infer and kept_gate(state) is not None
+        kept = state.kept
         with pytest.raises(ShapeError, match="mismatch"):
             process_frame(state, Frame(3, Tensor.zeros((3, 16, 16))), policy, net, store,
                           ANCHORS, OBJ_THR, NMS_THR)
-        assert state.reference_half is half
+        assert state.kept is kept
         _, did_infer, _, _ = process_frame(
             state, f2, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-        want = self.fresh_map(f2, f1, policy)
+        want = fresh_map(f2, f1, policy)
         assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
         assert did_infer is decide(want, policy, state.frames_since_inference + 1)
         # one half for f1 when none was kept; the kept one is reused otherwise
@@ -501,7 +583,7 @@ class TestReferenceHalf:
             _, did_infer, state, _ = process_frame(
                 state, Frame(n, f1.pixels), pol, net, store, ANCHORS, OBJ_THR, NMS_THR)
             assert did_infer is (n <= 1 or pol is None)
-            assert (state.reference_half is None) is did_infer
+            assert (kept_gate(state) is None) is did_infer
         assert gate["halves"] == 2
 
     def test_kernel_changed_in_place(self, net_and_store, gate):
@@ -519,7 +601,7 @@ class TestReferenceHalf:
         for frame, scale in ((f2, 0.25), (f3, 1.0), (f2, 4.0)):
             w[0, 3:] *= np.float32(scale)
             process_frame(state, frame, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-            want = self.fresh_map(frame, f1, policy)
+            want = fresh_map(frame, f1, policy)
             assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
         # made again while the values differ from the kept half's; kept once
         # they are back
@@ -533,36 +615,36 @@ class TestReferenceHalf:
             PipelineState(), f1, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
         _, _, state, _ = process_frame(
             state, Frame(1, f1.pixels), policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-        assert state.reference_half is not None
+        assert kept_gate(state) is not None
         moved = dataclasses.replace(state, reference_frame=f2,
                                     reference_map=map_from_output(
                                         net, forward(net, store, f2.pixels)))
         _, did_infer, _, _ = process_frame(
             moved, f3, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-        want = self.fresh_map(f3, f2, policy)
+        want = fresh_map(f3, f2, policy)
         assert np.array_equal(gate["maps"][-1].view(np.uint32), want.view(np.uint32))
         assert did_infer is decide(want, policy, moved.frames_since_inference + 1)
         assert gate["halves"] == 2
 
-    def test_bias_changed_in_place_keeps_the_half(self, net_and_store, gate):
+    def test_bias_changed_in_place_remakes_the_half(self, net_and_store, gate):
         net, store = net_and_store
         b = np.zeros(1, np.float32)
         policy = GatingPolicy(kernel=GatingPolicy.default(3).kernel, bias=Tensor(b))
         assert policy.bias.data is b  # the Tensor wraps the caller's array
         f1 = scene_frames(1, seed=8)[0]
-        frames = [Frame(n, f1.pixels) for n in range(1, 7)]
+        frames = [Frame(n, f1.pixels) for n in range(1, 8)]
         _, state = self.stream(gate, net, store, frames[:3], [policy] * 3)
         assert gate["mapped"] == [(3, 32, 32)] and gate["halves"] == 1
-        for frame, bias in zip(frames[3:], (0.03, 0.03, 0.0)):
+        for frame, bias, halves in zip(frames[3:], (0.03, 0.03, 0.0, 0.0), (2, 2, 3, 3)):
             mapped = len(gate["mapped"])
+            changed = b[0] != bias
             b[0] = bias
             decisions, state = self.stream(gate, net, store, [frame], [policy], state)
-            assert decisions == [False] and gate["halves"] == 1
-            # a new bias maps in full; the same one reuses the map
-            again = bias == 0.03 and frame is frames[4]
-            assert gate["mapped"][mapped:] == ([] if again else [(3, 32, 32)])
-        assert state.last_gated[1] == b.tobytes()
-        assert state.last_gated[2] is f1.pixels.data
+            assert decisions == [False] and gate["halves"] == halves
+            # a new bias makes the half again and maps in full; the same one
+            # reuses both
+            assert gate["mapped"][mapped:] == ([(3, 32, 32)] if changed else [])
+        assert kept_gate(state)[1] is f1.pixels.data
 
     def test_slow_clip_reuses_only_repeated_frames(self, net_and_store, gate):
         net, store = net_and_store
@@ -570,7 +652,7 @@ class TestReferenceHalf:
         frames = scene_frames(16, seed=5, velocity=(0.4, 0.3))
         state, paths = PipelineState(), []
         for frame in frames:
-            before, mapped = state.last_gated, len(gate["mapped"])
+            before, mapped = kept_gate(state), len(gate["mapped"])
             gated = state.reference_frame is not None
             (inferred,), state = self.stream(gate, net, store, [frame], [policy], state)
             maps = gate["mapped"][mapped:]
@@ -579,19 +661,19 @@ class TestReferenceHalf:
             elif before is None:
                 path = "first"
                 assert maps == [(3, 32, 32)]
-                assert inferred or state.last_gated[2] is frame.pixels.data
-                assert inferred or not state.last_gated[3].flags.writeable
-            elif before[2] is None:
+                assert inferred or kept_gate(state)[1] is frame.pixels.data
+                assert inferred or not kept_gate(state)[2].flags.writeable
+            elif before[1] is None:
                 path = "after a change"
                 assert maps == [(3, 32, 32)]
-                assert inferred or state.last_gated[2:] == (None, None)
-            elif np.array_equal(frame.pixels.data.view(np.uint32), before[2].view(np.uint32)):
+                assert inferred or kept_gate(state)[1:] == (None, None)
+            elif np.array_equal(frame.pixels.data.view(np.uint32), before[1].view(np.uint32)):
                 path = "repeat"
-                assert maps == [] and (inferred or state.last_gated is before)
+                assert maps == [] and (inferred or kept_gate(state) is before)
             else:
                 path = "changed"
                 assert maps == [(3, 32, 32)]
-                assert inferred or state.last_gated[2:] == (None, None)
+                assert inferred or kept_gate(state)[1:] == (None, None)
             paths.append((path, inferred))
         assert 1 < sum(inferred for _, inferred in paths) < 8
         # skipped frames took each path: reused a map, differed from the kept
@@ -606,14 +688,14 @@ class TestReferenceHalf:
                                   seed=9)
         frames = frames_from_scene(generate_scene(spec)[0])
         decisions, state = self.stream(gate, net, store, frames[:2], [policy] * 2)
-        assert state.last_gated[2] is frames[1].pixels.data
+        assert kept_gate(state)[1] is frames[1].pixels.data
         # each later frame differs from the one before, so the pixels are
         # dropped until the next inference, and every gated frame maps in full
         more, state = self.stream(gate, net, store, frames[2:], [policy] * 10, state)
         decisions += more
         assert [n for n, d in enumerate(decisions, start=1) if d] == [1, 7]
         assert gate["mapped"] == [(3, 32, 32)] * 11
-        assert state.last_gated[2:] == (None, None)
+        assert kept_gate(state)[1:] == (None, None)
 
     def test_a_signed_zero_counts_as_changed(self, net_and_store, gate):
         net, store = net_and_store
@@ -627,7 +709,7 @@ class TestReferenceHalf:
         decisions, state = self.stream(gate, net, store, frames, [policy] * 3)
         assert decisions == [True, False, False]
         assert gate["mapped"] == [(3, 32, 32)] * 2
-        assert state.last_gated[2:] == (None, None)
+        assert kept_gate(state)[1:] == (None, None)
 
     def test_no_policy_frame_drops_the_last_gated_frame(self, net_and_store, gate):
         net, store = net_and_store
@@ -643,24 +725,7 @@ class TestReferenceHalf:
 
 class TestReferenceRecord:
     """A gated inferred frame records its forward, and the next one reuses
-    that record when it comes from the same network and store."""
-
-    @pytest.fixture
-    def references(self, monkeypatch):
-        seen = []
-
-        def spy(net, store, x, **record):
-            seen.append(record.get("reference", "no keywords"))
-            return forward(net, store, x, **record)
-
-        monkeypatch.setattr(pipeline, "forward", spy)
-        return seen
-
-    @staticmethod
-    def assert_fresh(state, net, store, frame):
-        want = forward(net, store, frame.pixels).data
-        assert np.array_equal(state.reference_map.values.data.view(np.uint32),
-                              want.view(np.uint32))
+    that record when its key matches the record's."""
 
     def test_moving_stream_reuses_each_record(self, net_and_store, references):
         net, store = net_and_store
@@ -669,11 +734,11 @@ class TestReferenceRecord:
         for frame in scene_frames(5, seed=6):
             _, did_infer, state, _ = process_frame(
                 state, frame, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-            made_with_net, made_with_store, record = state.reference_record
-            assert did_infer and made_with_net is net and made_with_store is store
+            record = state.kept[2]
+            assert did_infer
             assert np.shares_memory(record[0], frame.pixels.data)
             assert all(r is None or not r.flags.writeable for r in record)
-            self.assert_fresh(state, net, store, frame)
+            assert_fresh(state, net, store, frame)
             records.append(record)
         assert references[0] is None
         assert all(got is want for got, want in zip(references[1:], records))
@@ -684,20 +749,19 @@ class TestReferenceRecord:
         for frame in scene_frames(3, seed=6):
             _, _, state, _ = process_frame(state, frame, None, net, store, ANCHORS,
                                            OBJ_THR, NMS_THR)
-            assert state.reference_record is None
+            assert state.kept[2] is None
         assert references == ["no keywords"] * 3
 
     @pytest.mark.parametrize("other", ["store", "network", "reference"])
     def test_a_record_made_otherwise_is_not_reused(self, net_and_store, references, other):
-        # A record of another network or store is dropped. One of another
-        # reference frame is reused: the forward compares the frame with
-        # the record's own input, so its bits are still a full forward's.
+        # A record kept under another network, store or reference frame is
+        # dropped, and the frame runs a full forward.
         net, store = net_and_store
         policy = GatingPolicy.default(3)
         f1, f2, f3 = scene_frames(3, seed=7)
         _, _, state, _ = process_frame(
             PipelineState(), f1, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-        record = state.reference_record[2]
+        assert state.kept[2] is not None
         if other == "store":
             store = init_weights(net, seed=22)
         elif other == "network":
@@ -706,16 +770,31 @@ class TestReferenceRecord:
             state = dataclasses.replace(state, reference_frame=f2)
         _, did_infer, state, _ = process_frame(
             state, f3, policy, net, store, ANCHORS, OBJ_THR, NMS_THR)
-        assert did_infer and references == [None, record if other == "reference" else None]
-        assert state.reference_record[0] is net and state.reference_record[1] is store
-        assert np.shares_memory(state.reference_record[2][0], f3.pixels.data)
-        self.assert_fresh(state, net, store, f3)
+        assert did_infer and references == [None, None]
+        assert np.shares_memory(state.kept[2][0], f3.pixels.data)
+        assert_fresh(state, net, store, f3)
 
 
 class TestPipelineState:
     def test_reference_pair_invariant(self):
         with pytest.raises(ValueError, match="together"):
             PipelineState(reference_frame=scene_frames(1, seed=0)[0])
+
+    def test_kept_values_hold_what_their_key_compares(self, net_and_store):
+        # The key compares the reference, net and store by id, and an id is
+        # another object's once its own is freed: the state keeps all three.
+        net, store = mini_net(), init_weights(net_and_store[0], seed=23)
+        f1, f2 = scene_frames(2, seed=1)
+        _, _, state, _ = process_frame(PipelineState(), f1, GatingPolicy.default(3), net,
+                                       store, ANCHORS, OBJ_THR, NMS_THR)
+        state = dataclasses.replace(state, reference_frame=f2)
+        held = [weakref.ref(x) for x in (f1, net, store)]
+        del f1, net, store
+        gc.collect()
+        assert all(ref() is not None for ref in held)
+        del state
+        gc.collect()
+        assert all(ref() is None for ref in held)
 
 
 class TestTraceWrapPoints:

@@ -26,7 +26,8 @@ def test_identity_tree_against_itself():
     assert len(verdicts) >= 15 and all(line.startswith("same ") for line in verdicts)
     assert {"detect-init-0.txt", "forward-init.txt", "gated-map-init.txt",
             "gated-noisy-map-init.txt", "gated-rotating-map-init.txt",
-            "gated-slow-map-init.txt", "run-gated-init-0.json"} <= {
+            "gated-slow-map-init.txt", "gated-keyed-map-init.txt",
+            "run-gated-init-0.json"} <= {
         line.split()[-1] for line in verdicts}
 
 

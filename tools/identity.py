@@ -17,23 +17,28 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   lineage at gamma 0.74 from that FNET, both scored at ``obj_threshold``
   0.1 (at 0.4 this brief training finds no box, and both scores read 0);
 - a SHA-256 digest of each frame's ``network.forward`` output per FNET;
-- per FNET, each frame's inference bit and a SHA-256 digest of its raw map
-  from a gated ``pipeline.process_frame`` stream (the CLI's default gate),
-  whose inferred frames reuse the reference's activations; the forward
-  digests cover only full forwards, and detection files print rounded
-  values. One stream runs over the c01 clip and one over the same scene
-  made with ``noise=0.015``, where every row of an inferred frame changes.
-  A third runs over the c01 clip with a policy that changes every 5
-  frames, from the default gate to ``None`` to a gate with another kernel
-  and back, so that the state drops its forward record, keeps it across
-  gated frames, and makes the gate's half again for a new kernel. A fourth
-  runs over a two-object clip (``seed=16``, velocities 4,0.5 and -3,0.5,
-  the c01 schedule) whose objects share rows, so that a run of changed
-  rows spans both, and one of which reaches the right edge. A fifth runs
-  over the c01 scene at velocity 0.5,0.25, under a pixel per frame, with
-  the default gate at ``tau`` 0.01: the object shifts by one pixel every
-  few frames, so skipped frames differ from the gate's kept pixels, and
-  the gate maps them in full and stops comparing until the next inference;
+- per FNET, each frame's inference bit and SHA-256 digests of its raw map
+  and of its boxes' ``repr`` (every digit) from a gated
+  ``pipeline.process_frame`` stream (the CLI's default gate), whose
+  inferred frames reuse the reference's activations; the forward digests
+  cover only full forwards, and detection files print rounded values. One
+  stream runs over the c01 clip and one over the same scene made with
+  ``noise=0.015``, where every row of an inferred frame changes. A third
+  runs over the c01 clip with a policy that changes every 5 frames, from
+  the default gate to ``None`` to a gate with another kernel and back, so
+  that each change of the state's key drops what the state keeps (the
+  boxes, the forward record and the gate's half), and gated frames under
+  one key reuse it. A fourth runs over a two-object clip (``seed=16``,
+  velocities 4,0.5 and -3,0.5, the c01 schedule) whose objects share rows,
+  so that a run of changed rows spans both, and one of which reaches the
+  right edge. A fifth runs over the c01 scene at velocity 0.5,0.25, under
+  a pixel per frame, with the default gate at ``tau`` 0.01: the object
+  shifts by one pixel every few frames, so skipped frames differ from the
+  gate's kept pixels, and the gate maps them in full and stops comparing
+  until the next inference. A sixth runs over the c01 clip with the
+  default gate and changes one part of the key every 5 frames, then puts
+  it back: ``obj_threshold`` 0.4 to 0.1, ``nms_threshold`` 0.5 to 0.3, the
+  store (the same FNET loaded again), and the gate bias 0 to 0.03;
 - each command's exit code and printed output.
 
 ``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.
@@ -123,21 +128,30 @@ def produce(quick: bool) -> None:
         other_gate = GatingPolicy(kernel=Tensor(np.concatenate([k, -k]).reshape(1, 6, 1, 1)),
                                   bias=Tensor.zeros((1,)))
         slow_gate = GatingPolicy.default(net.input_shape[0], area_threshold=0.01)
-        streams = (("clip", "gated-map", (gate,)),
-                   ("noisy-clip", "gated-noisy-map", (gate,)),
-                   ("clip", "gated-rotating-map", (gate, None, other_gate)),
-                   ("two-clip", "gated-two-map", (gate,)),
-                   ("slow-clip", "gated-slow-map", (slow_gate,)))
-        for clip, name, policies in streams:
+        biased_gate = GatingPolicy(kernel=gate.kernel, bias=Tensor(np.float32([0.03])))
+        reloaded = netdef.load_network(fnet)[1]
+        # each window of 5 frames runs under the next (policy, store, obj, nms)
+        base = (gate, store, 0.4, 0.5)
+        streams = (("clip", "gated-map", (base,)),
+                   ("noisy-clip", "gated-noisy-map", (base,)),
+                   ("clip", "gated-rotating-map",
+                    (base, (None, store, 0.4, 0.5), (other_gate, store, 0.4, 0.5))),
+                   ("two-clip", "gated-two-map", (base,)),
+                   ("slow-clip", "gated-slow-map", ((slow_gate, store, 0.4, 0.5),)),
+                   ("clip", "gated-keyed-map",
+                    (base, (gate, store, 0.1, 0.5), base, (gate, store, 0.4, 0.3), base,
+                     (gate, reloaded, 0.4, 0.5), base, (biased_gate, store, 0.4, 0.5))))
+        for clip, name, windows in streams:
             state = pipeline.PipelineState()
             with Path(f"{name}-{tag}.txt").open("w") as digests:
                 for n, frame in enumerate(ppm.load_frames(clip)):
-                    policy = policies[n // 5 % len(policies)]
-                    _, inferred, state, _ = pipeline.process_frame(
-                        state, frame, policy, net, store, anchors, 0.4, 0.5)
+                    policy, weights, obj, nms = windows[n // 5 % len(windows)]
+                    boxes, inferred, state, _ = pipeline.process_frame(
+                        state, frame, policy, net, weights, anchors, obj, nms)
                     out = np.ascontiguousarray(state.reference_map.values.data)
                     digests.write(f"{frame.index} {int(inferred)} "
-                                  f"{hashlib.sha256(out).hexdigest()}\n")
+                                  f"{hashlib.sha256(out).hexdigest()} "
+                                  f"{hashlib.sha256(repr(boxes).encode()).hexdigest()}\n")
     if not quick:
         call("evolve", "evolve", network="trained.fnet", out="lineage", gamma=0.74,
              generations=1, frames=48, holdout=24, epochs=3, obj_threshold=0.1)
