@@ -24,11 +24,13 @@ drops all three, and each is made again only when it is needed:
   (``motion.reference_half``), so a gated frame multiplies only its own
   channels and its map has the bits of the ``[2C,H,W]`` stack's, and the
   pixels and read-only motion map of the first gated frame, mapped in full.
-  A later gated frame whose bits all equal those pixels (so -0.0 and +0.0
-  differ) reuses that map, which has a fresh map's bits, since the gate
-  maps each pixel from the current pixel, the half and the bias alone. One
-  that differs in any bit maps in full and drops the pixels and the map,
-  so the frames up to the next inference map in full without a compare.
+  A later gated frame that holds those very pixels, as frames that
+  ``ppm.read_frames`` made from equal rasters do, or whose bits all equal
+  them (so -0.0 and +0.0 differ), reuses that map, which has a fresh map's
+  bits, since the gate maps each pixel from the current pixel, the half
+  and the bias alone. One that differs in any bit maps in full and drops
+  the pixels and the map, so the frames up to the next inference map in
+  full without a compare.
   An inferred frame drops the map before its forward.
 
 ``policy=None`` infers every frame in full and calls no gate function; it is
@@ -38,7 +40,8 @@ use, and the per-frame baseline that gating is measured against.
 A frame's pixels must not be written after the frame is passed to
 :func:`process_frame`: the forward's record and the gate's kept pixels are
 compared with later frames, and a pixel written in place would read as
-unchanged.
+unchanged. Frames read from files share the pixels of equal rasters and
+hold them read-only, so such a write raises.
 
 Processing is strictly sequential per video; independent videos can run
 concurrently with separate states.
@@ -169,15 +172,15 @@ def _key(reference: Optional[Frame], net: NetworkDescriptor, store: WeightStore,
 def _gate_map(stack: tuple, policy: GatingPolicy, gate: Optional[tuple]) -> tuple:
     """The motion map of ``stack`` and the ``gate`` value to keep (see the
     module docstring): with none kept the frame maps in full and its pixels
-    and map are kept; a frame whose bits all equal the kept pixels reuses the
-    kept map; any other maps in full and drops them."""
+    and map are kept; a frame that holds the kept pixels, or whose bits all
+    equal them, reuses the kept map; any other maps in full and drops them."""
     current, half = stack
     if gate is None:
         m = motion_map(stack, policy)
         m.flags.writeable = False
         return m, (half, current, m)
-    if gate[1] is not None and np.array_equal(current.view(np.uint32),
-                                              gate[1].view(np.uint32)):
+    if gate[1] is not None and (current is gate[1] or np.array_equal(
+            current.view(np.uint32), gate[1].view(np.uint32))):
         return gate[2], gate
     return motion_map(stack, policy), (half, None, None)
 
@@ -223,7 +226,9 @@ def run(frames: Iterable[Frame], net: NetworkDescriptor, store: WeightStore,
 
     ``frames`` may be any iterable, a lazy one included: it is read once,
     one frame at a time, and never held whole, so a run keeps only the
-    current frame, the reference and the first gated frame after it alive.
+    current frame, the reference and the first gated frame after it alive,
+    besides what the iterable keeps (``ppm.read_frames`` keeps the previous
+    raster's bytes and that frame's pixels).
     ``policy=None`` infers every frame. Wall time covers the gate,
     infer, and decode stages only (frame I/O is the caller's business); FPS
     is frames divided by that total. A ``ValueError``, ``ArithmeticError``

@@ -1,5 +1,10 @@
 """Binary portable pixmap I/O (P6 color, P5 grayscale, 8-bit) and frame
 directory handling. Pixels map to [0,1] by division by 255.
+
+:func:`read_frames` is the one frame reader, for :func:`load_frames` and
+the CLI's ``detect`` and ``run``. It decodes a raster only when it differs
+from the previous file's, so the repeated rasters of a static scene share
+one read-only pixel array, which no frame can change under another.
 """
 
 from __future__ import annotations
@@ -7,14 +12,15 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .motion import Frame
 from .tensor import Tensor
 
-__all__ = ["frame_from_image", "list_frame_files", "load_frames", "read_ppm",
-           "save_frames", "write_ppm"]
+__all__ = ["frame_from_image", "list_frame_files", "load_frames", "read_frames",
+           "read_ppm", "save_frames", "write_ppm"]
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -123,9 +129,35 @@ def list_frame_files(directory) -> list[tuple[int, Path]]:
     return list(by_index.items())
 
 
+def read_frames(files: Iterable[tuple[int, Path]]) -> Iterator[Frame]:
+    """The frames of ``(index, path)`` pairs, as :func:`list_frame_files`
+    gives them, each file read when the frame is asked for.
+
+    Each file goes through :func:`read_ppm`. A raster whose shape and bytes
+    equal the previous file's gives a frame with its own index that shares
+    the previous frame's pixel ``Tensor``; any other raster goes through
+    :func:`frame_from_image`. The pixels are read-only. Between frames the
+    reader keeps the previous raster's bytes and its frame's pixels.
+    """
+    shape = raster = pixels = None  # the previous file's
+    for index, path in files:
+        image = read_ppm(path)
+        data = image.tobytes()
+        # ``bytes ==`` stops at the first differing byte; a negative index
+        # goes to frame_from_image, which rejects it.
+        if image.shape == shape and data == raster and index >= 0:
+            frame = Frame._trusted(index, pixels)
+        else:
+            frame = frame_from_image(index, image)
+            frame.pixels.data.flags.writeable = False
+        shape, raster, pixels = image.shape, data, frame.pixels
+        yield frame
+
+
 def load_frames(directory) -> list[Frame]:
-    return [frame_from_image(idx, read_ppm(path))
-            for idx, path in list_frame_files(directory)]
+    """Every frame of ``directory`` in index order, read by :func:`read_frames`,
+    so successive frames of equal rasters share their pixels."""
+    return list(read_frames(list_frame_files(directory)))
 
 
 def save_frames(directory, images: list[np.ndarray], start_index: int = 1) -> list[Path]:

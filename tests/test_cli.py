@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import subprocess
@@ -575,6 +576,48 @@ class TestStreaming:
         assert (f"skipdet run: error: {bad}: byte 13: raster truncated, expected 3072 bytes, "
                 "got 87\n") == capsys.readouterr().err
         assert not out.exists() and not rep.exists()
+
+    def test_truncated_repeat_fails_when_reached(self, mini_weighted_net, tmp_path, capsys,
+                                                 monkeypatch):
+        # Frames 3-5 are frozen, so frame 4's raster would equal frame 3's:
+        # a truncated one still fails as read_ppm reports it.
+        scene = tmp_path / "scene"
+        assert cli.run_cli(["synth", "--set", f"out={scene}", "--set", "frames=5",
+                            "--set", "size=32", "--set", "schedule=1-2:moving,3-5:frozen"]) == 0
+        bad = scene / "frame_000004.ppm"
+        bad.write_bytes(bad.read_bytes()[:100])
+        reached = []
+        monkeypatch.setattr(pipeline, "process_frame", lambda state, frame, *args, fn=(
+            pipeline.process_frame): reached.append(frame.index) or fn(state, frame, *args))
+        out, rep = tmp_path / "det.txt", tmp_path / "report.json"
+        rc = cli.run_cli(["run", "--set", f"input={scene}", "--set", f"network={mini_weighted_net}",
+                          "--set", f"out={out}", "--set", f"report={rep}"])
+        assert rc == 1 and reached == [1, 2, 3]
+        assert (f"skipdet run: error: {bad}: byte 13: raster truncated, expected 3072 bytes, "
+                "got 87\n") == capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "run"])
+    def test_traced_run_reads_each_file_and_decodes_each_new_raster(
+            self, command, mini_weighted_net, scene_dir, tmp_path, monkeypatch):
+        # The benchmark's tracer counts ppm.read_ppm and ppm.frame_from_image
+        # by module attribute: once per file, and once per raster that
+        # differs from the previous file's (frames 9-12 repeat frame 8).
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        files = [path for _, path in ppm.list_frame_files(scene_dir)]
+        rasters = [path.read_bytes() for path in files]
+        new = [n for n, raster in enumerate(rasters, start=1)
+               if n == 1 or raster != rasters[n - 2]]
+        assert new == list(range(1, 9))
+        with tracing.traced(tracing.Tracer()) as tracer:
+            assert cli.run_cli([command, "--set", f"input={scene_dir}",
+                                "--set", f"network={mini_weighted_net}",
+                                "--set", f"out={tmp_path / 'det.txt'}"]) == 0
+        names = [s.name for s in tracer.spans]
+        assert names.count("ppm.read_ppm") == len(files) == 12
+        assert names.count("ppm.frame_from_image") == len(new)
+        assert names.count("pipeline.process_frame") == 12
 
 
 class TestDecodeThresholds:

@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipdet import pipeline
+from skipdet import pipeline, ppm, zoo
 from skipdet.detector import AnchorPrior, decode, format_detection_line, map_from_output, nms
 from skipdet.motion import Frame, GatingPolicy, decide
 from skipdet.netdef import LayerSpec, NetworkDescriptor
 from skipdet.network import forward, init_weights
 from skipdet.pipeline import PipelineState, process_frame, run
-from skipdet.synth import MotionInterval, SyntheticSceneSpec, frames_from_scene, generate_scene
+from skipdet.synth import (MotionInterval, SyntheticSceneSpec, frames_from_scene,
+                           generate_scene, write_scene)
 from skipdet.tensor import ShapeError, Tensor
 
 import oracles
@@ -773,6 +774,82 @@ class TestReferenceRecord:
         assert did_infer and references == [None, None]
         assert np.shares_memory(state.kept[2][0], f3.pixels.data)
         assert_fresh(state, net, store, f3)
+
+
+class TestSharedPixels:
+    """``ppm.load_frames`` gives the frames of a repeated raster one pixel
+    ``Tensor``; a stream over them equals one over copies, frame for frame."""
+
+    @staticmethod
+    def stream(frames, policy, net, store, obj_threshold):
+        state, seen = PipelineState(), []
+        for frame in frames:
+            boxes, inferred, state, _ = process_frame(
+                state, frame, policy, net, store, ANCHORS, obj_threshold, NMS_THR)
+            seen.append((frame.index, inferred, repr(boxes),
+                         state.reference_map.values.data.view(np.uint32).tobytes()))
+        return seen
+
+    @pytest.mark.parametrize("force_every", [0, 3], ids=["default-gate", "force-every-3"])
+    @pytest.mark.parametrize("clip", ["c01", "gray"])
+    def test_a_stream_over_shared_pixels_equals_one_over_copies(self, clip, force_every,
+                                                                tmp_path):
+        if clip == "c01":
+            # seed 11, 60 frames at tiny's 96x96, moving 1-37 and frozen after
+            spec = SyntheticSceneSpec(
+                frames=60, width=96, height=96, velocities=((3.0, 2.0),),
+                schedule=(MotionInterval(1, 37, True), MotionInterval(38, 60, False)),
+                noise=0.0, seed=11)
+            net = zoo.load_bundled("tiny")
+        else:
+            # P5 frames; single frozen frames between moving ones, then a stretch
+            spec = SyntheticSceneSpec(
+                frames=16, width=32, height=32, channels=1, velocities=((3.0, 2.0),),
+                schedule=(MotionInterval(1, 3, True), MotionInterval(4, 4, False),
+                          MotionInterval(5, 7, True), MotionInterval(8, 8, False),
+                          MotionInterval(9, 11, True), MotionInterval(12, 16, False)),
+                noise=0.0, seed=7)
+            net = dataclasses.replace(mini_net(), input_shape=(1, 32, 32), layers=(
+                LayerSpec.conv(1, 4, 3, pad=1, activation="leaky", alpha=0.1),
+                *mini_net().layers[1:]))
+        write_scene(spec, tmp_path)
+        assert (tmp_path / "frame_000001.ppm").read_bytes()[:2] == (
+            b"P6" if clip == "c01" else b"P5")
+        store = init_weights(net, seed=0)
+        policy = GatingPolicy.default(spec.channels, force_every=force_every)
+        shared = ppm.load_frames(tmp_path)
+        copied = [Frame(f.index, Tensor(f.pixels.data.copy())) for f in shared]
+        repeats = {b.index for a, b in zip(shared, shared[1:]) if b.pixels is a.pixels}
+        assert repeats == set(range(38, 61) if clip == "c01" else (4, 8, 12, 13, 14, 15, 16))
+        got = self.stream(shared, policy, net, store, 0.1)
+        assert got == self.stream(copied, policy, net, store, 0.1)
+        # shared frames both skipped and (when forced) inferred, with boxes
+        assert {inferred for index, inferred, _, _ in got if index in repeats} == (
+            {False, True} if force_every else {False})
+        assert any(boxes != "[]" for _, _, boxes, _ in got)
+
+    def test_the_gate_matches_shared_pixels_by_identity(self, net_and_store, tmp_path,
+                                                        monkeypatch):
+        # Frames 3-8 repeat frame 2's raster: frame 3 maps in full, and 4-8,
+        # which hold the pixels the gate kept, reuse its map without a compare.
+        net, store = net_and_store
+        spec = SyntheticSceneSpec(
+            frames=8, width=32, height=32, velocities=((3.0, 2.0),),
+            schedule=(MotionInterval(1, 2, True), MotionInterval(3, 8, False)),
+            noise=0.0, seed=3)
+        write_scene(spec, tmp_path)
+        shared = ppm.load_frames(tmp_path)
+        copied = [Frame(f.index, Tensor(f.pixels.data.copy())) for f in shared]
+        compared = []
+        monkeypatch.setattr(np, "array_equal", lambda a, b, fn=np.array_equal: (
+            compared.append(frame.index) or fn(a, b)))
+        for frames, want in ((shared, []), (copied, [4, 5, 6, 7, 8])):
+            state, compared[:] = PipelineState(), []
+            for frame in frames:
+                _, inferred, state, _ = process_frame(state, frame, GatingPolicy.default(3), net,
+                                                      store, ANCHORS, OBJ_THR, NMS_THR)
+                assert inferred == (frame.index <= 2)
+            assert compared == want
 
 
 class TestPipelineState:

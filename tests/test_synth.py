@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skipdet import ppm
 from skipdet.motion import Frame
-from skipdet.ppm import (frame_from_image, list_frame_files, load_frames,
+from skipdet.ppm import (frame_from_image, list_frame_files, load_frames, read_frames,
                          read_ppm, save_frames, write_ppm)
 from skipdet.synth import (MotionInterval, SyntheticSceneSpec, frames_from_scene,
                            generate_scene, parse_schedule, random_detection_scenes,
@@ -327,6 +329,77 @@ class TestPpm:
             assert str(exc).startswith(f"{path}: byte ")
         else:
             assert img.dtype == np.uint8 and img.ndim == 3 and min(img.shape) > 0
+
+
+class TestReadFrames:
+    """One reader for ``load_frames`` and the CLI: a raster equal to the
+    previous file's shares that frame's pixels; the pixels are read-only."""
+
+    def test_a_repeated_raster_shares_the_last_pixels(self, tmp_path):
+        rng = np.random.default_rng(3)
+        a, b = (rng.integers(0, 256, size=(6, 5, 3), dtype=np.uint8) for _ in range(2))
+        save_frames(tmp_path, [a, a, a, b, b, a], start_index=4)
+        frames = load_frames(tmp_path)
+        assert [f.index for f in frames] == [4, 5, 6, 7, 8, 9]
+        pixels = [f.pixels for f in frames]
+        assert pixels[1] is pixels[0] and pixels[2] is pixels[0] and pixels[4] is pixels[3]
+        # only the previous file is compared: frame 9 repeats frame 4, not 8
+        assert len({id(p) for p in pixels}) == 3 and pixels[5] is not pixels[0]
+        for frame, image in zip(frames, [a, a, a, b, b, a]):
+            want = frame_from_image(frame.index, image).pixels.data
+            assert np.array_equal(frame.pixels.data.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("at", [0, 37, -1], ids=["first", "middle", "last"])
+    def test_a_raster_one_byte_off_is_decoded_anew(self, tmp_path, at):
+        image = np.random.default_rng(4).integers(0, 256, size=(4, 4, 3), dtype=np.uint8)
+        other = image.copy()
+        other.reshape(-1)[at] ^= 1
+        save_frames(tmp_path, [image, other])
+        first, second = load_frames(tmp_path)
+        assert second.pixels is not first.pixels
+        assert np.array_equal(second.pixels.data, frame_from_image(2, other).pixels.data)
+
+    @pytest.mark.parametrize("shapes", [((2, 6, 1), (6, 2, 1)), ((2, 2, 3), (3, 4, 1))],
+                             ids=["transposed", "color-then-gray"])
+    def test_the_same_bytes_in_another_shape_are_decoded_anew(self, tmp_path, shapes):
+        raster = np.arange(12, dtype=np.uint8)
+        save_frames(tmp_path, [raster.reshape(shape) for shape in shapes])
+        frames = load_frames(tmp_path)
+        assert [f.pixels.shape for f in frames] == [(s[2], s[0], s[1]) for s in shapes]
+        assert frames[1].pixels is not frames[0].pixels
+
+    def test_pixels_are_read_only(self, tmp_path):
+        image = np.full((3, 3, 3), 9, np.uint8)
+        save_frames(tmp_path, [image, image])
+        for frame in load_frames(tmp_path):
+            with pytest.raises(ValueError, match="read-only"):
+                frame.pixels.data[0, 0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                frame.pixels.data *= 2
+
+    def test_each_file_is_read_when_its_frame_is_asked_for(self, tmp_path, monkeypatch):
+        image = np.full((2, 2, 3), 7, np.uint8)
+        paths = save_frames(tmp_path, [image] * 3)
+        paths[2].write_bytes(paths[2].read_bytes()[:-1])
+        read = []
+        monkeypatch.setattr(ppm, "read_ppm", lambda path, fn=ppm.read_ppm: read.append(path)
+                            or fn(path))
+        frames = read_frames(list_frame_files(tmp_path))
+        assert read == []
+        assert next(frames).index == 1 and next(frames).index == 2 and read == paths[:2]
+        # the truncated third raster fails as read_ppm reports it
+        with pytest.raises(ValueError, match=re.escape(
+                f"{paths[2]}: byte 11: raster truncated, expected 12 bytes, got 11")):
+            next(frames)
+
+    def test_a_repeat_keeps_the_index_check(self, tmp_path):
+        image = np.zeros((2, 2, 1), np.uint8)
+        path = save_frames(tmp_path, [image])[0]
+        frames = read_frames([(1, path), (0, path), (-1, path)])
+        first, second = next(frames), next(frames)
+        assert (first.index, second.index) == (1, 0) and second.pixels is first.pixels
+        with pytest.raises(ValueError, match="non-negative"):
+            next(frames)
 
 
 class TestWriteScene:

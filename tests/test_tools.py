@@ -27,6 +27,7 @@ def test_identity_tree_against_itself():
     assert {"detect-init-0.txt", "forward-init.txt", "gated-map-init.txt",
             "gated-noisy-map-init.txt", "gated-rotating-map-init.txt",
             "gated-slow-map-init.txt", "gated-keyed-map-init.txt",
+            "gated-flicker-map-init.txt", "run-flicker-init.json",
             "run-gated-init-0.json"} <= {
         line.split()[-1] for line in verdicts}
 

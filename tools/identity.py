@@ -38,7 +38,12 @@ own ``src/`` first on ``PYTHONPATH`` and one BLAS thread:
   until the next inference. A sixth runs over the c01 clip with the
   default gate and changes one part of the key every 5 frames, then puts
   it back: ``obj_threshold`` 0.4 to 0.1, ``nms_threshold`` 0.5 to 0.3, the
-  store (the same FNET loaded again), and the gate bias 0 to 0.03;
+  store (the same FNET loaded again), and the gate bias 0 to 0.03. A
+  seventh runs over a flicker clip (the c01 scene, frozen on every fourth
+  frame and moving on the others), where each frozen frame repeats the
+  raster before it, so the reader shares that frame's pixels: a shared
+  frame follows an inferred frame and comes before a moving one. The
+  flicker clip also goes through ``run`` gated at ``obj_threshold`` 0;
 - each command's exit code and printed output.
 
 ``--quick`` keeps 6-frame clips, the init FNET and ``obj_threshold`` 0.
@@ -103,6 +108,10 @@ def produce(quick: bool) -> None:
          velocity="4,0.5;-3,0.5", schedule=schedule, seed=16)
     call("synth-slow", "synth", out="slow-clip", frames=frames, velocity="0.5,0.25",
          schedule=schedule, seed=11)
+    flicker = ",".join(f"{n}-{n}:{'frozen' if n % 4 == 0 else 'moving'}"
+                       for n in range(1, frames + 1))
+    call("synth-flicker", "synth", out="flicker-clip", frames=frames, velocity="3,2",
+         schedule=flicker, seed=11)
     tiny = zoo.load_bundled("tiny")
     netdef.save_network("init.fnet", tiny, network.init_weights(tiny, 0))
     fnets = {"init": "init.fnet"}
@@ -117,6 +126,8 @@ def produce(quick: bool) -> None:
                 name = f"run-{mode}-{tag}-{obj}"
                 call(name, "run", **common, mode=mode, out=f"{name}.txt", report=f"{name}.json")
             call(f"detect-{tag}-{obj}", "detect", **common, out=f"detect-{tag}-{obj}.txt")
+        call(f"run-flicker-{tag}", "run", input="flicker-clip", network=fnet, obj_threshold=0,
+             out=f"run-flicker-{tag}.txt", report=f"run-flicker-{tag}.json")
         net, store = netdef.load_network(fnet)
         with Path(f"forward-{tag}.txt").open("w") as digests:
             for frame in ppm.load_frames("clip"):
@@ -140,7 +151,8 @@ def produce(quick: bool) -> None:
                    ("slow-clip", "gated-slow-map", ((slow_gate, store, 0.4, 0.5),)),
                    ("clip", "gated-keyed-map",
                     (base, (gate, store, 0.1, 0.5), base, (gate, store, 0.4, 0.3), base,
-                     (gate, reloaded, 0.4, 0.5), base, (biased_gate, store, 0.4, 0.5))))
+                     (gate, reloaded, 0.4, 0.5), base, (biased_gate, store, 0.4, 0.5))),
+                   ("flicker-clip", "gated-flicker-map", (base,)))
         for clip, name, windows in streams:
             state = pipeline.PipelineState()
             with Path(f"{name}-{tag}.txt").open("w") as digests:
